@@ -39,6 +39,7 @@ EXIT_INVARIANT = 3
 _ALGORITHMS = ("lasso", "lda", "mlr")
 _TOPOLOGIES = ("master_slave", "full_p2p", "halton")
 _CODECS = ("full", "sufficient_factor")
+_DEFAULT_CODEC = "sufficient_factor"
 _PRIORITY_MODES = ("fifo", "absolute_magnitude", "relative_magnitude")
 _SCHEDULERS = ("fixed", "sap", "random", "round_robin")
 
@@ -127,7 +128,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require_enum(
         "runtime", "topology", rt.get("topology", "master_slave"), _TOPOLOGIES
     )
-    _require_enum("runtime", "codec", rt.get("codec", "full"), _CODECS)
+    _require_enum("runtime", "codec", rt.get("codec", _DEFAULT_CODEC), _CODECS)
     _require_enum(
         "runtime", "priority_mode", rt.get("priority_mode", "fifo"), _PRIORITY_MODES
     )
@@ -341,7 +342,7 @@ def _run_mlr(cfg: ExperimentConfig, paths: dict) -> dict:
     steps = _get_int(cfg.algorithm, "algorithm", "steps", default="50", minimum=1)
     batch = _get_int(cfg.algorithm, "algorithm", "batch", default="32", minimum=1)
     eta0 = _get_float(cfg.algorithm, "algorithm", "eta0", default="0.1")
-    codec = Codec(cfg.runtime.get("codec", "sufficient_factor"))
+    codec = Codec(cfg.runtime.get("codec", _DEFAULT_CODEC))
     A, objectives = mlr_mod.train_sgd(
         problem, steps, batch, eta0=eta0, seed=rt["seed"]
     )

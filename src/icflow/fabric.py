@@ -250,6 +250,8 @@ class HaltonTopology(Topology):
         if P < 2:
             raise ConfigurationError("halton topology needs P >= 2")
         self._neighbors = {}
+        # (src, dst) -> route, filled on first use; route() hands out copies
+        self._routes: dict[tuple[int, int], list[int]] = {}
         half = ceil(P / 2)
         for i in range(P):
             nb = {(i + 1) % P, (i + half) % P} - {i}
@@ -282,6 +284,12 @@ class HaltonTopology(Topology):
         self.check_worker(dst)
         if src == dst:
             raise ConfigurationError("route requires src != dst")
+        path = self._routes.get((src, dst))
+        if path is None:
+            path = self._routes[(src, dst)] = self._shortest_route(src, dst)
+        return list(path)
+
+    def _shortest_route(self, src: int, dst: int) -> list[int]:
         # BFS layering, then enumerate shortest paths and pick by hop policy
         dist = {src: 0}
         frontier = [src]

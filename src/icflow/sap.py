@@ -14,6 +14,11 @@ from .errors import ConfigurationError
 _HASH_MULT = 2654435761
 _HASH_MOD = 2**32
 
+# A blocked Gram product and a per-pair dot product may differ in the last
+# bits (under 1e-15 on unit columns); build_independent_subsets hands pairs
+# this close to kappa to dependency_check.
+_KAPPA_TIE = 1e-9
+
 
 def dependency_check(j: int, k: int, X: np.ndarray) -> float:
     """|X_.j^T X_.k| on unit-normalized columns."""
@@ -35,28 +40,34 @@ def build_independent_subsets(
     cross-subset pairs have weight < kappa. Components larger than
     ``max_subset_factor`` times the average subset size are split with a
     warning, accepting a bounded number of dependency violations.
+
+    All pair weights of a call come from one Gram product of the candidate
+    columns. A pair whose blocked weight lies within ``_KAPPA_TIE`` of kappa
+    is decided by ``dependency_check`` itself, so every grouping equals the
+    one the pairwise checks give.
     """
     cand = sorted(set(candidates))
     if not cand:
         return []
-    parent = {j: j for j in cand}
+    Xc = X[:, cand]
+    gram = np.abs(Xc.T @ Xc)
+    rows, cols = np.nonzero(np.triu(gram >= kappa - _KAPPA_TIE, k=1))
+    parent = list(range(len(cand)))
 
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    for a in range(len(cand)):
-        for b in range(a + 1, len(cand)):
-            j, k = cand[a], cand[b]
-            if dependency_check(j, k, X) >= kappa:
-                parent[find(j)] = find(k)
+    for a, b, w in zip(rows.tolist(), cols.tolist(), gram[rows, cols].tolist()):
+        if w >= kappa + _KAPPA_TIE or dependency_check(cand[a], cand[b], X) >= kappa:
+            parent[find(a)] = find(b)
 
     groups: dict[int, list[int]] = {}
-    for j in cand:
-        groups.setdefault(find(j), []).append(j)
-    subsets = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    for a, j in enumerate(cand):
+        groups.setdefault(find(a), []).append(j)
+    subsets = sorted(groups.values(), key=lambda g: g[0])
 
     if not np.isfinite(max_subset_factor):
         return subsets
@@ -95,12 +106,6 @@ class PriorityState:
         """Record A_j(t-1) - A_j(t-2) for the coordinates updated this round."""
         for j, d in changes.items():
             self.weights[j] = d * d + self.eps
-
-    def rescale_floor(self) -> None:
-        """Set eps relative to the average observed squared change, once known."""
-        avg = float(np.mean(self.weights))
-        if avg > 0:
-            self.eps = max(self.eps, 1e-6 * avg)
 
 
 def prioritize_sample(

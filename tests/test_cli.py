@@ -112,6 +112,28 @@ def test_run_writes_expected_files(tmp_path):
     assert rows[0]["iteration"] == 1
 
 
+def test_mlr_without_codec_validates_and_runs_sufficient_factor(tmp_path):
+    body = """
+[data]
+n = 60
+d = 5
+k = 3
+
+[algorithm]
+algorithm = mlr
+steps = 3
+batch = 8
+
+[runtime]
+p = 2
+"""
+    cfg = write_cfg(tmp_path, body)
+    assert "codec" not in parse_config(cfg).runtime
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_OK
+    assert "codec: sufficient_factor" in (out / "summary.txt").read_text()
+
+
 def test_run_is_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     outs = []

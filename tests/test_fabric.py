@@ -131,6 +131,27 @@ def test_halton_neighbors_and_published_route():
         t.route(3, 3)
 
 
+def test_halton_route_table_matches_first_call_routes():
+    for P in list(range(2, 17)) + [33]:
+        pairs = [(s, d) for s in range(P) for d in range(P) if s != d]
+        first = {pair: HaltonTopology(P).route(*pair) for pair in pairs}
+        for order in (pairs, pairs[::-1]):
+            t = HaltonTopology(P)
+            for pair in order:
+                assert t.route(*pair) == first[pair]
+                assert t.route(*pair) == first[pair]
+    t = HaltonTopology(6)
+    route = t.route(0, 5)
+    route.append(2)
+    route[1] = 3
+    assert t.route(0, 5) == [0, 1, 4, 5]
+    # argument checks still run once the pair is in the table
+    with pytest.raises(ConfigurationError):
+        t.route(0, 6)
+    with pytest.raises(ConfigurationError):
+        t.route(5, 5)
+
+
 def test_halton_routes_are_shortest_paths():
     for P in (4, 6, 9):
         t = HaltonTopology(P)

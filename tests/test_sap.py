@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from icflow import sap
 from icflow.algorithms.lasso import normalize_columns
 from icflow.datasets import gen_lasso
 from icflow.errors import ConfigurationError
@@ -68,6 +71,120 @@ def test_oversized_component_is_split_with_warning():
     with pytest.warns(RuntimeWarning):
         subsets = build_independent_subsets(range(20), 0.1, X)
     assert max(len(s) for s in subsets) < 8
+
+
+def _pairwise_subsets(candidates, kappa, X, max_subset_factor=4.0):
+    """Reference grouping: one dependency_check per candidate pair, union-find,
+    then the same ordering and splitting rule as build_independent_subsets."""
+    cand = sorted(set(candidates))
+    if not cand:
+        return []
+    parent = {j: j for j in cand}
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for a in range(len(cand)):
+        for b in range(a + 1, len(cand)):
+            j, k = cand[a], cand[b]
+            if dependency_check(j, k, X) >= kappa:
+                parent[find(j)] = find(k)
+
+    groups = {}
+    for j in cand:
+        groups.setdefault(find(j), []).append(j)
+    subsets = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+    if not np.isfinite(max_subset_factor):
+        return subsets
+    avg = len(cand) / len(subsets)
+    cap = max(1, int(np.ceil(max_subset_factor * avg)))
+    out = []
+    for g in subsets:
+        if len(g) > cap:
+            warnings.warn(
+                f"splitting dependency component of size {len(g)} (cap {cap}); "
+                "some cross-worker dependencies may be violated",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            for i in range(0, len(g), cap):
+                out.append(g[i : i + cap])
+        else:
+            out.append(g)
+    return out
+
+
+def _subsets_and_warnings(build, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        subsets = build(*args)
+    return subsets, [(w.category, str(w.message)) for w in caught]
+
+
+def test_blocked_grouping_matches_pairwise_reference():
+    rng = np.random.default_rng(21)
+    split_warnings = 0
+    for i in range(24):
+        if i % 2:
+            ds = gen_lasso(int(rng.integers(80, 200)), int(rng.integers(30, 120)), 5,
+                           seed=i, block_size=int(rng.integers(2, 12)),
+                           block_rho=float(rng.uniform(0.5, 0.95)))
+            X = unit_cols(ds.X)
+        else:
+            X = unit_cols(rng.normal(size=(int(rng.integers(20, 150)),
+                                           int(rng.integers(10, 120)))))
+        m = X.shape[1]
+        candidates = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        # kappa = 0 joins every pair, so the finite factors must split
+        kappa = 0.0 if i == 0 else float(rng.uniform(0.02, 0.6))
+        for factor in (float("inf"), 4.0, 1.0):
+            args = (candidates.tolist(), kappa, X, factor)
+            got = _subsets_and_warnings(build_independent_subsets, *args)
+            assert got == _subsets_and_warnings(_pairwise_subsets, *args)
+            split_warnings += len(got[1])
+    assert split_warnings > 0  # the finite factors did split some components
+
+
+def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
+    X = unit_cols(gen_lasso(300, 40, 5, seed=8, block_size=4, block_rho=0.8).X)
+    pairs = [(j, k) for j in range(40) for k in range(j + 1, 40)]
+    j, k = max(pairs, key=lambda pair: dependency_check(*pair, X))
+    kappa = dependency_check(j, k, X)
+    oracle_calls = []
+
+    def counting_check(a, b, X):
+        oracle_calls.append((a, b))
+        return dependency_check(a, b, X)
+
+    monkeypatch.setattr(sap, "dependency_check", counting_check)
+    subsets = build_independent_subsets(range(40), kappa, X, float("inf"))
+    assert (j, k) in oracle_calls
+    assert [j, k] in subsets
+    assert subsets == _pairwise_subsets(range(40), kappa, X, float("inf"))
+
+
+def test_sap_scheduler_rounds_match_pairwise_reference(monkeypatch):
+    X = unit_cols(gen_lasso(400, 120, 8, seed=6, block_size=6, block_rho=0.9).X)
+
+    def ten_rounds():
+        sched = SapScheduler(X, P=4, kappa=0.1, pool_size=48, seed=3)
+        rounds = []
+        for t in range(10):
+            rounds.append(sched.rounds(t, np.zeros(120)))
+            # a deterministic function of the emitted blocks, so both
+            # schedulers see the same changes only if they emitted the same
+            sched.observe({j: np.sin(j + t) for blk in rounds[-1] for j in blk[:3]})
+        return rounds
+
+    blocked = ten_rounds()
+    with monkeypatch.context() as mp:
+        mp.setattr(sap, "build_independent_subsets", _pairwise_subsets)
+        reference = ten_rounds()
+    assert blocked == reference
 
 
 def test_priority_state_observe_and_floor():
