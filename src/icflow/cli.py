@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, experiment runs from INI
 configs, trace replay, and metrics reporting.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime invariant violation.
+Exit codes: 0 success, 2 configuration error (also bad `replay` arguments and
+an unreadable or malformed trace), 3 runtime invariant violation.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .algorithms.lasso import LassoProblem
 from .algorithms import lda as lda_mod
 from .algorithms import mlr as mlr_mod
 from .engine import FixedBlockScheduler, UpdateDelta
-from .errors import ConfigurationError, IcflowError
+from .errors import ConfigurationError, IcflowError, TraceParseError
 from .fabric import Codec, encoded_size, traffic_report
 from .sap import RandomScheduler, RoundRobinScheduler, SapScheduler
 from .simcluster import (
@@ -30,7 +31,7 @@ from .simcluster import (
     StragglerWindow,
     replay,
 )
-from .ssp import Trace
+from .ssp import TRACE_HEADER, Trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -313,7 +314,7 @@ def _run_lda(cfg: ExperimentConfig, paths: dict) -> dict:
     with open(paths["metrics"], "w") as f:
         f.write("\n".join(rows) + "\n")
     with open(paths["trace"], "w") as f:
-        f.write("tick,event,worker,clock,seq,timestamp,key_count,bytes\n")
+        f.write(TRACE_HEADER + "\n")
     with open(paths["traffic"], "w") as f:
         f.write("link,messages,bytes,max_inflight,mean_delivered_staleness\n")
     _write_summary(paths["summary"], [
@@ -363,7 +364,7 @@ def _run_mlr(cfg: ExperimentConfig, paths: dict) -> dict:
     with open(paths["metrics"], "w") as f:
         f.write("\n".join(rows) + "\n")
     with open(paths["trace"], "w") as f:
-        f.write("tick,event,worker,clock,seq,timestamp,key_count,bytes\n")
+        f.write(TRACE_HEADER + "\n")
     with open(paths["traffic"], "w") as f:
         f.write("link,messages,bytes,max_inflight,mean_delivered_staleness\n")
     acc = mlr_mod.accuracy(A, U, y)
@@ -508,11 +509,21 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    # the same minimums as [runtime] p and staleness
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers = {args.workers} must be >= 1")
+    if args.staleness < 0:
+        raise ConfigurationError(f"--staleness = {args.staleness} must be >= 0")
     try:
         with open(args.trace) as f:
-            trace = Trace.from_text(f.read())
-    except OSError as e:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read trace: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        trace = Trace.from_text(text)
+    except TraceParseError as e:
+        print(f"cannot parse trace: {e}", file=sys.stderr)
         return EXIT_CONFIG
     report = replay(trace, args.staleness, args.workers)
     if not args.quiet:

@@ -251,7 +251,10 @@ class SimCluster:
         self._heap_seq += 1
 
     def _link(self, a: int, b: int) -> _Link:
-        return self.links.setdefault((a, b), _Link())
+        link = self.links.get((a, b))
+        if link is None:
+            link = self.links[(a, b)] = _Link()
+        return link
 
     def _emit(self, tick: int, event: str, node: int, clock: int, seq: int,
               timestamp: int, key_count: int, nbytes: int) -> None:
@@ -513,13 +516,13 @@ class ReplayReport:
 def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
     """Re-verify a recorded trace without consulting any simulator state."""
     checks: list[ReplayCheck] = []
+    table = trace.table()
+    event = table["event"]
 
     # well-formedness: ticks non-decreasing
-    bad = next(
-        (i for i in range(1, len(trace.events))
-         if trace.events[i].tick < trace.events[i - 1].tick),
-        None,
-    )
+    tick = table["tick"]
+    back = np.flatnonzero(tick[1:] < tick[:-1])
+    bad = int(back[0]) + 1 if len(back) else None
     checks.append(ReplayCheck(
         "ticks_non_decreasing", bad is None,
         "ok" if bad is None else f"first violation at event {bad}",
@@ -529,20 +532,22 @@ def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
     blocked: dict[int, int] = {}
     finished: set[int] = set()
     pair_bad = None
-    for i, ev in enumerate(trace):
-        if ev.event == "block":
-            if ev.worker in blocked:
+    rows = np.flatnonzero(np.isin(event, ["block", "unblock", "finish"]))
+    for i, name, worker in zip(rows.tolist(), event[rows].tolist(),
+                               table["worker"][rows].tolist()):
+        if name == "block":
+            if worker in blocked:
                 pair_bad = i
                 break
-            blocked[ev.worker] = i
-        elif ev.event == "unblock":
-            if ev.worker not in blocked:
+            blocked[worker] = i
+        elif name == "unblock":
+            if worker not in blocked:
                 pair_bad = i
                 break
-            del blocked[ev.worker]
-        elif ev.event == "finish":
-            finished.add(ev.worker)
-            blocked.pop(ev.worker, None)
+            del blocked[worker]
+        else:
+            finished.add(worker)
+            blocked.pop(worker, None)
     dangling = [w for w in blocked if w not in finished]
     ok = pair_bad is None and not dangling
     checks.append(ReplayCheck(
@@ -553,19 +558,18 @@ def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
         ),
     ))
 
-    # every message send has a matching delivery
-    sends: dict[int, int] = {}
-    delivers: dict[int, int] = {}
-    for ev in trace:
-        if ev.event == "msg_send":
-            sends[ev.seq] = sends.get(ev.seq, 0) + 1
-        elif ev.event == "msg_deliver":
-            delivers[ev.seq] = delivers.get(ev.seq, 0) + 1
-    unmatched = {m for m in sends if sends[m] != delivers.get(m, 0)}
-    unmatched |= {m for m in delivers if m not in sends}
+    # every message send has a matching delivery: equal counts per id
+    seq = table["seq"]
+    sent, n_sent = np.unique(seq[event == "msg_send"], return_counts=True)
+    got, n_got = np.unique(seq[event == "msg_deliver"], return_counts=True)
+    ids = np.union1d(sent, got)
+    counts = np.zeros((2, len(ids)), dtype=np.int64)
+    counts[0, np.searchsorted(ids, sent)] = n_sent
+    counts[1, np.searchsorted(ids, got)] = n_got
+    unmatched = ids[counts[0] != counts[1]].tolist()
     checks.append(ReplayCheck(
         "messages_delivered", not unmatched,
-        "ok" if not unmatched else f"unmatched message ids: {sorted(unmatched)[:5]}",
+        "ok" if not unmatched else f"unmatched message ids: {unmatched[:5]}",
     ))
 
     report = check_staleness_invariants(trace, staleness, P)

@@ -13,14 +13,13 @@ independent checker replays to verify the protocol guarantees.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+import warnings
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ProtocolError, TraceParseError
-
-TRACE_HEADER = "tick,event,worker,clock,seq,timestamp,key_count,bytes"
 
 _EVENTS = {
     "commit", "clock", "block", "unblock", "read", "apply", "finish",
@@ -30,8 +29,7 @@ _EVENTS = {
 _PROTOCOL_EVENTS = {"commit", "clock", "block", "unblock", "read", "apply", "finish"}
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     event: str
     worker: int
@@ -42,10 +40,7 @@ class TraceEvent:
     bytes: int
 
     def to_line(self) -> str:
-        return (
-            f"{self.tick},{self.event},{self.worker},{self.clock},"
-            f"{self.seq},{self.timestamp},{self.key_count},{self.bytes}"
-        )
+        return _LINE_FORMAT % self
 
     @classmethod
     def from_line(cls, line: str, line_number: int = 0) -> "TraceEvent":
@@ -61,17 +56,79 @@ class TraceEvent:
         return cls(nums[0], parts[1], nums[1], nums[2], nums[3], nums[4], nums[5], nums[6])
 
 
+TRACE_HEADER = ",".join(TraceEvent._fields)
+_LINE_FORMAT = ",".join(["%s"] * len(TraceEvent._fields))
+
+# A trace as a column table: one record per event, one field per TraceEvent
+# field. The event name is one character wider than the longest known name,
+# so a longer name is cut to a still unknown one, never to a known one.
+_TABLE_DTYPE = np.dtype([
+    (name, f"<U{max(map(len, _EVENTS)) + 1}" if name == "event" else np.int64)
+    for name in TraceEvent._fields
+])
+# the same with Python integers, for a trace holding one beyond int64
+_WIDE_TABLE_DTYPE = np.dtype([
+    (name, _TABLE_DTYPE[name] if name == "event" else object)
+    for name in TraceEvent._fields
+])
+_EVENT_NAMES = np.array(sorted(_EVENTS))
+# The characters of a well-formed trace. np.loadtxt reads some other text
+# differently from int() and str (non-ASCII characters as digits, "\x1f" as
+# blank space, trailing NULs dropped), so such text is parsed line by line.
+_TABLE_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz_,+- \t\r\n"
+
+
+def _read_table(text: str, body: list[str]) -> Optional[np.ndarray]:
+    """The trace body as a column table in one pass, or None if any line is
+    not a well-formed event; `TraceEvent.from_line` then decides, line by
+    line, whether and where the text is malformed."""
+    if not text.isascii() or text.encode("ascii").translate(None, _TABLE_CHARS):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(body, dtype=_TABLE_DTYPE, delimiter=",",
+                               comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if not np.isin(table["event"], _EVENT_NAMES).all():
+        return None
+    return table
+
+
 class Trace:
-    """An ordered event log with CSV round-tripping."""
+    """An ordered event log with CSV round-tripping.
+
+    A trace read by ``from_text`` keeps its events as a column table (see
+    ``table``) and builds ``TraceEvent`` objects only when ``events`` is
+    first asked for; from then on the list is the record."""
 
     def __init__(self, events: Optional[list[TraceEvent]] = None):
-        self.events: list[TraceEvent] = events or []
+        self._events: Optional[list[TraceEvent]] = events or []
+        self._table: Optional[np.ndarray] = None
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        if self._events is None:
+            self._events = list(map(TraceEvent._make, self._table.tolist()))
+            self._table = None
+        return self._events
+
+    def table(self) -> np.ndarray:
+        """The events as a structured array with one field per TraceEvent
+        field, in trace order."""
+        if self._events is None:
+            return self._table
+        try:
+            return np.array(self._events, dtype=_TABLE_DTYPE)
+        except OverflowError:
+            return np.array(self._events, dtype=_WIDE_TABLE_DTYPE)
 
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._table) if self._events is None else len(self._events)
 
     def __iter__(self):
         return iter(self.events)
@@ -88,6 +145,11 @@ class Trace:
             raise TraceParseError(0, "empty trace")
         if lines[0].strip() != TRACE_HEADER:
             raise TraceParseError(1, f"bad header {lines[0]!r}")
+        table = _read_table(text, lines[1:])
+        if table is not None:
+            trace = cls()
+            trace._events, trace._table = None, table
+            return trace
         events = []
         for i, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -334,9 +396,10 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
         active = [clocks[p] for p in range(P) if not finished[p]]
         return min(active) if active else max(clocks)
 
-    for i, ev in enumerate(trace):
-        if ev.event not in _PROTOCOL_EVENTS:
-            continue
+    table = trace.table()
+    # only protocol rows are replayed; each keeps its index in the whole trace
+    rows = np.flatnonzero(np.isin(table["event"], list(_PROTOCOL_EVENTS)))
+    for i, ev in zip(rows.tolist(), map(TraceEvent._make, table[rows].tolist())):
         w = ev.worker
         if not (0 <= w < P):
             violations.append(f"event {i}: worker {w} out of range")

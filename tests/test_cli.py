@@ -208,6 +208,39 @@ def test_replay_subcommand_exit_codes(tmp_path):
                  "--staleness", "1", "--workers", "2"]) == EXIT_INVARIANT
 
 
+def test_replay_rejects_bad_arguments_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "no_such_trace.txt")
+    assert main(["--quiet", "replay", missing,
+                 "--staleness", "1", "--workers", "0"]) == EXIT_CONFIG
+    assert "--workers = 0 must be >= 1" in capsys.readouterr().err
+    assert main(["--quiet", "replay", missing,
+                 "--staleness", "-1", "--workers", "2"]) == EXIT_CONFIG
+    assert "--staleness = -1 must be >= 0" in capsys.readouterr().err
+    assert main(["--quiet", "replay", missing,
+                 "--staleness", "0", "--workers", "1"]) == EXIT_CONFIG
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_replay_malformed_trace_is_exit_2(tmp_path, capsys):
+    header = "tick,event,worker,clock,seq,timestamp,key_count,bytes\n"
+    cases = {
+        "short.txt": (header + "0,clock,0,1,0,0,0,0\n1,clock,0\n", "line 3"),
+        "header.txt": ("not a trace header\n", "line 1"),
+        "empty.txt": ("", "line 0"),
+    }
+    for name, (text, where) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["--quiet", "replay", str(path),
+                     "--staleness", "0", "--workers", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse trace:") and where in err, err
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["--quiet", "replay", str(binary),
+                 "--staleness", "0", "--workers", "1"]) == EXIT_CONFIG
+    assert "cannot read trace" in capsys.readouterr().err
+
 def test_report_ratio_and_not_reached(tmp_path, capsys):
     header = ("iteration,tick,objective,mean_staleness,max_staleness,"
               "blocked_ticks,bytes_sent")

@@ -9,6 +9,8 @@ from icflow.errors import ConfigurationError
 from icflow.simcluster import (
     FuzzWorkload,
     LassoModelParallelWorkload,
+    ReplayCheck,
+    ReplayReport,
     SimCluster,
     SimConfig,
     StragglerWindow,
@@ -16,7 +18,13 @@ from icflow.simcluster import (
     replay,
     run_simulation,
 )
-from icflow.ssp import Trace, TraceEvent
+from icflow.ssp import (
+    _PROTOCOL_EVENTS,
+    InvariantReport,
+    Trace,
+    TraceEvent,
+    check_staleness_invariants,
+)
 
 
 def lasso_workload(P, seed=7):
@@ -195,3 +203,267 @@ def test_link_transmissions_never_exceed_bandwidth():
             assert s1 >= f0 - 1e-9
         for s0, f0, b0 in txs:
             assert b0 / (f0 - s0) <= 64.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the checkers against their object-per-event reference
+
+
+def _reference_check_staleness_invariants(trace, staleness, P):
+    """`check_staleness_invariants` as it was before the column table."""
+    violations: list[str] = []
+    clocks = [0] * P
+    finished = [False] * P
+    blocked = [False] * P
+    committed: dict[int, TraceEvent] = {}
+    applied: list[set[int]] = [set() for _ in range(P)]
+    # per worker, committed foreign seqs not yet applied there (small, since
+    # workers catch up every clock; avoids rescanning all commits per read)
+    outstanding: list[dict[int, int]] = [dict() for _ in range(P)]  # seq -> ts
+    max_gap = 0
+    read_staleness_sum = 0.0
+    read_count = 0
+
+    def active_min() -> int:
+        active = [clocks[p] for p in range(P) if not finished[p]]
+        return min(active) if active else max(clocks)
+
+    for i, ev in enumerate(trace):
+        if ev.event not in _PROTOCOL_EVENTS:
+            continue
+        w = ev.worker
+        if not (0 <= w < P):
+            violations.append(f"event {i}: worker {w} out of range")
+            continue
+        if ev.event == "clock":
+            clocks[w] += 1
+            if ev.clock != clocks[w]:
+                violations.append(
+                    f"event {i}: worker {w} clock field {ev.clock} != "
+                    f"replayed clock {clocks[w]}"
+                )
+            max_gap = max(max_gap, clocks[w] - active_min())
+        elif ev.event == "block":
+            blocked[w] = True
+        elif ev.event == "unblock":
+            if clocks[w] - active_min() > staleness:
+                violations.append(
+                    f"event {i}: worker {w} unblocked at clock {clocks[w]} "
+                    f"while min clock is {active_min()}"
+                )
+            blocked[w] = False
+        elif ev.event == "finish":
+            finished[w] = True
+        elif ev.event == "commit":
+            if blocked[w]:
+                violations.append(f"event {i}: worker {w} committed while blocked")
+            if ev.timestamp != clocks[w]:
+                violations.append(
+                    f"event {i}: commit timestamp {ev.timestamp} != worker "
+                    f"{w} clock {clocks[w]}"
+                )
+            if clocks[w] - active_min() > staleness:
+                violations.append(
+                    f"event {i}: worker {w} computing at clock {clocks[w]} "
+                    f"while min clock is {active_min()} (bound {staleness})"
+                )
+            if ev.seq in committed:
+                violations.append(f"event {i}: duplicate commit seq {ev.seq}")
+            committed[ev.seq] = ev
+            for p in range(P):
+                if p != w:
+                    outstanding[p][ev.seq] = ev.timestamp
+        elif ev.event == "apply":
+            if ev.seq not in committed:
+                violations.append(f"event {i}: applied unknown seq {ev.seq}")
+                continue
+            src = committed[ev.seq]
+            if src.worker == w:
+                violations.append(
+                    f"event {i}: worker {w} re-applied its own seq {ev.seq} "
+                    "(own writes must already be visible)"
+                )
+            if ev.seq in applied[w]:
+                violations.append(f"event {i}: worker {w} double-applied seq {ev.seq}")
+            applied[w].add(ev.seq)
+            outstanding[w].pop(ev.seq, None)
+            read_staleness_sum += clocks[w] - src.timestamp
+            read_count += 1
+        elif ev.event == "read":
+            if blocked[w]:
+                violations.append(f"event {i}: worker {w} read while blocked")
+            horizon = clocks[w] - staleness - 1
+            for seq, ts in outstanding[w].items():
+                if ts <= horizon:
+                    violations.append(
+                        f"event {i}: worker {w} read at clock {clocks[w]} "
+                        f"missing required update seq {seq} (timestamp {ts})"
+                    )
+
+    return InvariantReport(
+        ok=not violations,
+        violations=violations,
+        max_clock_gap=max_gap,
+        mean_read_staleness=read_staleness_sum / read_count if read_count else 0.0,
+    )
+
+
+def _reference_replay(trace, staleness, P):
+    """`replay` as it was before the column table: one object per event."""
+    checks: list[ReplayCheck] = []
+
+    # well-formedness: ticks non-decreasing
+    bad = next(
+        (i for i in range(1, len(trace.events))
+         if trace.events[i].tick < trace.events[i - 1].tick),
+        None,
+    )
+    checks.append(ReplayCheck(
+        "ticks_non_decreasing", bad is None,
+        "ok" if bad is None else f"first violation at event {bad}",
+    ))
+
+    # every block is matched by an unblock or the worker finishes
+    blocked: dict[int, int] = {}
+    finished: set[int] = set()
+    pair_bad = None
+    for i, ev in enumerate(trace):
+        if ev.event == "block":
+            if ev.worker in blocked:
+                pair_bad = i
+                break
+            blocked[ev.worker] = i
+        elif ev.event == "unblock":
+            if ev.worker not in blocked:
+                pair_bad = i
+                break
+            del blocked[ev.worker]
+        elif ev.event == "finish":
+            finished.add(ev.worker)
+            blocked.pop(ev.worker, None)
+    dangling = [w for w in blocked if w not in finished]
+    ok = pair_bad is None and not dangling
+    checks.append(ReplayCheck(
+        "block_unblock_matched", ok,
+        "ok" if ok else (
+            f"first violation at event {pair_bad}" if pair_bad is not None
+            else f"workers left blocked: {sorted(dangling)}"
+        ),
+    ))
+
+    # every message send has a matching delivery
+    sends: dict[int, int] = {}
+    delivers: dict[int, int] = {}
+    for ev in trace:
+        if ev.event == "msg_send":
+            sends[ev.seq] = sends.get(ev.seq, 0) + 1
+        elif ev.event == "msg_deliver":
+            delivers[ev.seq] = delivers.get(ev.seq, 0) + 1
+    unmatched = {m for m in sends if sends[m] != delivers.get(m, 0)}
+    unmatched |= {m for m in delivers if m not in sends}
+    checks.append(ReplayCheck(
+        "messages_delivered", not unmatched,
+        "ok" if not unmatched else f"unmatched message ids: {sorted(unmatched)[:5]}",
+    ))
+
+    report = _reference_check_staleness_invariants(trace, staleness, P)
+    checks.append(ReplayCheck(
+        "staleness_protocol", report.ok,
+        "ok" if report.ok else report.violations[0],
+    ))
+    return ReplayReport(checks)
+
+
+def _assert_checks_match_reference(trace, staleness, P, label):
+    # the reference runs last: it builds the events of a parsed trace
+    got = (replay(trace, staleness, P), check_staleness_invariants(trace, staleness, P))
+    want = (_reference_replay(trace, staleness, P),
+            _reference_check_staleness_invariants(trace, staleness, P))
+    assert got == want, label
+    return got
+
+
+def _checked_in_memory_and_parsed(events, staleness, P, label):
+    reports = _assert_checks_match_reference(Trace(list(events)), staleness, P, label)
+    text = Trace(list(events)).to_text()
+    parsed = _assert_checks_match_reference(Trace.from_text(text), staleness, P,
+                                            label + " (parsed)")
+    assert parsed == reports, label
+    return reports
+
+
+def test_checkers_match_reference_on_simulator_traces():
+    checked = failed = 0
+    for topo, P in (("master_slave", 4), ("full_p2p", 4), ("halton", 6)):
+        for s in range(4):
+            cfg = inject_straggler(
+                SimConfig(P=P, staleness=s, topology=topo, max_clocks=6), 1, 3.0
+            )
+            events = run_simulation(FuzzWorkload(24, P, seed=s), cfg).trace.events
+            for bound in range(4):
+                rep, inv = _checked_in_memory_and_parsed(
+                    events, bound, P, f"{topo} s={s} checked at {bound}"
+                )
+                assert rep.ok or bound < s
+                checked += 1
+                failed += not rep.ok
+    assert checked == 48 and failed > 0
+
+
+def _forgeries(events, P):
+    """(name, check it must fail, events), each breaking what that check
+    looks for."""
+    def plus(*forged):
+        return list(events) + [TraceEvent(*f) for f in forged]
+
+    last = events[-1].tick
+    mid = len(events) // 2
+    commit = next(e for e in events if e.event == "commit")
+    apply_ = next(e for e in events if e.event == "apply")
+    other = (commit.worker + 1) % P
+    unfinished = [e for e in events if e.event != "finish"]
+    return [
+        ("tick regression", "ticks_non_decreasing",
+         events[:mid] + [events[mid]._replace(tick=-1)] + events[mid + 1:]),
+        ("unmatched send", "messages_delivered",
+         plus((last, "msg_send", 0, 0, 10**6, 0, 1, 37))),
+        ("unmatched deliver", "messages_delivered",
+         plus((last, "msg_deliver", 1, 0, 10**6 + 1, 0, 1, 37))),
+        ("double block", "block_unblock_matched",
+         plus((last, "block", 0, 0, 0, 0, 0, 0), (last, "block", 0, 0, 0, 0, 0, 0))),
+        ("dangling block", "block_unblock_matched",
+         unfinished + [TraceEvent(last, "block", 2, 0, 0, 0, 0, 0)]),
+        ("self-apply", "staleness_protocol",
+         plus((last, "apply", commit.worker, 0, commit.seq, commit.timestamp, 1, 37))),
+        ("double-apply", "staleness_protocol", events + [apply_]),
+        ("missing required update", "staleness_protocol",
+         [e for e in events if not (e.event == "apply" and e.worker == other)]),
+        ("worker out of range", "staleness_protocol",
+         plus((last, "clock", P, 1, 0, 0, 0, 0), (last, "commit", -1, 0, 5, 0, 1, 37))),
+        ("commit outside the bound", "staleness_protocol",
+         unfinished + [TraceEvent(last, "clock", 0, 99, 0, 0, 0, 0),
+                       TraceEvent(last, "commit", 0, 99, 999, 99, 1, 37)]),
+    ]
+
+
+def test_checkers_match_reference_on_forged_traces():
+    P = 4
+    cfg = inject_straggler(
+        SimConfig(P=P, staleness=1, topology="full_p2p", max_clocks=6), 1, 3.0
+    )
+    events = run_simulation(FuzzWorkload(24, P, seed=4), cfg).trace.events
+    assert replay(Trace(list(events)), 1, P).ok
+    for name, check, forged in _forgeries(events, P):
+        rep, _ = _checked_in_memory_and_parsed(forged, 1, P, name)
+        assert check in [c.name for c in rep.checks if not c.ok], name
+
+
+def test_checkers_match_reference_beyond_int64():
+    base = run_simulation(FuzzWorkload(12, 2, seed=1), SimConfig(P=2, max_clocks=3))
+    text = base.trace.to_text() + (
+        f"{2**70},msg_send,0,0,{2**64},0,1,37\n"
+        f"{2**70},clock,{-2**70},1,0,0,0,0\n"
+    )
+    trace = Trace.from_text(text)
+    rep, inv = _assert_checks_match_reference(trace, 0, 2, "beyond int64")
+    assert not rep.ok and not inv.ok

@@ -3,8 +3,11 @@ import threading
 import numpy as np
 import pytest
 
+from icflow import ssp
 from icflow.errors import ProtocolError, TraceParseError
+from icflow.simcluster import FuzzWorkload, SimConfig, run_simulation
 from icflow.ssp import (
+    TRACE_HEADER,
     SspCore,
     ThreadedSspStore,
     Trace,
@@ -42,6 +45,96 @@ def test_trace_parse_errors_carry_line_numbers():
     with pytest.raises(TraceParseError):
         Trace.from_text(header + "x,clock,0,0,0,0,0,0\n")
 
+
+def _line_by_line(text):
+    """The parse before the column table: one TraceEvent per line."""
+    lines = text.splitlines()
+    if not lines:
+        raise TraceParseError(0, "empty trace")
+    if lines[0].strip() != TRACE_HEADER:
+        raise TraceParseError(1, f"bad header {lines[0]!r}")
+    events = []
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        events.append(TraceEvent.from_line(line, i))
+    return events
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", list(parse(text))
+    except TraceParseError as e:
+        return "error", (e.line_number, str(e))
+
+
+ROW = "3,clock,1,2,0,0,0,0"
+# body -> whether the column table must read it (else the line-by-line parse)
+PARSE_CASES = {
+    "plain": (f"{ROW}\n0,commit,0,0,7,0,2,49\n", True),
+    "crlf": (f"{ROW}\r\n{ROW}\r\n", True),
+    "blank lines": (f"\n{ROW}\n\n{ROW}\n", True),
+    "spaces around integers": (" 3 ,clock, 1 ,2,0 , 0,0,0 \n", True),
+    "plus sign": ("+3,clock,+1,2,0,0,0,0\n", True),
+    "negative": ("-3,clock,-1,2,0,0,0,-9223372036854775808\n", True),
+    "whitespace-only line": (f"{ROW}\n   \n{ROW}\n", False),
+    "comment line": (f"# note\n{ROW}\n", False),
+    "comment after a row": (f"{ROW}\n#x,clock,1,2,0,0,0,0\n", False),
+    "underscore": ("1_0,clock,1,2,0,0,0,0\n", False),
+    "decimal point": ("1.0,clock,1,2,0,0,0,0\n", False),
+    "beyond int64": (f"{ROW}\n9223372036854775808,clock,1,2,0,0,0,0\n", False),
+    "far beyond int64": ("3,clock,1,2,0,0,0,-" + "9" * 40 + "\n", False),
+    "7 fields": (f"{ROW}\n3,clock,1,2,0,0,0\n", False),
+    "9 fields": ("3,clock,1,2,0,0,0,0,0\n", False),
+    "trailing space in name": ("3,clock ,1,2,0,0,0,0\n", False),
+    "leading space in name": ("3, clock,1,2,0,0,0,0\n", False),
+    "unknown name": (f"{ROW}\n3,teleport,1,2,0,0,0,0\n", False),
+    "name one wider than the widest": ("3,compute_start_,1,2,0,0,0,0\n", False),
+    "name longer than the widest": ("3,compute_startstart,1,2,0,0,0,0\n", False),
+    "NUL after name": ("3,clock\x00,1,2,0,0,0,0\n", False),
+    "unit separator around integer": ("3,clock,\x1f1\x1f,2,0,0,0,0\n", False),
+    "non-ASCII letter as digit": ("\u01fe3,clock,1,2,0,0,0,0\n", False),
+    "non-ASCII digit": ("\u0663,clock,1,2,0,0,0,0\n", False),
+    "empty field": ("3,clock,,2,0,0,0,0\n", False),
+    "header only": ("", False),
+    "empty body": ("\n\n", False),
+}
+
+
+def test_table_parse_matches_line_by_line_parse():
+    for name, (body, tabled) in PARSE_CASES.items():
+        text = TRACE_HEADER + "\n" + body
+        assert (ssp._read_table(text, text.splitlines()[1:]) is not None) == tabled, name
+        assert _parse_outcome(lambda t: Trace.from_text(t).events, text) == \
+            _parse_outcome(_line_by_line, text), name
+    for text in ("", "\n", "bad header\n" + ROW, TRACE_HEADER):
+        assert _parse_outcome(lambda t: Trace.from_text(t).events, text) == \
+            _parse_outcome(_line_by_line, text), repr(text)
+
+
+def test_table_parse_round_trips_a_simulator_trace():
+    res = run_simulation(FuzzWorkload(48, 8, seed=3),
+                         SimConfig(P=8, staleness=2, topology="halton", max_clocks=30))
+    assert len(res.trace) >= 10_000
+    text = res.trace.to_text()
+    parsed = Trace.from_text(text)
+    assert ssp._read_table(text, text.splitlines()[1:]) is not None
+    assert len(parsed) == len(res.trace)
+    assert np.array_equal(parsed.table(), res.trace.table())
+    assert parsed.events == res.trace.events == _line_by_line(text)
+    assert parsed.to_text() == text
+
+
+def test_parsed_trace_builds_events_once_and_stays_appendable():
+    text = Trace([TraceEvent(0, "clock", 0, 1, 0, 0, 0, 0)]).to_text()
+    trace = Trace.from_text(text)
+    assert len(trace) == 1
+    events = trace.events
+    assert trace.events is events
+    trace.append(TraceEvent(1, "finish", 0, 1, 0, 0, 0, 0))
+    assert len(trace) == 2
+    assert trace.table()["event"].tolist() == ["clock", "finish"]
+    assert Trace.from_text(trace.to_text()).events == events
 
 def test_commit_requires_current_clock_timestamp():
     store = SspCore(P=2, staleness=1, m=4)
