@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine import DataShard
+from ..engine import DataShard, apply_sparse
 from ..errors import ConfigurationError
 
 
@@ -146,8 +146,7 @@ class LassoCDProgram:
 
     def apply(self, values: np.ndarray, payload: dict[int, float]) -> np.ndarray:
         out = np.array(values, copy=True)
-        for j in sorted(payload):
-            out[j] += payload[j]
+        apply_sparse(out, payload)
         return out
 
     def objective(self, values: np.ndarray, data=None) -> float:

@@ -41,8 +41,12 @@ _ALGORITHMS = ("lasso", "lda", "mlr")
 _TOPOLOGIES = ("master_slave", "full_p2p", "halton")
 _CODECS = ("full", "sufficient_factor")
 _DEFAULT_CODEC = "sufficient_factor"
-_PRIORITY_MODES = ("fifo", "absolute_magnitude", "relative_magnitude")
 _SCHEDULERS = ("fixed", "sap", "random", "round_robin")
+# every [runtime] key the run path reads; any other key is rejected
+_RUNTIME_KEYS = (
+    "p", "staleness", "seed", "max_clocks", "topology", "codec", "scheduler",
+    "bandwidth", "latency", "straggler", "slow_worker_extras",
+)
 
 
 @dataclass
@@ -122,6 +126,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("[algorithm] missing required key algorithm")
     _require_enum("algorithm", "algorithm", algo, _ALGORITHMS)
     rt = cfg.runtime
+    unknown = sorted(set(rt) - set(_RUNTIME_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"[runtime] unknown key {', '.join(unknown)}; expected one of "
+            f"{', '.join(_RUNTIME_KEYS)}"
+        )
     _get_int(rt, "runtime", "p", default="4", minimum=1)
     _get_int(rt, "runtime", "staleness", default="0", minimum=0)
     _get_int(rt, "runtime", "seed", default="0")
@@ -130,9 +140,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         "runtime", "topology", rt.get("topology", "master_slave"), _TOPOLOGIES
     )
     _require_enum("runtime", "codec", rt.get("codec", _DEFAULT_CODEC), _CODECS)
-    _require_enum(
-        "runtime", "priority_mode", rt.get("priority_mode", "fifo"), _PRIORITY_MODES
-    )
     _require_enum(
         "runtime", "scheduler", rt.get("scheduler", "fixed"), _SCHEDULERS
     )
@@ -316,7 +323,7 @@ def _run_lda(cfg: ExperimentConfig, paths: dict) -> dict:
     with open(paths["trace"], "w") as f:
         f.write(TRACE_HEADER + "\n")
     with open(paths["traffic"], "w") as f:
-        f.write("link,messages,bytes,max_inflight,mean_delivered_staleness\n")
+        f.write(traffic_report({}))
     _write_summary(paths["summary"], [
         "algorithm: lda (rotation-scheduled collapsed Gibbs)",
         f"workers: {rt['P']}  topics: {K}  epochs: {epochs}",
@@ -366,7 +373,7 @@ def _run_mlr(cfg: ExperimentConfig, paths: dict) -> dict:
     with open(paths["trace"], "w") as f:
         f.write(TRACE_HEADER + "\n")
     with open(paths["traffic"], "w") as f:
-        f.write("link,messages,bytes,max_inflight,mean_delivered_staleness\n")
+        f.write(traffic_report({}))
     acc = mlr_mod.accuracy(A, U, y)
     _write_summary(paths["summary"], [
         "algorithm: mlr (minibatch SGD with factored gradients)",

@@ -126,6 +126,13 @@ def merge_payloads(payloads: Sequence[Any]) -> Any:
     return out
 
 
+def apply_sparse(values: np.ndarray, payload: dict[int, float]) -> None:
+    """Add a sparse payload into `values` in place, in ascending key order
+    (a fixed order keeps results bit-identical across callers)."""
+    for j in sorted(payload):
+        values[j] += payload[j]
+
+
 def _check_objective(value: float, iteration: int) -> float:
     if not math.isfinite(value):
         raise NonFiniteObjectiveError(iteration, value)
@@ -170,7 +177,6 @@ def run_data_parallel(
     shards: Sequence[DataShard],
     P: int,
     stop: StoppingCriterion,
-    store=None,
     full_data: Optional[DataShard] = None,
 ) -> tuple[ModelState, list[tuple[int, float]]]:
     """BSP data-parallel loop: apply F(A, sum_p delta(A, x_p)) each iteration.
@@ -233,7 +239,6 @@ def run_model_parallel(
     P: int,
     scheduler,
     stop: StoppingCriterion,
-    store=None,
     trajectory_out: Optional[list] = None,
 ) -> tuple[ModelState, list[tuple[int, float]]]:
     """Lock-step (BSP) model-parallel loop with per-worker local views.
@@ -262,13 +267,13 @@ def run_model_parallel(
             deltas.append(program.block_delta(views[p], data, assignment[p]))
         # own delta first (read-my-writes), then the rest in worker-id order
         for p in range(P):
-            _apply_sparse(views[p], deltas[p])
+            apply_sparse(views[p], deltas[p])
             for q in range(P):
                 if q != p:
-                    _apply_sparse(views[p], deltas[q])
+                    apply_sparse(views[p], deltas[q])
         changes: dict[int, float] = {}
         for q in range(P):
-            _apply_sparse(master, deltas[q])
+            apply_sparse(master, deltas[q])
             changes.update(deltas[q])
         scheduler.observe(changes)
         t += 1
@@ -280,8 +285,3 @@ def run_model_parallel(
         if stop.reached(objectives):
             break
     return ModelState(values=master, clock=t), metrics
-
-
-def _apply_sparse(values: np.ndarray, payload: dict[int, float]) -> None:
-    for j in sorted(payload):
-        values[j] += payload[j]

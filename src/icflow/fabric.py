@@ -1,13 +1,12 @@
 """Managed communication: topologies and routing, wire codecs with exact byte
-accounting, and rate-limited priority queues."""
+accounting, and rate-limited FIFO link queues."""
 from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import ceil
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -25,12 +24,6 @@ _TAG_SF = 3
 class Codec(Enum):
     FULL = "full"
     SUFFICIENT_FACTOR = "sufficient_factor"
-
-
-class PriorityMode(Enum):
-    FIFO = "fifo"
-    ABSOLUTE_MAGNITUDE = "absolute_magnitude"
-    RELATIVE_MAGNITUDE = "relative_magnitude"
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +47,11 @@ def encoded_size(delta: UpdateDelta, codec: Codec) -> int:
     sparse = 12*nnz + header."""
     p = delta.payload
     if codec is Codec.SUFFICIENT_FACTOR:
-        if not p:
-            return HEADER_BYTES
-        k = len(p[0][0])
-        d = len(p[0][1])
-        return HEADER_BYTES + 8 * len(p) * (k + d)
+        k, d = (len(p[0][0]), len(p[0][1])) if p else (0, 0)
+        return sf_codec_size(k, d, len(p))
     if isinstance(p, dict):
-        return HEADER_BYTES + 12 * len(p)
-    arr = np.asarray(p)
-    return HEADER_BYTES + 8 * arr.size
+        return sparse_codec_size(len(p))
+    return full_codec_size(1, np.asarray(p).size)
 
 
 def encode_delta(delta: UpdateDelta, codec: Codec) -> bytes:
@@ -341,7 +330,7 @@ def make_topology(kind: str, P: int, servers: int = 1) -> Topology:
 
 
 # ---------------------------------------------------------------------------
-# messages and rate-limited queues
+# messages and rate-limited links
 
 
 @dataclass
@@ -353,179 +342,6 @@ class Message:
     send_clock: int
     bytes: int
     enqueue_seq: int = 0
-    priority: float = 0.0
-
-    def min_key(self) -> int:
-        p = self.payload.payload
-        if isinstance(p, dict):
-            return min(p) if p else 0
-        return 0
-
-
-class OutgoingQueue:
-    """Rate-limited link queue: fluid-flow transmission at `budget` bytes per
-    tick, plus fixed latency. Messages wait here until the link frees; waiting
-    messages can be reordered by the prioritizer but never dropped."""
-
-    def __init__(
-        self,
-        budget: float,
-        latency: float = 0.0,
-        mode: PriorityMode = PriorityMode.FIFO,
-    ):
-        if budget <= 0:
-            raise ConfigurationError("byte budget must be > 0")
-        self.budget = budget
-        self.latency = latency
-        self.mode = mode
-        self.pending: list[Message] = []
-        self.free_at = 0.0
-        self.now = 0.0
-        self._seq = 0
-        self.delivered_bytes = 0
-        self.delivered_count = 0
-        # (start, finish, bytes) per completed transmission, for audits
-        self.transmissions: list[tuple[float, float, int]] = []
-        self._arrival: dict[int, float] = {}
-
-    def enqueue(self, message: Message) -> None:
-        message.enqueue_seq = self._seq
-        self._seq += 1
-        self._arrival[message.enqueue_seq] = self.now
-        self.pending.append(message)
-
-    def _pick(self) -> Message:
-        if self.mode is PriorityMode.FIFO:
-            idx = min(range(len(self.pending)), key=lambda i: self.pending[i].enqueue_seq)
-        else:
-            idx = min(
-                range(len(self.pending)),
-                key=lambda i: (
-                    -self.pending[i].priority,
-                    self.pending[i].min_key(),
-                    self.pending[i].enqueue_seq,
-                ),
-            )
-        return self.pending.pop(idx)
-
-    def drain(self, elapsed: float) -> list[tuple[Message, float]]:
-        """Advance time and release every message whose transmission (plus
-        latency) completes within the window; in-flight bytes never exceed the
-        fluid budget."""
-        if elapsed < 0:
-            raise ConfigurationError("elapsed time must be >= 0")
-        self.now += elapsed
-        out: list[tuple[Message, float]] = []
-        while self.pending:
-            msg = self._pick()
-            # transmission cannot start before the message existed
-            start = max(self.free_at, self._arrival[msg.enqueue_seq])
-            finish = start + msg.bytes / self.budget
-            if finish > self.now:
-                self.pending.append(msg)
-                break
-            del self._arrival[msg.enqueue_seq]
-            self.free_at = finish
-            delivery = ceil(finish) + self.latency
-            self.delivered_bytes += msg.bytes
-            self.delivered_count += 1
-            self.transmissions.append((start, finish, msg.bytes))
-            out.append((msg, delivery))
-        return out
-
-
-def message_priority(
-    message: Message, mode: PriorityMode, model_snapshot=None
-) -> float:
-    """Absolute mode: max recent accumulated change |delta_j|; relative mode:
-    max |delta_j / A_j| with tiny |A_j| clamped to 1e-12."""
-    p = message.payload.payload
-    if isinstance(p, dict):
-        items = p.items()
-    else:
-        arr = np.asarray(p).ravel()
-        items = enumerate(arr.tolist())
-    best = 0.0
-    for j, v in items:
-        if mode is PriorityMode.RELATIVE_MAGNITUDE:
-            aj = 1e-12
-            if model_snapshot is not None:
-                aj = max(abs(float(np.asarray(model_snapshot).ravel()[j])), 1e-12)
-            v = v / aj
-        best = max(best, abs(v))
-    return best
-
-
-def prioritize_queue(queue: OutgoingQueue, model_snapshot=None) -> None:
-    """Recompute priorities for all pending messages in place."""
-    if queue.mode is PriorityMode.FIFO:
-        return
-    for msg in queue.pending:
-        msg.priority = message_priority(msg, queue.mode, model_snapshot)
-
-
-# ---------------------------------------------------------------------------
-# broadcast planning
-
-
-@dataclass
-class BroadcastPlan:
-    messages: list[Message]
-    total_bytes: int
-
-
-def broadcast(
-    topology: Topology, src: int, delta: UpdateDelta, codec: Codec
-) -> BroadcastPlan:
-    """Static per-commit message plan for one broadcast.
-
-    FullP2P: P-1 direct messages. MasterSlave: one worker->server message plus
-    P server->worker messages (server->worker never uses the sufficient-factor
-    codec: that direction carries actual parameters, which do not factor).
-    Halton: one message per destination routed along neighbor links; per-hop
-    delivery adds one clock of staleness and intermediate nodes may combine
-    same-destination payloads.
-    """
-    msgs: list[Message] = []
-    size = encoded_size(delta, codec)
-    if isinstance(topology, FullP2P):
-        for dst in range(topology.P):
-            if dst == src:
-                continue
-            msgs.append(
-                Message(delta, src, dst, [src, dst], delta.timestamp, size)
-            )
-    elif isinstance(topology, MasterSlave):
-        srv = topology.server_ids()[0]
-        msgs.append(Message(delta, src, srv, [src, srv], delta.timestamp, size))
-        if codec is Codec.SUFFICIENT_FACTOR:
-            down_codec = Codec.FULL  # parameters, not factorable updates
-        else:
-            down_codec = codec
-        down_size = encoded_size(delta, down_codec)
-        for dst in range(topology.P):
-            msgs.append(
-                Message(delta, srv, dst, [srv, dst], delta.timestamp, down_size)
-            )
-    elif isinstance(topology, HaltonTopology):
-        for dst in range(topology.P):
-            if dst == src:
-                continue
-            route = topology.route(src, dst)
-            msgs.append(Message(delta, src, dst, route, delta.timestamp, size))
-    else:
-        raise ConfigurationError(f"cannot broadcast on topology {topology.kind}")
-    return BroadcastPlan(messages=msgs, total_bytes=sum(m.bytes for m in msgs))
-
-
-def server_to_worker_codec(codec: Codec) -> Codec:
-    """Server->worker messages carry fresh parameters; reject SF there."""
-    if codec is Codec.SUFFICIENT_FACTOR:
-        raise ProtocolError(
-            "sufficient-factor codec is not valid in the server-to-worker "
-            "direction; servers send full parameter values"
-        )
-    return codec
 
 
 @dataclass
@@ -540,6 +356,62 @@ class LinkStats:
         if self.staleness_count == 0:
             return 0.0
         return self.staleness_sum / self.staleness_count
+
+
+class OutgoingQueue:
+    """Rate-limited FIFO link: fluid-flow transmission at `budget` bytes per
+    tick, plus fixed latency. A message starts once the link is free and it
+    has arrived, so its schedule is fixed the moment it is sent.
+
+    `transmit` is the link model; the owner decrements `inflight` when the
+    message is delivered. `enqueue`/`drain` wrap it for callers that step
+    time: `drain` releases every message whose transmission has finished."""
+
+    def __init__(self, budget: float, latency: float = 0.0):
+        if budget <= 0:
+            raise ConfigurationError("byte budget must be > 0")
+        self.budget = budget
+        self.latency = latency
+        self.free_at = 0.0
+        self.now = 0.0
+        self.inflight = 0
+        self.stats = LinkStats()
+        # (start, finish, bytes) per transmission, for audits
+        self.transmissions: list[tuple[float, float, int]] = []
+        # (finish, delivery, message) sent by enqueue, not yet drained
+        self.pending: deque = deque()
+
+    def transmit(self, nbytes: int, now: float) -> float:
+        """Send `nbytes` at time `now`; returns the delivery tick."""
+        start = max(now, self.free_at)
+        finish = start + nbytes / self.budget
+        self.free_at = finish
+        self.transmissions.append((start, finish, nbytes))
+        self.inflight += nbytes
+        st = self.stats
+        st.messages += 1
+        st.bytes += nbytes
+        st.max_inflight = max(st.max_inflight, self.inflight)
+        return ceil(finish) + self.latency
+
+    def enqueue(self, message: Message) -> None:
+        message.enqueue_seq = len(self.transmissions)
+        delivery = self.transmit(message.bytes, self.now)
+        self.pending.append((self.free_at, delivery, message))
+
+    def drain(self, elapsed: float) -> list[tuple[Message, float]]:
+        """Advance time and release, in FIFO order, every message whose
+        transmission completes within the window; in-flight bytes never
+        exceed the fluid budget."""
+        if elapsed < 0:
+            raise ConfigurationError("elapsed time must be >= 0")
+        self.now += elapsed
+        out: list[tuple[Message, float]] = []
+        while self.pending and self.pending[0][0] <= self.now:
+            _, delivery, msg = self.pending.popleft()
+            self.inflight -= msg.bytes
+            out.append((msg, delivery))
+        return out
 
 
 def traffic_report(stats: dict[tuple[int, int], LinkStats]) -> str:

@@ -154,17 +154,6 @@ def balance_load(costs, P: int) -> list[list[int]]:
     return assignment
 
 
-def worker_loads(costs, assignment) -> list[float]:
-    return [sum(costs[i] for i in subsets) for subsets in assignment]
-
-
-def extra_update_passes(wait_ticks: float, pass_cost_ticks: float) -> int:
-    """Minimum number of extra update passes that fit in an idle window."""
-    if pass_cost_ticks <= 0:
-        raise ConfigurationError("pass cost must be > 0")
-    return int(wait_ticks // pass_cost_ticks)
-
-
 @dataclass
 class RotationPlan:
     """Document ranges, word buckets, and the P-sub-epoch rotation."""
@@ -220,16 +209,6 @@ def build_rotation_plan(doc_token_counts, V: int, P: int) -> RotationPlan:
     for v in range(V):
         buckets[word_bucket(v, P)].append(v)
     return RotationPlan(doc_ranges=ranges, word_buckets=buckets)
-
-
-def format_schedule(rounds) -> str:
-    """Human-readable dump of emitted rounds for debugging and docs."""
-    lines = []
-    for t, assignment in enumerate(rounds):
-        lines.append(f"round {t}:")
-        for p, subset in enumerate(assignment):
-            lines.append(f"  worker {p}: {sorted(subset)}")
-    return "\n".join(lines)
 
 
 class SapScheduler:

@@ -15,13 +15,16 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .engine import FixedBlockScheduler, merge_payloads
+from .engine import FixedBlockScheduler, apply_sparse, merge_payloads
 from .errors import ConfigurationError, StateCorruptionError
-from .fabric import HaltonTopology, LinkStats, MasterSlave, make_topology
+from .fabric import (
+    HaltonTopology,
+    MasterSlave,
+    OutgoingQueue,
+    make_topology,
+    sparse_codec_size,
+)
 from .ssp import SspCore, Trace, TraceEvent, check_staleness_invariants
-
-SPARSE_HEADER = 25
-SPARSE_ENTRY = 12
 
 METRICS_HEADER = (
     "iteration,tick,objective,mean_staleness,max_staleness,blocked_ticks,bytes_sent"
@@ -182,15 +185,7 @@ class _Msg:
     hop: int = 0
 
     def nbytes(self) -> int:
-        return SPARSE_HEADER + SPARSE_ENTRY * len(self.payload)
-
-
-@dataclass
-class _Link:
-    free_at: float = 0.0
-    inflight: int = 0
-    stats: LinkStats = field(default_factory=LinkStats)
-    transmissions: list = field(default_factory=list)
+        return sparse_codec_size(len(self.payload))
 
 
 @dataclass
@@ -219,7 +214,7 @@ class SimCluster:
         self.topology = make_topology(config.topology, P)
         self.store = SspCore(P, config.staleness, workload.m)
         self.trace = self.store.trace
-        self.links: dict[tuple[int, int], _Link] = {}
+        self.links: dict[tuple[int, int], OutgoingQueue] = {}
         self.delivered: list[set[int]] = [set() for _ in range(P)]
         self.phase = ["waiting"] * P
         self.wait_since: list[Optional[int]] = [0] * P
@@ -250,10 +245,12 @@ class SimCluster:
         heapq.heappush(self.heap, (tick, self._heap_seq, action, data))
         self._heap_seq += 1
 
-    def _link(self, a: int, b: int) -> _Link:
+    def _link(self, a: int, b: int) -> OutgoingQueue:
         link = self.links.get((a, b))
         if link is None:
-            link = self.links[(a, b)] = _Link()
+            link = self.links[(a, b)] = OutgoingQueue(
+                self.cfg.bandwidth, self.cfg.latency
+            )
         return link
 
     def _emit(self, tick: int, event: str, node: int, clock: int, seq: int,
@@ -265,17 +262,8 @@ class SimCluster:
     # -- network ------------------------------------------------------------
 
     def _send(self, src: int, dst: int, msg: _Msg, tick: int) -> None:
-        link = self._link(src, dst)
         nbytes = msg.nbytes()
-        start = max(float(tick), link.free_at)
-        finish = start + nbytes / self.cfg.bandwidth
-        link.free_at = finish
-        link.transmissions.append((start, finish, nbytes))
-        delivery = int(math.ceil(finish)) + self.cfg.latency
-        link.inflight += nbytes
-        link.stats.messages += 1
-        link.stats.bytes += nbytes
-        link.stats.max_inflight = max(link.stats.max_inflight, link.inflight)
+        delivery = self._link(src, dst).transmit(nbytes, tick)
         self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
         self._emit(tick, "msg_send", src, clock, msg.id, msg.timestamp,
@@ -284,6 +272,10 @@ class SimCluster:
 
     def _broadcast(self, origin: int, seq: int, payload: dict, ts: int,
                    tick: int) -> None:
+        """Send one commit to every other worker. Master-slave: one message
+        to the server, which relays batched rounds (`_server_receive`).
+        Halton: one message per destination along its route, forwarded hop
+        by hop. Full P2P: P-1 direct messages."""
         topo = self.topology
         if isinstance(topo, MasterSlave):
             srv = topo.server_ids()[0]
@@ -335,13 +327,14 @@ class SimCluster:
             self._send(srv, dst, out, tick)
 
     def _deliver(self, link: tuple[int, int], msg: _Msg, tick: int) -> None:
-        lk = self._link(*link)
-        lk.inflight -= msg.nbytes()
+        lk = self.links[link]
+        nbytes = msg.nbytes()
+        lk.inflight -= nbytes
         dst = link[1]
         self.store.set_tick(tick)
         clock = self.store.clocks[dst] if dst < self.cfg.P else 0
         self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
-                   len(msg.payload), msg.nbytes())
+                   len(msg.payload), nbytes)
         if isinstance(self.topology, MasterSlave) and self.topology.is_server(dst):
             self._server_receive(msg, tick)
             return
@@ -401,8 +394,7 @@ class SimCluster:
         t = store.clocks[p]
         self._emit(tick, "compute_end", p, t, 0, t, len(payload), 0)
         seq = store.commit(p, payload, t)
-        for j in sorted(payload):
-            self.global_values[j] += payload[j]
+        apply_sparse(self.global_values, payload)
         self.round_changes.setdefault(t, {}).update(payload)
         self._broadcast(p, seq, payload, t, tick)
         if t + 1 >= self.cfg.max_clocks:

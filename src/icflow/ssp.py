@@ -19,7 +19,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .engine import apply_sparse
 from .errors import ProtocolError, TraceParseError
+from .fabric import sparse_codec_size
 
 _EVENTS = {
     "commit", "clock", "block", "unblock", "read", "apply", "finish",
@@ -166,8 +168,7 @@ class _Update:
     payload: dict[int, float]
 
     def bytes(self) -> int:
-        # matches the sparse wire codec: 25 byte header + 12 per entry
-        return 25 + 12 * len(self.payload)
+        return sparse_codec_size(len(self.payload))
 
 
 class SspCore:
@@ -235,7 +236,7 @@ class SspCore:
         for p in range(self.P):
             if p != worker:
                 self.unapplied[p].append(upd.seq)
-        _apply(self.views[worker], upd.payload)
+        apply_sparse(self.views[worker], upd.payload)
         self._emit("commit", worker, seq=upd.seq, timestamp=timestamp,
                    key_count=len(upd.payload), nbytes=upd.bytes())
         return upd.seq
@@ -282,7 +283,7 @@ class SspCore:
         for seq in self.unapplied[worker]:
             upd = self.log[seq]
             if upd.timestamp <= horizon and (allowed is None or seq in allowed):
-                _apply(self.views[worker], upd.payload)
+                apply_sparse(self.views[worker], upd.payload)
                 applied.append(upd)
                 self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
                            key_count=len(upd.payload), nbytes=upd.bytes())
@@ -302,7 +303,7 @@ class SspCore:
                 keep.append(seq)
                 continue
             upd = self.log[seq]
-            _apply(self.views[worker], upd.payload)
+            apply_sparse(self.views[worker], upd.payload)
             applied.append(upd)
             self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
                        key_count=len(upd.payload), nbytes=upd.bytes())
@@ -340,17 +341,12 @@ class SspCore:
         """Fully synchronized state: base plus every committed update."""
         out = np.zeros(self.m)
         for upd in self.log:
-            _apply(out, upd.payload)
+            apply_sparse(out, upd.payload)
         return out
 
     def _check_worker(self, worker: int) -> None:
         if not (0 <= worker < self.P):
             raise ProtocolError(f"invalid worker id {worker}")
-
-
-def _apply(values: np.ndarray, payload: dict[int, float]) -> None:
-    for j in sorted(payload):
-        values[j] += payload[j]
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ def test_parse_config_rejects_bad_values(tmp_path):
         ("algorithm = lasso\n[runtime]\ntopology = ring", "topology"),
         ("algorithm = lasso\n[runtime]\nscheduler = greedy", "scheduler"),
         ("algorithm = lasso\n[runtime]\np = 0", "p"),
+        ("algorithm = lasso\n[runtime]\npriority_mode = fifo", "priority_mode"),
     ):
         path = write_cfg(tmp_path, f"[algorithm]\n{bad}\n")
         with pytest.raises(ConfigurationError) as e:
@@ -100,6 +101,8 @@ def test_run_exit_codes(tmp_path):
         "bad.cfg",
     )
     assert main(["--quiet", "run", bad]) == EXIT_CONFIG
+    unknown = write_cfg(tmp_path, MINIMAL + "priority_mode = fifo\n", "unknown.cfg")
+    assert main(["--quiet", "run", unknown]) == EXIT_CONFIG
 
 
 def test_run_writes_expected_files(tmp_path):

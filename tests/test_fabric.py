@@ -11,21 +11,18 @@ from icflow.fabric import (
     MasterSlave,
     Message,
     OutgoingQueue,
-    PriorityMode,
-    broadcast,
     decode_delta,
     encode_delta,
     encoded_size,
     full_codec_size,
     make_topology,
-    message_priority,
-    prioritize_queue,
-    server_to_worker_codec,
     sf_codec_size,
     sf_reconstruct,
+    sparse_codec_size,
     traffic_report,
 )
 from icflow.fabric import LinkStats
+from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig
 
 
 def test_header_is_25_bytes():
@@ -225,51 +222,48 @@ def test_fifo_preserves_enqueue_order():
     assert out == msgs
 
 
-def test_priority_modes_reorder():
-    q = OutgoingQueue(budget=1000.0, mode=PriorityMode.ABSOLUTE_MAGNITUDE)
-    a = msg(10, key=0, val=0.9)
-    b = msg(10, key=1, val=3.2)
-    c = msg(10, key=2, val=1.1)
-    for m in (a, b, c):
+def test_enqueue_drain_agrees_with_transmit():
+    # enqueue/drain at random times versus transmit on a second queue fed
+    # the same (size, arrival) sequence
+    rng = np.random.default_rng(12)
+    q = OutgoingQueue(budget=70.0, latency=2)
+    ref = OutgoingQueue(budget=70.0, latency=2)
+    sent, released = [], []
+    for _ in range(300):
+        if rng.random() < 0.4:
+            batch = q.drain(float(rng.uniform(0.0, 4.0)))
+            # drain releases exactly the messages finished by now
+            assert all(q.transmissions[m.enqueue_seq][1] <= q.now for m, _ in batch)
+            assert all(finish > q.now for finish, _, _ in q.pending)
+            released += batch
+        m = msg(int(rng.integers(1, 400)))
         q.enqueue(m)
-    prioritize_queue(q)
-    out = [m for m, _ in q.drain(1.0)]
-    assert out == [b, c, a]
-
-
-def test_relative_priority_clamps_tiny_values():
-    snapshot = np.array([0.01, 100.0, 0.0])
-    pa = message_priority(msg(10, key=0, val=0.9), PriorityMode.RELATIVE_MAGNITUDE, snapshot)
-    pb = message_priority(msg(10, key=1, val=3.2), PriorityMode.RELATIVE_MAGNITUDE, snapshot)
-    assert pa == pytest.approx(90.0)
-    assert pb == pytest.approx(0.032)
-    pc = message_priority(msg(10, key=2, val=1.0), PriorityMode.RELATIVE_MAGNITUDE, snapshot)
-    assert pc == pytest.approx(1.0 / 1e-12)
-
-
-def test_priority_reordering_preserves_multiset():
-    q = OutgoingQueue(budget=1000.0, mode=PriorityMode.ABSOLUTE_MAGNITUDE)
-    msgs = [msg(10, key=i, val=float(i)) for i in range(6)]
-    for m in msgs:
-        q.enqueue(m)
-    prioritize_queue(q)
-    out = [m for m, _ in q.drain(1.0)]
-    assert sorted(id(m) for m in out) == sorted(id(m) for m in msgs)
+        sent.append((m, ref.transmit(m.bytes, q.now)))
+    released += q.drain(1e6)
+    assert [(id(m), t) for m, t in released] == [(id(m), t) for m, t in sent]
+    assert [m.enqueue_seq for m, _ in released] == list(range(len(sent)))
+    assert q.transmissions == ref.transmissions
+    assert q.inflight == 0
+    total = sum(m.bytes for m, _ in sent)
+    assert (q.stats.messages, q.stats.bytes) == (len(sent), total)
+    assert (ref.stats.messages, ref.stats.bytes) == (len(sent), total)
 
 
 def test_broadcast_counts():
-    d = UpdateDelta(payload={0: 1.0}, timestamp=0, origin=0)
-    assert len(broadcast(FullP2P(4), 0, d, Codec.FULL).messages) == 3
-    plan = broadcast(MasterSlave(4), 0, d, Codec.FULL)
-    assert len(plan.messages) == 1 + 4  # one up, P down
-    plan = broadcast(HaltonTopology(6), 0, d, Codec.FULL)
-    assert len(plan.messages) == 5
-
-
-def test_server_to_worker_rejects_sufficient_factors():
-    with pytest.raises(ProtocolError):
-        server_to_worker_codec(Codec.SUFFICIENT_FACTOR)
-    assert server_to_worker_codec(Codec.FULL) is Codec.FULL
+    # SimCluster._broadcast is the one broadcast plan: P-1 direct messages
+    # on full P2P, one to the server on master-slave, P-1 first hops along
+    # the routes on halton
+    for topology, P, first_hops in (
+        ("full_p2p", 4, {(0, 1), (0, 2), (0, 3)}),
+        ("master_slave", 4, {(0, 4)}),
+        ("halton", 6, {(0, HaltonTopology(6).route(0, d)[1]) for d in range(1, 6)}),
+    ):
+        sim = SimCluster(FuzzWorkload(12, P), SimConfig(P=P, topology=topology))
+        sim._broadcast(0, 0, {0: 1.0, 3: 2.0}, 0, 0)
+        sends = [e for e in sim.trace if e.event == "msg_send"]
+        assert len(sends) == (1 if topology == "master_slave" else P - 1)
+        assert all(e.bytes == sparse_codec_size(2) for e in sends)
+        assert set(sim.links) == first_hops
 
 
 def test_traffic_report_format():

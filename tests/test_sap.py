@@ -16,11 +16,8 @@ from icflow.sap import (
     build_independent_subsets,
     build_rotation_plan,
     dependency_check,
-    extra_update_passes,
-    format_schedule,
     prioritize_sample,
     word_bucket,
-    worker_loads,
 )
 
 
@@ -236,6 +233,9 @@ def brute_force_makespan(costs, P):
 
 
 def test_balance_load_is_near_optimal():
+    def worker_loads(costs, assignment):
+        return [sum(costs[i] for i in subsets) for subsets in assignment]
+
     costs = [7.0, 5.0, 4.0, 3.0, 3.0, 2.0]
     assignment = balance_load(costs, 3)
     loads = worker_loads(costs, assignment)
@@ -253,13 +253,6 @@ def test_balance_load_deterministic():
     a1 = balance_load(costs, 4)
     a2 = balance_load(costs, 4)
     assert a1 == a2
-
-
-def test_extra_update_passes():
-    assert extra_update_passes(10.0, 3.0) == 3
-    assert extra_update_passes(2.0, 3.0) == 0
-    with pytest.raises(ConfigurationError):
-        extra_update_passes(5.0, 0.0)
 
 
 def test_rotation_plan_structure():
@@ -323,7 +316,3 @@ def test_baseline_schedulers_cover_pool():
     flat = sorted(j for blk in rr.rounds(0, None) for j in blk)
     assert flat == list(range(10))
 
-
-def test_format_schedule_smoke():
-    text = format_schedule([[[0, 1], [2]], [[3], [4, 5]]])
-    assert "round 0:" in text and "worker 1: [2]" in text

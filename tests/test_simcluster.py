@@ -6,6 +6,7 @@ import pytest
 from icflow.algorithms.lasso import LassoProblem
 from icflow.datasets import gen_lasso
 from icflow.errors import ConfigurationError
+from icflow.fabric import OutgoingQueue
 from icflow.simcluster import (
     FuzzWorkload,
     LassoModelParallelWorkload,
@@ -203,6 +204,23 @@ def test_link_transmissions_never_exceed_bandwidth():
             assert s1 >= f0 - 1e-9
         for s0, f0, b0 in txs:
             assert b0 / (f0 - s0) <= 64.0 + 1e-9
+
+
+def test_links_are_fabric_queues_and_traffic_is_their_stats():
+    for topology in ("master_slave", "full_p2p", "halton"):
+        sim = SimCluster(
+            FuzzWorkload(24, 4, seed=3),
+            SimConfig(P=4, staleness=1, topology=topology, max_clocks=6,
+                      bandwidth=64.0),
+        )
+        res = sim.run()
+        assert sim.links
+        assert all(isinstance(q, OutgoingQueue) for q in sim.links.values())
+        assert res.traffic.keys() == sim.links.keys()
+        assert all(res.traffic[k] is q.stats for k, q in sim.links.items())
+        # every message sent was delivered
+        assert all(q.inflight == 0 for q in sim.links.values())
+        assert sum(st.bytes for st in res.traffic.values()) == sim.bytes_sent
 
 
 # ---------------------------------------------------------------------------
