@@ -77,12 +77,6 @@ def gradient_from_factors(factors, K: int, D: int) -> np.ndarray:
     return g
 
 
-def gradient_dense(A: np.ndarray, U: np.ndarray, y: np.ndarray) -> np.ndarray:
-    probs = softmax(U @ A.T)
-    probs[np.arange(len(y)), y] -= 1.0
-    return probs.T @ U
-
-
 def accuracy(A: np.ndarray, U: np.ndarray, y: np.ndarray) -> float:
     pred = np.argmax(U @ A.T, axis=1)
     return float(np.mean(pred == y))
@@ -94,23 +88,18 @@ def train_sgd(
     batch_size: int,
     eta0: float = 0.1,
     seed: int = 0,
-    use_factors: bool = True,
 ) -> tuple[np.ndarray, list[float]]:
-    """Minibatch SGD with step size eta0 / sqrt(t). When `use_factors` is on
-    the gradient goes through the factored representation (as it would over
-    the wire); either path yields the same parameters up to float ordering."""
+    """Minibatch SGD with step size eta0 / sqrt(t). The gradient goes through
+    the factored representation, as it would over the wire."""
     rng = np.random.default_rng(seed)
     A = np.zeros((problem.K, problem.D))
     objectives: list[float] = []
     for t in range(1, steps + 1):
         idx = rng.choice(problem.n, size=min(batch_size, problem.n), replace=False)
         Ub, yb = problem.U[idx], problem.y[idx]
-        if use_factors:
-            g = gradient_from_factors(
-                sufficient_factors(A, Ub, yb), problem.K, problem.D
-            )
-        else:
-            g = gradient_dense(A, Ub, yb)
+        g = gradient_from_factors(
+            sufficient_factors(A, Ub, yb), problem.K, problem.D
+        )
         A -= (eta0 / np.sqrt(t)) * (g / len(idx))
         objectives.append(cross_entropy(A, problem.U, problem.y))
     return A, objectives

@@ -42,11 +42,24 @@ _TOPOLOGIES = ("master_slave", "full_p2p", "halton")
 _CODECS = ("full", "sufficient_factor")
 _DEFAULT_CODEC = "sufficient_factor"
 _SCHEDULERS = ("fixed", "sap", "random", "round_robin")
-# every [runtime] key the run path reads; any other key is rejected
+# every key the run path reads, per section and algorithm; any other key is
+# rejected
 _RUNTIME_KEYS = (
     "p", "staleness", "seed", "max_clocks", "topology", "codec", "scheduler",
     "bandwidth", "latency", "straggler", "slow_worker_extras",
 )
+_DATA_KEYS = {
+    "lasso": ("x", "y", "n", "m", "k_true", "seed"),
+    "lda": ("docs", "n_docs", "v", "k", "doc_len", "seed"),
+    "mlr": ("u", "y", "n", "d", "k", "seed"),
+}
+_ALGORITHM_KEYS = {
+    "lasso": ("algorithm", "lam"),
+    "lda": ("algorithm", "topics", "epochs"),
+    "mlr": ("algorithm", "steps", "batch", "eta0"),
+}
+# [data] files read together: a run takes both or generates its data
+_DATA_FILE_PAIRS = {"lasso": ("x", "y"), "mlr": ("u", "y")}
 
 
 @dataclass
@@ -120,18 +133,24 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _reject_unknown(name: str, section: dict, allowed) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"[{name}] unknown key {', '.join(unknown)}; expected one of "
+            f"{', '.join(allowed)}"
+        )
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     algo = cfg.algorithm.get("algorithm")
     if algo is None:
         raise ConfigurationError("[algorithm] missing required key algorithm")
     _require_enum("algorithm", "algorithm", algo, _ALGORITHMS)
+    _reject_unknown("data", cfg.data, _DATA_KEYS[algo])
+    _reject_unknown("algorithm", cfg.algorithm, _ALGORITHM_KEYS[algo])
     rt = cfg.runtime
-    unknown = sorted(set(rt) - set(_RUNTIME_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"[runtime] unknown key {', '.join(unknown)}; expected one of "
-            f"{', '.join(_RUNTIME_KEYS)}"
-        )
+    _reject_unknown("runtime", rt, _RUNTIME_KEYS)
     _get_int(rt, "runtime", "p", default="4", minimum=1)
     _get_int(rt, "runtime", "staleness", default="0", minimum=0)
     _get_int(rt, "runtime", "seed", default="0")
@@ -146,6 +165,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _get_float(rt, "runtime", "bandwidth", default="4096", minimum=1e-9)
     _get_int(rt, "runtime", "latency", default="1", minimum=0)
     parse_straggler(rt.get("straggler", ""), _get_int(rt, "runtime", "p", "4"))
+    pair = _DATA_FILE_PAIRS.get(algo)
+    if pair and (pair[0] in cfg.data) != (pair[1] in cfg.data):
+        given, missing = pair if pair[0] in cfg.data else pair[::-1]
+        raise ConfigurationError(
+            f"[data] missing required key {missing}; {given} needs it"
+        )
     for key in ("x", "y", "docs", "u"):
         if key in cfg.data and not os.path.exists(cfg.data[key]):
             raise ConfigurationError(

@@ -134,14 +134,6 @@ def gen_lda(
     return LdaCorpus(docs=docs, V=V, K=K, true_topic_words=topic_words)
 
 
-def rank_frequency_slope(docs: list[list[int]], top: int = 30) -> float:
-    """Least-squares slope of log frequency vs log rank over the top ranks."""
-    counts = np.bincount([w for doc in docs for w in doc])
-    freq = np.sort(counts[counts > 0])[::-1][:top].astype(float)
-    ranks = np.arange(1, len(freq) + 1, dtype=float)
-    return float(np.polyfit(np.log(ranks), np.log(freq), 1)[0])
-
-
 def write_corpus(corpus: LdaCorpus, out_dir: str, stem: str = "lda") -> dict:
     """Bag-of-words triples: three header lines (D, W, NNZ), then
     `docID wordID count` with 1-based ids."""

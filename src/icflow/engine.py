@@ -1,16 +1,16 @@
-"""Iterative-convergent program abstraction and execution loops.
+"""Update and stopping types, and the lock-step model-parallel reference loop.
 
-A program exposes three callables: an update ``delta`` computed against a
-snapshot of the parameters, an aggregation ``apply`` that folds the (possibly
-merged) update back into the parameters, and an ``objective`` evaluator.
-The loops below run such a program sequentially, data-parallel over shards,
-or model-parallel over disjoint parameter subsets.
+A model-parallel program exposes ``initial_values``, a sparse
+``block_delta(view, data, indices)`` computed against a worker's local view,
+and an ``objective``. ``run_model_parallel`` runs such a program over
+disjoint parameter subsets in lock step; the cluster simulator with
+staleness 0 must reproduce its trajectory bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -18,36 +18,7 @@ from .errors import (
     ConfigurationError,
     NonFiniteObjectiveError,
     SchedulingConflictError,
-    ShapeMismatchError,
 )
-
-
-@dataclass
-class ModelState:
-    """Parameter collection plus an iteration clock.
-
-    ``values`` is an ndarray for vector/matrix models; algorithm modules with
-    richer state (LDA count tables) wrap their own state object here.
-    """
-
-    values: Any
-    clock: int = 0
-
-    def advance(self) -> None:
-        self.clock += 1
-
-    def set_clock(self, t: int) -> None:
-        if t < self.clock:
-            raise ValueError(f"clock must be non-decreasing: {t} < {self.clock}")
-        self.clock = t
-
-
-@dataclass
-class DataShard:
-    """A contiguous slice of the dataset assigned to one worker."""
-
-    samples: Any
-    shard_id: int
 
 
 @dataclass
@@ -93,18 +64,6 @@ class StoppingCriterion:
         return abs(new - old) / denom < self.objective_tolerance
 
 
-class Program(Protocol):
-    """Duck-typed iterative-convergent program (data-parallel form)."""
-
-    def initial_values(self) -> Any: ...
-
-    def delta(self, values: Any, shard: DataShard) -> Any: ...
-
-    def apply(self, values: Any, payload: Any) -> Any: ...
-
-    def objective(self, values: Any, data: Any) -> float: ...
-
-
 def merge_payloads(payloads: Sequence[Any]) -> Any:
     """Additively merge shard payloads, in the given order.
 
@@ -139,74 +98,6 @@ def _check_objective(value: float, iteration: int) -> float:
     return value
 
 
-def evaluate_objective(program, state: ModelState, data) -> float:
-    """L(x, A) = f + r for the concrete program."""
-    expected = getattr(program, "shape", None)
-    if expected is not None:
-        actual = np.shape(state.values)
-        if tuple(actual) != tuple(expected):
-            raise ShapeMismatchError(
-                f"state shape {actual} does not match program shape {expected}"
-            )
-    return program.objective(state.values, data)
-
-
-def run_sequential(
-    program,
-    data: DataShard,
-    stop: StoppingCriterion,
-) -> tuple[ModelState, list[tuple[int, float]]]:
-    """Run A(t) = F(A(t-1), delta(A(t-1), x)) on one worker until `stop`."""
-    state = ModelState(values=program.initial_values())
-    metrics: list[tuple[int, float]] = []
-    objectives: list[float] = []
-    while True:
-        payload = program.delta(state.values, data)
-        state.values = program.apply(state.values, payload)
-        state.advance()
-        obj = _check_objective(program.objective(state.values, data), state.clock)
-        metrics.append((state.clock, obj))
-        objectives.append(obj)
-        if stop.reached(objectives):
-            break
-    return state, metrics
-
-
-def run_data_parallel(
-    program,
-    shards: Sequence[DataShard],
-    P: int,
-    stop: StoppingCriterion,
-    full_data: Optional[DataShard] = None,
-) -> tuple[ModelState, list[tuple[int, float]]]:
-    """BSP data-parallel loop: apply F(A, sum_p delta(A, x_p)) each iteration.
-
-    With P = 1 this follows the exact same code path as ``run_sequential``
-    (single-shard merge is the identity), so results are bit-identical.
-    `full_data` is used for objective evaluation; defaults to concatenating
-    shard sample lists is left to the program, so callers should pass it.
-    """
-    if len(shards) != P:
-        raise ConfigurationError(f"expected {P} shards, got {len(shards)}")
-    eval_data = full_data if full_data is not None else shards[0]
-    state = ModelState(values=program.initial_values())
-    metrics: list[tuple[int, float]] = []
-    objectives: list[float] = []
-    while True:
-        payloads = [program.delta(state.values, sh) for sh in shards]
-        agg = payloads[0] if P == 1 else merge_payloads(payloads)
-        state.values = program.apply(state.values, agg)
-        state.advance()
-        obj = _check_objective(
-            program.objective(state.values, eval_data), state.clock
-        )
-        metrics.append((state.clock, obj))
-        objectives.append(obj)
-        if stop.reached(objectives):
-            break
-    return state, metrics
-
-
 class FixedBlockScheduler:
     """Assigns the same contiguous equal blocks to each worker every round."""
 
@@ -235,12 +126,12 @@ def _check_disjoint(assignment: Sequence[Sequence[int]]) -> None:
 
 def run_model_parallel(
     program,
-    data: DataShard,
+    data: Any,
     P: int,
     scheduler,
     stop: StoppingCriterion,
     trajectory_out: Optional[list] = None,
-) -> tuple[ModelState, list[tuple[int, float]]]:
+) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Lock-step (BSP) model-parallel loop with per-worker local views.
 
     Each round the scheduler emits P disjoint index subsets. Every worker
@@ -248,7 +139,8 @@ def run_model_parallel(
     the block), then all views and the master copy are brought up to date.
     Deltas are applied in a fixed order (own update first, then the other
     workers' in id order) so a tick-level simulation with the same order
-    reproduces this trajectory bit for bit.
+    reproduces this trajectory bit for bit. Returns the final parameters and
+    one (round, objective) pair per round.
     """
     master = np.array(program.initial_values(), copy=True)
     views = [master.copy() for _ in range(P)]
@@ -284,4 +176,4 @@ def run_model_parallel(
         objectives.append(obj)
         if stop.reached(objectives):
             break
-    return ModelState(values=master, clock=t), metrics
+    return master, metrics

@@ -133,14 +133,6 @@ def decode_delta(data: bytes) -> UpdateDelta:
     raise DecodeError(0, f"unknown codec tag {tag}")
 
 
-def sf_reconstruct(factors, k: int, d: int) -> np.ndarray:
-    """Sum of outer products b_i c_i^T in list order (fixed summation order)."""
-    out = np.zeros((k, d))
-    for b, c in factors:
-        out += np.outer(b, c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # topologies
 
@@ -192,9 +184,6 @@ class MasterSlave(Topology):
         if servers < 1:
             raise ConfigurationError("server count must be >= 1")
         self.servers = servers
-
-    def server_of(self, key: int) -> int:
-        return self.P + (key % self.servers)
 
     def server_ids(self) -> list[int]:
         return list(range(self.P, self.P + self.servers))

@@ -12,7 +12,6 @@ independent checker replays to verify the protocol guarantees.
 """
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -471,42 +470,3 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
         max_clock_gap=max_gap,
         mean_read_staleness=read_staleness_sum / read_count if read_count else 0.0,
     )
-
-
-# ---------------------------------------------------------------------------
-# threaded store
-
-
-class ThreadedSspStore:
-    """Thread-safe wrapper whose ``clock`` call really blocks the calling
-    thread until the staleness gap closes. Intended for smoke-testing the
-    protocol with genuine concurrency; the simulator uses ``SspCore``."""
-
-    def __init__(self, P: int, staleness: int, m: int):
-        self.core = SspCore(P, staleness, m)
-        self._cond = threading.Condition()
-
-    def read(self, worker: int) -> np.ndarray:
-        with self._cond:
-            return self.core.read(worker)
-
-    def commit(self, worker: int, payload: dict[int, float], timestamp: int) -> int:
-        with self._cond:
-            return self.core.commit(worker, payload, timestamp)
-
-    def clock(self, worker: int) -> None:
-        with self._cond:
-            self.core.advance_clock(worker)
-            self._cond.notify_all()
-            while self.core.would_block(worker):
-                self._cond.wait()
-            self.core.release_unblocked()
-
-    def finish(self, worker: int) -> None:
-        with self._cond:
-            self.core.finish(worker)
-            self._cond.notify_all()
-
-    def snapshot(self) -> np.ndarray:
-        with self._cond:
-            return self.core.snapshot()

@@ -57,6 +57,14 @@ def test_parse_config_rejects_bad_values(tmp_path):
         ("algorithm = lasso\n[runtime]\nscheduler = greedy", "scheduler"),
         ("algorithm = lasso\n[runtime]\np = 0", "p"),
         ("algorithm = lasso\n[runtime]\npriority_mode = fifo", "priority_mode"),
+        ("algorithm = lasso\nlamda = 0.5", "lamda"),
+        ("algorithm = lasso\n[data]\nsed = 5", "sed"),
+        ("algorithm = lda\n[data]\nd = 5", "[data] unknown key d"),
+        ("algorithm = mlr\ntopics = 5", "[algorithm] unknown key topics"),
+        ("algorithm = lasso\n[data]\nx = X.mtx", "missing required key y"),
+        ("algorithm = lasso\n[data]\ny = y.txt", "missing required key x"),
+        ("algorithm = mlr\n[data]\nu = U.mtx", "missing required key y"),
+        ("algorithm = mlr\n[data]\ny = y.txt", "missing required key u"),
     ):
         path = write_cfg(tmp_path, f"[algorithm]\n{bad}\n")
         with pytest.raises(ConfigurationError) as e:
@@ -103,6 +111,13 @@ def test_run_exit_codes(tmp_path):
     assert main(["--quiet", "run", bad]) == EXIT_CONFIG
     unknown = write_cfg(tmp_path, MINIMAL + "priority_mode = fifo\n", "unknown.cfg")
     assert main(["--quiet", "run", unknown]) == EXIT_CONFIG
+    # `good` is an existing file, so only the missing partner of x or y is wrong
+    for section, line in (("[data]", "sed = 5"), ("[algorithm]", "lamda = 0.5"),
+                          ("[data]", f"x = {good}"), ("[data]", f"y = {good}")):
+        bad = write_cfg(
+            tmp_path, MINIMAL.replace(section, f"{section}\n{line}"), "bad.cfg"
+        )
+        assert main(["--quiet", "run", bad]) == EXIT_CONFIG
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -156,9 +171,17 @@ def test_gen_lasso_is_deterministic(tmp_path):
     assert (a / "lasso_y.txt").read_bytes() == (b / "lasso_y.txt").read_bytes()
 
 
+def rank_frequency_slope(docs, top=30):
+    """Least-squares slope of log frequency vs log rank over the top ranks."""
+    counts = np.bincount([w for doc in docs for w in doc])
+    freq = np.sort(counts[counts > 0])[::-1][:top].astype(float)
+    ranks = np.arange(1, len(freq) + 1, dtype=float)
+    return float(np.polyfit(np.log(ranks), np.log(freq), 1)[0])
+
+
 def test_gen_lda_zipf_slope(tmp_path):
     corpus = datasets.gen_lda(400, 80, 4, 40, seed=3, zipf_s=1.0)
-    slope = datasets.rank_frequency_slope(corpus.docs)
+    slope = rank_frequency_slope(corpus.docs)
     assert -1.2 < slope < -0.8
 
 

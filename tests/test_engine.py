@@ -2,61 +2,17 @@ import numpy as np
 import pytest
 
 from icflow.engine import (
-    DataShard,
     FixedBlockScheduler,
-    ModelState,
     StoppingCriterion,
     UpdateDelta,
     merge_payloads,
-    run_data_parallel,
     run_model_parallel,
-    run_sequential,
 )
 from icflow.errors import (
     ConfigurationError,
     NonFiniteObjectiveError,
     SchedulingConflictError,
-    ShapeMismatchError,
 )
-from icflow.engine import evaluate_objective
-
-
-class QuadraticProgram:
-    """Minimize 0.5 * ||a - target||^2 by gradient steps; shards contribute
-    additive partial gradients over their rows of the target."""
-
-    def __init__(self, target, step=0.5):
-        self.target = np.asarray(target, dtype=float)
-        self.step = step
-        self.shape = self.target.shape
-
-    def initial_values(self):
-        return np.zeros_like(self.target)
-
-    def delta(self, values, shard):
-        g = np.zeros_like(values)
-        rows = shard.samples
-        g[rows] = self.step * (self.target[rows] - values[rows])
-        return g
-
-    def apply(self, values, payload):
-        return values + payload
-
-    def objective(self, values, data=None):
-        return 0.5 * float(np.sum((values - self.target) ** 2))
-
-
-def full_shard(n):
-    return DataShard(samples=np.arange(n), shard_id=0)
-
-
-def test_model_state_clock_is_monotone():
-    st = ModelState(values=np.zeros(3))
-    st.advance()
-    st.set_clock(5)
-    assert st.clock == 5
-    with pytest.raises(ValueError):
-        st.set_clock(2)
 
 
 def test_update_delta_drops_explicit_zeros():
@@ -92,72 +48,12 @@ def test_merge_payloads_dict_and_array():
     assert merge_payloads([]) == {}
 
 
-def test_run_sequential_converges_on_quadratic():
-    prog = QuadraticProgram([1.0, -2.0, 3.0])
-    state, metrics = run_sequential(
-        prog, full_shard(3), StoppingCriterion(max_iterations=200)
-    )
-    assert np.allclose(state.values, prog.target, atol=1e-6)
-    objs = [m[1] for m in metrics]
-    assert all(b <= a for a, b in zip(objs, objs[1:]))
-
-
-def test_data_parallel_single_shard_matches_sequential_bitwise():
-    prog = QuadraticProgram(np.linspace(-1, 1, 8))
-    stop = StoppingCriterion(max_iterations=40)
-    s_state, s_metrics = run_sequential(prog, full_shard(8), stop)
-    p_state, p_metrics = run_data_parallel(
-        prog, [full_shard(8)], 1, stop, full_data=full_shard(8)
-    )
-    assert np.array_equal(s_state.values, p_state.values)
-    assert s_metrics == p_metrics
-
-
-def test_data_parallel_shards_sum_to_full_update():
-    target = np.linspace(-1, 1, 9)
-    prog = QuadraticProgram(target)
-    shards = [DataShard(np.arange(i * 3, i * 3 + 3), i) for i in range(3)]
-    stop = StoppingCriterion(max_iterations=30)
-    p_state, _ = run_data_parallel(
-        prog, shards, 3, stop, full_data=full_shard(9)
-    )
-    s_state, _ = run_sequential(prog, full_shard(9), stop)
-    assert np.allclose(p_state.values, s_state.values)
-
-
-def test_data_parallel_shard_count_mismatch():
-    prog = QuadraticProgram([1.0, 2.0])
-    with pytest.raises(ConfigurationError):
-        run_data_parallel(
-            prog, [full_shard(2)], 2, StoppingCriterion(max_iterations=5)
-        )
-
-
-def test_non_finite_objective_is_reported():
-    class Diverging(QuadraticProgram):
-        def objective(self, values, data=None):
-            return float("nan")
-
-    prog = Diverging([1.0])
-    with pytest.raises(NonFiniteObjectiveError) as e:
-        run_sequential(prog, full_shard(1), StoppingCriterion(max_iterations=5))
-    assert e.value.iteration == 1
-
-
-def test_evaluate_objective_checks_shape():
-    prog = QuadraticProgram([1.0, 2.0, 3.0])
-    state = ModelState(values=np.zeros(2))
-    with pytest.raises(ShapeMismatchError):
-        evaluate_objective(prog, state, None)
-
-
 class SparseBlockProgram:
     """Model-parallel program over a vector: each block update moves its
     coordinates halfway to the target."""
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
-        self.shape = self.target.shape
 
     def initial_values(self):
         return np.zeros_like(self.target)
@@ -172,14 +68,34 @@ class SparseBlockProgram:
 def test_model_parallel_converges_with_fixed_blocks():
     target = np.arange(1.0, 9.0)
     prog = SparseBlockProgram(target)
-    state, metrics = run_model_parallel(
-        prog,
-        full_shard(8),
-        4,
-        FixedBlockScheduler(8, 4),
+    values, _ = run_model_parallel(
+        prog, None, 4, FixedBlockScheduler(8, 4),
         StoppingCriterion(max_iterations=60),
     )
-    assert np.allclose(state.values, target, atol=1e-6)
+    assert np.allclose(values, target, atol=1e-6)
+
+
+def test_model_parallel_rejects_wrong_subset_count():
+    prog = SparseBlockProgram(np.ones(4))
+    with pytest.raises(ConfigurationError):
+        run_model_parallel(
+            prog, None, 3, FixedBlockScheduler(4, 2),
+            StoppingCriterion(max_iterations=5),
+        )
+
+
+def test_non_finite_objective_is_reported():
+    class Diverging(SparseBlockProgram):
+        def objective(self, values, data=None):
+            return float("nan")
+
+    prog = Diverging(np.ones(2))
+    with pytest.raises(NonFiniteObjectiveError) as e:
+        run_model_parallel(
+            prog, None, 1, FixedBlockScheduler(2, 1),
+            StoppingCriterion(max_iterations=5),
+        )
+    assert e.value.iteration == 1
 
 
 def test_model_parallel_rejects_overlapping_assignment():
@@ -193,7 +109,7 @@ def test_model_parallel_rejects_overlapping_assignment():
     prog = SparseBlockProgram(np.ones(3))
     with pytest.raises(SchedulingConflictError):
         run_model_parallel(
-            prog, full_shard(3), 2, BadScheduler(),
+            prog, None, 2, BadScheduler(),
             StoppingCriterion(max_iterations=5),
         )
 
@@ -202,7 +118,7 @@ def test_model_parallel_trajectory_is_recorded():
     prog = SparseBlockProgram(np.ones(4))
     traj = []
     run_model_parallel(
-        prog, full_shard(4), 2, FixedBlockScheduler(4, 2),
+        prog, None, 2, FixedBlockScheduler(4, 2),
         StoppingCriterion(max_iterations=10), trajectory_out=traj,
     )
     assert len(traj) == 10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icflow.algorithms.mlr import gradient_from_factors
 from icflow.engine import UpdateDelta
 from icflow.errors import ConfigurationError, DecodeError, ProtocolError
 from icflow.fabric import (
@@ -17,7 +18,6 @@ from icflow.fabric import (
     full_codec_size,
     make_topology,
     sf_codec_size,
-    sf_reconstruct,
     sparse_codec_size,
     traffic_report,
 )
@@ -57,15 +57,15 @@ def test_sf_round_trip_is_bit_exact():
     wire = encode_delta(d, Codec.SUFFICIENT_FACTOR)
     assert len(wire) == sf_codec_size(K, D, S)
     back = decode_delta(wire)
-    recon = sf_reconstruct(back.payload, K, D)
-    expect = sf_reconstruct(factors, K, D)
+    recon = gradient_from_factors(back.payload, K, D)
+    expect = gradient_from_factors(factors, K, D)
     assert np.array_equal(recon, expect)
 
 
 def test_sf_outer_product_example():
-    recon = sf_reconstruct([(np.array([1.0, 2.0]), np.array([3.0, 4.0]))], 2, 2)
+    recon = gradient_from_factors([(np.array([1.0, 2.0]), np.array([3.0, 4.0]))], 2, 2)
     assert np.array_equal(recon, np.array([[3.0, 4.0], [6.0, 8.0]]))
-    assert np.array_equal(sf_reconstruct([], 2, 3), np.zeros((2, 3)))
+    assert np.array_equal(gradient_from_factors([], 2, 3), np.zeros((2, 3)))
 
 
 def test_sf_mismatched_factor_shapes_rejected():

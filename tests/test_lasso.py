@@ -3,18 +3,13 @@ import pytest
 
 from icflow.algorithms.lasso import (
     LassoCDProgram,
-    LassoDataParallelProgram,
     LassoProblem,
-    lasso_delta,
-    lasso_delta_data_parallel,
     lasso_objective,
     normalize_columns,
-    row_shards,
     soft_threshold,
-    soft_threshold_vec,
 )
 from icflow.datasets import gen_lasso
-from icflow.engine import DataShard, StoppingCriterion, run_data_parallel
+from icflow.engine import apply_sparse
 from icflow.errors import ConfigurationError
 
 
@@ -44,12 +39,6 @@ def test_soft_threshold_closed_form_points():
         soft_threshold(1.0, -0.1)
 
 
-def test_soft_threshold_vec_matches_scalar():
-    u = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
-    out = soft_threshold_vec(u, 0.3)
-    assert np.array_equal(out, np.array([soft_threshold(x, 0.3) for x in u]))
-
-
 def test_normalize_columns():
     X = np.array([[3.0, 0.0], [4.0, 2.0]])
     Xn, scales = normalize_columns(X)
@@ -77,31 +66,19 @@ def test_default_lambda_rule():
 
 def test_lasso_delta_matches_naive_sum():
     prob = make_problem()
+    prog = LassoCDProgram(prob)
     rng = np.random.default_rng(2)
     a = rng.normal(size=prob.m)
-    got = lasso_delta(prob, a, range(prob.m))
     for j in range(prob.m):
         u = prob.X[:, j] @ prob.y
         for k in range(prob.m):
             if k != j:
                 u -= (prob.X[:, j] @ prob.X[:, k]) * a[k]
-        assert got[j] == pytest.approx(u, rel=1e-12)
+        got = a[j] + prog.block_delta(a, None, [j]).get(j, 0.0)
+        expect = soft_threshold(u, prob.lam)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
     with pytest.raises(IndexError):
-        lasso_delta(prob, a, [prob.m])
-
-
-def test_data_parallel_partial_sums_add_up():
-    prob = make_problem(n=50, m=8)
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=prob.m)
-    shards = row_shards(prob, 4)
-    total = sum(
-        lasso_delta_data_parallel(prob, sh.samples, a) for sh in shards
-    )
-    full = np.array(
-        [lasso_delta(prob, a, [j])[j] for j in range(prob.m)]
-    )
-    assert np.allclose(total, full, atol=1e-10)
+        prog.block_delta(a, None, [prob.m])
 
 
 def test_gauss_seidel_objective_is_monotone():
@@ -110,25 +87,23 @@ def test_gauss_seidel_objective_is_monotone():
     a = prog.initial_values()
     objs = []
     for _ in range(25):
-        delta = prog.block_delta(a, None, range(prob.m))
-        a = prog.apply(a, delta)
+        apply_sparse(a, prog.block_delta(a, None, range(prob.m)))
         objs.append(prog.objective(a))
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
 
 def test_jacobi_program_reaches_same_solution():
+    # Jacobi: every coordinate thresholded against the same snapshot
     prob = make_problem(n=80, m=10, seed=5)
-    shards = row_shards(prob, 4)
-    stop = StoppingCriterion(max_iterations=300)
-    state, _ = run_data_parallel(
-        LassoDataParallelProgram(prob), shards, 4, stop,
-        full_data=DataShard(np.arange(prob.n), 0),
-    )
+    jac = np.zeros(prob.m)
+    for _ in range(300):
+        u = prob.X.T @ (prob.y - prob.X @ jac) + np.sum(prob.X**2, axis=0) * jac
+        jac = np.sign(u) * np.maximum(np.abs(u) - prob.lam, 0.0)
     prog = LassoCDProgram(prob)
     a = prog.initial_values()
     for _ in range(300):
-        a = prog.apply(a, prog.block_delta(a, None, range(prob.m)))
-    assert lasso_objective(prob, state.values) == pytest.approx(
+        apply_sparse(a, prog.block_delta(a, None, range(prob.m)))
+    assert lasso_objective(prob, jac) == pytest.approx(
         lasso_objective(prob, a), rel=1e-6
     )
 
@@ -155,6 +130,6 @@ def test_recovers_planted_support():
     prog = LassoCDProgram(prob)
     a = prog.initial_values()
     for _ in range(100):
-        a = prog.apply(a, prog.block_delta(a, None, range(prob.m)))
+        apply_sparse(a, prog.block_delta(a, None, range(prob.m)))
     top = set(np.argsort(-np.abs(a))[:5])
     assert top == set(ds.true_support.tolist())

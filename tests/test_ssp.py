@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from icflow.simcluster import FuzzWorkload, SimConfig, run_simulation
 from icflow.ssp import (
     TRACE_HEADER,
     SspCore,
-    ThreadedSspStore,
     Trace,
     TraceEvent,
     check_staleness_invariants,
@@ -280,25 +277,3 @@ def test_checker_flags_bad_commit_timestamp():
     trace = Trace([TraceEvent(0, "commit", 0, 0, 0, 4, 1, 37)])
     report = check_staleness_invariants(trace, 2, 1)
     assert any("timestamp" in v for v in report.violations)
-
-
-def test_threaded_store_smoke():
-    P, rounds = 3, 8
-    store = ThreadedSspStore(P=P, staleness=1, m=P)
-
-    def work(p):
-        for t in range(rounds):
-            store.read(p)
-            store.commit(p, {p: 1.0}, t)
-            store.clock(p)
-        store.finish(p)
-
-    threads = [threading.Thread(target=work, args=(p,)) for p in range(P)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=30)
-    assert all(not th.is_alive() for th in threads)
-    assert np.array_equal(store.snapshot(), np.full(P, float(rounds)))
-    report = check_staleness_invariants(store.core.trace, 1, P)
-    assert report.ok, report.violations
