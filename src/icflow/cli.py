@@ -11,17 +11,15 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import datasets
 from .algorithms.lasso import LassoProblem
 from .algorithms import lda as lda_mod
 from .algorithms import mlr as mlr_mod
-from .engine import FixedBlockScheduler, UpdateDelta
+from .engine import FixedBlockScheduler
 from .errors import ConfigurationError, IcflowError, TraceParseError
-from .fabric import Codec, encoded_size, traffic_report
+from .fabric import full_codec_size, sf_codec_size, traffic_report
 from .sap import RandomScheduler, RoundRobinScheduler, SapScheduler
 from .simcluster import (
     METRICS_HEADER,
@@ -37,87 +35,127 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
-_ALGORITHMS = ("lasso", "lda", "mlr")
-_TOPOLOGIES = ("master_slave", "full_p2p", "halton")
-_CODECS = ("full", "sufficient_factor")
-_DEFAULT_CODEC = "sufficient_factor"
-_SCHEDULERS = ("fixed", "sap", "random", "round_robin")
-# every key the run path reads, per section and algorithm; any other key is
-# rejected
-_RUNTIME_KEYS = (
-    "p", "staleness", "seed", "max_clocks", "topology", "codec", "scheduler",
-    "bandwidth", "latency", "straggler", "slow_worker_extras",
-)
-_DATA_KEYS = {
-    "lasso": ("x", "y", "n", "m", "k_true", "seed"),
-    "lda": ("docs", "n_docs", "v", "k", "doc_len", "seed"),
-    "mlr": ("u", "y", "n", "d", "k", "seed"),
-}
-_ALGORITHM_KEYS = {
-    "lasso": ("algorithm", "lam"),
-    "lda": ("algorithm", "topics", "epochs"),
-    "mlr": ("algorithm", "steps", "batch", "eta0"),
-}
-# [data] files read together: a run takes both or generates its data
-_DATA_FILE_PAIRS = {"lasso": ("x", "y"), "mlr": ("u", "y")}
+# ---------------------------------------------------------------------------
+# config schema: key -> (parser, default). A parser takes (section, key, raw
+# text) and returns the typed value or raises ConfigurationError.
 
 
-@dataclass
-class ExperimentConfig:
-    data: dict = field(default_factory=dict)
-    algorithm: dict = field(default_factory=dict)
-    runtime: dict = field(default_factory=dict)
-
-    def serialize(self) -> str:
-        out = []
-        for name, section in (
-            ("data", self.data),
-            ("algorithm", self.algorithm),
-            ("runtime", self.runtime),
-        ):
-            out.append(f"[{name}]")
-            for k in sorted(section):
-                out.append(f"{k} = {section[k]}")
-            out.append("")
-        return "\n".join(out)
+def _invalid(section: str, key: str, raw: str, why: str) -> ConfigurationError:
+    return ConfigurationError(f"[{section}] {key} = {raw!r} {why}")
 
 
-def _require_enum(section: str, key: str, value: str, allowed) -> str:
-    if value not in allowed:
-        raise ConfigurationError(
-            f"[{section}] {key} = {value!r} is invalid; expected one of "
-            f"{', '.join(allowed)}"
-        )
-    return value
+def _int(minimum: int):
+    def parse(section: str, key: str, raw: str) -> int:
+        try:
+            v = int(raw)
+        except ValueError:
+            raise _invalid(section, key, raw, "is not an integer") from None
+        if v < minimum:
+            raise _invalid(section, key, raw, f"must be >= {minimum}")
+        return v
+    return parse
 
 
-def _get_int(section: dict, name: str, key: str, default=None, minimum=None) -> int:
-    raw = section.get(key, default)
-    if raw is None:
-        raise ConfigurationError(f"[{name}] missing required key {key}")
-    try:
-        v = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"[{name}] {key} = {raw!r} is not an integer") from None
-    if minimum is not None and v < minimum:
-        raise ConfigurationError(f"[{name}] {key} = {v} must be >= {minimum}")
-    return v
-
-
-def _get_float(section: dict, name: str, key: str, default=None, minimum=None) -> float:
-    raw = section.get(key, default)
-    if raw is None:
-        raise ConfigurationError(f"[{name}] missing required key {key}")
+def _positive(section: str, key: str, raw: str) -> float:
     try:
         v = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"[{name}] {key} = {raw!r} is not a number") from None
-    if minimum is not None and v < minimum:
-        raise ConfigurationError(f"[{name}] {key} = {v} must be >= {minimum}")
+    except ValueError:
+        raise _invalid(section, key, raw, "is not a number") from None
+    if not (math.isfinite(v) and v > 0):
+        raise _invalid(section, key, raw, "must be a finite number > 0")
     return v
+
+
+def _choice(*options: str):
+    def parse(section: str, key: str, raw: str) -> str:
+        if raw not in options:
+            expected = ", ".join(options)
+            raise _invalid(section, key, raw, f"is invalid; expected one of {expected}")
+        return raw
+    return parse
+
+
+def _flag(section: str, key: str, raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    return states[_choice(*states)(section, key, raw.lower())]
+
+
+def _text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _file(section: str, key: str, raw: str) -> str:
+    if not os.path.exists(raw):
+        raise _invalid(section, key, raw, "does not exist")
+    return raw
+
+
+_RUNTIME = {
+    "p": (_int(1), 4),
+    "staleness": (_int(0), 0),
+    "seed": (_int(0), 0),
+    "max_clocks": (_int(1), 30),
+    "topology": (_choice("master_slave", "full_p2p", "halton"), "master_slave"),
+    "codec": (_choice("full", "sufficient_factor"), "sufficient_factor"),
+    "scheduler": (_choice("fixed", "sap", "random", "round_robin"), "fixed"),
+    "bandwidth": (_positive, 4096.0),
+    "latency": (_int(0), 1),
+    "straggler": (_text, ""),  # then parse_straggler, which needs p
+    "slow_worker_extras": (_flag, False),
+}
+_SEED = (_int(0), 0)
+# per algorithm: the [data] files, read together; the [data] generator keys
+# used when no file is named; the [algorithm] keys
+_ALGORITHMS = {
+    "lasso": (
+        ("x", "y"),
+        {"n": (_int(1), 200), "m": (_int(1), 50), "k_true": (_int(0), 10),
+         "seed": _SEED},
+        {"lam": (_positive, None)},  # None: LassoProblem's default rule
+    ),
+    "lda": (
+        ("docs",),
+        {"n_docs": (_int(1), 100), "v": (_int(1), 50), "k": (_int(1), 5),
+         "doc_len": (_int(1), 20), "seed": _SEED},
+        {"topics": (_int(1), 5), "epochs": (_int(1), 10)},
+    ),
+    "mlr": (
+        ("u", "y"),
+        {"n": (_int(1), 500), "d": (_int(1), 20), "k": (_int(2), 5),
+         "seed": _SEED},
+        {"steps": (_int(1), 50), "batch": (_int(1), 32), "eta0": (_positive, 0.1)},
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A checked run config: every value typed, every default filled in.
+    `data` holds the file paths when files are named, else the generator
+    keys."""
+
+    algorithm: str
+    data: dict
+    params: dict
+    runtime: dict
+
+
+def _fill(name: str, raw: dict, schema: dict) -> dict:
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigurationError(
+            f"[{name}] unknown key {', '.join(unknown)}; expected one of "
+            f"{', '.join(schema)}"
+        )
+    return {
+        key: parse(name, key, raw[key]) if key in raw else default
+        for key, (parse, default) in schema.items()
+    }
 
 
 def parse_config(path: str) -> ExperimentConfig:
+    """Read an INI config and check every value; nothing is read or
+    generated before the whole config has passed."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -125,57 +163,33 @@ def parse_config(path: str) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as e:
         raise ConfigurationError(f"cannot parse {path}: {e}") from None
-    cfg = ExperimentConfig()
-    for name in ("data", "algorithm", "runtime"):
-        if parser.has_section(name):
-            getattr(cfg, name).update(dict(parser.items(name)))
-    validate_config(cfg)
-    return cfg
-
-
-def _reject_unknown(name: str, section: dict, allowed) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigurationError(
-            f"[{name}] unknown key {', '.join(unknown)}; expected one of "
-            f"{', '.join(allowed)}"
-        )
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    algo = cfg.algorithm.get("algorithm")
-    if algo is None:
+    data, params, runtime = (
+        dict(parser.items(name)) if parser.has_section(name) else {}
+        for name in ("data", "algorithm", "runtime")
+    )
+    if "algorithm" not in params:
         raise ConfigurationError("[algorithm] missing required key algorithm")
-    _require_enum("algorithm", "algorithm", algo, _ALGORITHMS)
-    _reject_unknown("data", cfg.data, _DATA_KEYS[algo])
-    _reject_unknown("algorithm", cfg.algorithm, _ALGORITHM_KEYS[algo])
-    rt = cfg.runtime
-    _reject_unknown("runtime", rt, _RUNTIME_KEYS)
-    _get_int(rt, "runtime", "p", default="4", minimum=1)
-    _get_int(rt, "runtime", "staleness", default="0", minimum=0)
-    _get_int(rt, "runtime", "seed", default="0")
-    _get_int(rt, "runtime", "max_clocks", default="30", minimum=1)
-    _require_enum(
-        "runtime", "topology", rt.get("topology", "master_slave"), _TOPOLOGIES
-    )
-    _require_enum("runtime", "codec", rt.get("codec", _DEFAULT_CODEC), _CODECS)
-    _require_enum(
-        "runtime", "scheduler", rt.get("scheduler", "fixed"), _SCHEDULERS
-    )
-    _get_float(rt, "runtime", "bandwidth", default="4096", minimum=1e-9)
-    _get_int(rt, "runtime", "latency", default="1", minimum=0)
-    parse_straggler(rt.get("straggler", ""), _get_int(rt, "runtime", "p", "4"))
-    pair = _DATA_FILE_PAIRS.get(algo)
-    if pair and (pair[0] in cfg.data) != (pair[1] in cfg.data):
-        given, missing = pair if pair[0] in cfg.data else pair[::-1]
+    algo = _choice(*_ALGORITHMS)("algorithm", "algorithm", params.pop("algorithm"))
+    files, generator, algo_keys = _ALGORITHMS[algo]
+    named = [key for key in files if key in data]
+    missing = [key for key in files if key not in data]
+    if named and missing:
         raise ConfigurationError(
-            f"[data] missing required key {missing}; {given} needs it"
+            f"[data] missing required key {missing[0]}; {named[0]} needs it"
         )
-    for key in ("x", "y", "docs", "u"):
-        if key in cfg.data and not os.path.exists(cfg.data[key]):
+    if named:
+        mixed = sorted(set(data) & set(generator))
+        if mixed:
             raise ConfigurationError(
-                f"[data] {key} = {cfg.data[key]!r} does not exist"
+                f"[data] {', '.join(mixed)} cannot be given with "
+                f"{', '.join(files)}; the data is read from the files"
             )
+        data = _fill("data", data, dict.fromkeys(files, (_file, None)))
+    else:
+        data = _fill("data", data, generator)
+    runtime = _fill("runtime", runtime, _RUNTIME)
+    runtime["straggler"] = parse_straggler(runtime["straggler"], runtime["p"])
+    return ExperimentConfig(algo, data, _fill("algorithm", params, algo_keys), runtime)
 
 
 def parse_straggler(raw: str, P: int):
@@ -191,13 +205,16 @@ def parse_straggler(raw: str, P: int):
         )
     try:
         worker = int(parts[0])
-        factor = float(parts[1])
-        start = float(parts[2]) if len(parts) == 4 else 0.0
-        duration = float(parts[3]) if len(parts) == 4 else math.inf
+        fields = [float(x) for x in parts[1:]]
     except ValueError:
         raise ConfigurationError(
             f"[runtime] straggler = {raw!r} has non-numeric fields"
         ) from None
+    if not all(map(math.isfinite, fields)):
+        raise ConfigurationError(
+            f"[runtime] straggler = {raw!r} has non-finite fields"
+        )
+    factor, start, duration = (fields + [0.0, math.inf])[:3]
     if not (0 <= worker < P):
         raise ConfigurationError(
             f"[runtime] straggler worker {worker} out of range for p = {P}"
@@ -208,22 +225,8 @@ def parse_straggler(raw: str, P: int):
 
 
 # ---------------------------------------------------------------------------
-# experiment execution
-
-
-def _build_lasso_problem(cfg: ExperimentConfig) -> LassoProblem:
-    data = cfg.data
-    if "x" in data:
-        X, y = datasets.read_lasso(data["x"], data["y"])
-    else:
-        n = _get_int(data, "data", "n", default="200", minimum=1)
-        m = _get_int(data, "data", "m", default="50", minimum=1)
-        k_true = _get_int(data, "data", "k_true", default="10", minimum=0)
-        seed = _get_int(data, "data", "seed", default="0")
-        ds = datasets.gen_lasso(n, m, k_true, seed=seed)
-        X, y = ds.X, ds.y
-    lam = cfg.algorithm.get("lam")
-    return LassoProblem.from_raw(X, y, lam=float(lam) if lam else None)
+# experiment execution; each run returns (metrics text, trace text, traffic
+# stats, summary lines) and run_experiment writes them
 
 
 def _make_scheduler(kind: str, problem: LassoProblem, P: int, seed: int):
@@ -236,81 +239,56 @@ def _make_scheduler(kind: str, problem: LassoProblem, P: int, seed: int):
     return RoundRobinScheduler(problem.m, P)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str, quiet: bool = False) -> dict:
-    algo = cfg.algorithm["algorithm"]
+def run_experiment(cfg: ExperimentConfig, out_dir: str, quiet: bool = False) -> None:
+    """Run `cfg` and write metrics.csv, trace.txt, traffic.csv and
+    summary.txt into `out_dir`."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "metrics": os.path.join(out_dir, "metrics.csv"),
-        "trace": os.path.join(out_dir, "trace.txt"),
-        "traffic": os.path.join(out_dir, "traffic.csv"),
-        "summary": os.path.join(out_dir, "summary.txt"),
-    }
-    if algo == "lasso":
-        result = _run_lasso(cfg, paths)
-    elif algo == "lda":
-        result = _run_lda(cfg, paths)
-    else:
-        result = _run_mlr(cfg, paths)
+    run = {"lasso": _run_lasso, "lda": _run_lda, "mlr": _run_mlr}[cfg.algorithm]
+    metrics, trace, traffic, summary = run(cfg)
+    summary = "\n".join(summary) + "\n"
+    for name, text in (
+        ("metrics.csv", metrics),
+        ("trace.txt", trace),
+        ("traffic.csv", traffic_report(traffic)),
+        ("summary.txt", summary),
+    ):
+        with open(os.path.join(out_dir, name), "w") as f:
+            f.write(text)
     if not quiet:
-        with open(paths["summary"]) as f:
-            sys.stdout.write(f.read())
-    return paths
+        sys.stdout.write(summary)
 
 
-def _runtime(cfg: ExperimentConfig) -> dict:
+def _lasso_data(data: dict):
+    """Raw (X, y); kept out of `_run_lasso` so X is freed before the run."""
+    if "x" in data:
+        return datasets.read_lasso(data["x"], data["y"])
+    ds = datasets.gen_lasso(data["n"], data["m"], data["k_true"], seed=data["seed"])
+    return ds.X, ds.y
+
+
+def _run_lasso(cfg: ExperimentConfig):
     rt = cfg.runtime
-    P = _get_int(rt, "runtime", "p", default="4", minimum=1)
-    return {
-        "P": P,
-        "staleness": _get_int(rt, "runtime", "staleness", default="0", minimum=0),
-        "seed": _get_int(rt, "runtime", "seed", default="0"),
-        "max_clocks": _get_int(rt, "runtime", "max_clocks", default="30", minimum=1),
-        "topology": rt.get("topology", "master_slave"),
-        "scheduler": rt.get("scheduler", "fixed"),
-        "bandwidth": _get_float(rt, "runtime", "bandwidth", default="4096"),
-        "latency": _get_int(rt, "runtime", "latency", default="1", minimum=0),
-        "straggler": parse_straggler(rt.get("straggler", ""), P),
-        "extras": rt.get("slow_worker_extras", "false").lower() == "true",
-    }
-
-
-def _write_summary(path: str, lines: list[str]) -> None:
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _run_lasso(cfg: ExperimentConfig, paths: dict) -> dict:
-    rt = _runtime(cfg)
-    problem = _build_lasso_problem(cfg)
-    scheduler = _make_scheduler(rt["scheduler"], problem, rt["P"], rt["seed"])
-    workload = LassoModelParallelWorkload(problem, rt["P"], scheduler)
-    stragglers = (rt["straggler"],) if rt["straggler"] else ()
-    sim = SimCluster(
-        workload,
-        SimConfig(
-            P=rt["P"],
-            staleness=rt["staleness"],
-            topology=rt["topology"],
-            bandwidth=rt["bandwidth"],
-            latency=rt["latency"],
-            max_clocks=rt["max_clocks"],
-            seed=rt["seed"],
-            slow_worker_extras=rt["extras"],
-            stragglers=stragglers,
-        ),
+    P = rt["p"]
+    sim_config = SimConfig(
+        P=P,
+        staleness=rt["staleness"],
+        topology=rt["topology"],
+        bandwidth=rt["bandwidth"],
+        latency=rt["latency"],
+        max_clocks=rt["max_clocks"],
+        seed=rt["seed"],
+        slow_worker_extras=rt["slow_worker_extras"],
+        stragglers=(rt["straggler"],) if rt["straggler"] else (),
     )
-    result = sim.run()
-    with open(paths["metrics"], "w") as f:
-        f.write(result.metrics_text())
-    with open(paths["trace"], "w") as f:
-        f.write(result.trace.to_text())
-    with open(paths["traffic"], "w") as f:
-        f.write(traffic_report(result.traffic))
+    problem = LassoProblem.from_raw(*_lasso_data(cfg.data), lam=cfg.params["lam"])
+    scheduler = _make_scheduler(rt["scheduler"], problem, P, rt["seed"])
+    workload = LassoModelParallelWorkload(problem, P, scheduler)
+    result = SimCluster(workload, sim_config).run()
     final_obj = workload.objective(result.values)
-    total = result.final_tick * rt["P"] or 1
-    _write_summary(paths["summary"], [
+    total = result.final_tick * P or 1
+    return result.metrics_text(), result.trace.to_text(), result.traffic, [
         "algorithm: lasso (block coordinate descent)",
-        f"workers: {rt['P']}  staleness: {rt['staleness']}  "
+        f"workers: {P}  staleness: {rt['staleness']}  "
         f"topology: {rt['topology']}  scheduler: {rt['scheduler']}",
         f"iterations: {len(result.metrics)}  final tick: {result.final_tick}",
         f"final objective: {final_obj:.10e}",
@@ -319,95 +297,65 @@ def _run_lasso(cfg: ExperimentConfig, paths: dict) -> dict:
         f"extra passes while waiting: {result.extra_passes}",
         f"bytes sent: {sum(s.bytes for s in result.traffic.values())}",
         f"update staleness: mean {result.stale_mean:.3f}, max {result.stale_max}",
-    ])
-    return paths
+    ]
 
 
-def _run_lda(cfg: ExperimentConfig, paths: dict) -> dict:
-    rt = _runtime(cfg)
-    data = cfg.data
+def _run_lda(cfg: ExperimentConfig):
+    rt, data, params = cfg.runtime, cfg.data, cfg.params
     if "docs" in data:
         docs, V = datasets.read_corpus(data["docs"])
     else:
-        n_docs = _get_int(data, "data", "n_docs", default="100", minimum=1)
-        V = _get_int(data, "data", "v", default="50", minimum=1)
-        K_gen = _get_int(data, "data", "k", default="5", minimum=1)
-        doc_len = _get_int(data, "data", "doc_len", default="20", minimum=1)
-        seed = _get_int(data, "data", "seed", default="0")
-        docs = datasets.gen_lda(n_docs, V, K_gen, doc_len, seed=seed).docs
-    K = _get_int(cfg.algorithm, "algorithm", "topics", default="5", minimum=1)
-    epochs = _get_int(cfg.algorithm, "algorithm", "epochs", default="10", minimum=1)
+        V = data["v"]
+        docs = datasets.gen_lda(
+            data["n_docs"], V, data["k"], data["doc_len"], seed=data["seed"]
+        ).docs
     result = lda_mod.run_rotation(
-        docs, V, K, rt["P"], epochs, seed=rt["seed"]
+        docs, V, params["topics"], rt["p"], params["epochs"], seed=rt["seed"]
     )
-    rows = [METRICS_HEADER]
-    for i, ll in enumerate(result.log_likelihoods):
-        rows.append(f"{i + 1},{(i + 1) * rt['P']},{ll:.12e},0.000000,0,0,0")
-    with open(paths["metrics"], "w") as f:
-        f.write("\n".join(rows) + "\n")
-    with open(paths["trace"], "w") as f:
-        f.write(TRACE_HEADER + "\n")
-    with open(paths["traffic"], "w") as f:
-        f.write(traffic_report({}))
-    _write_summary(paths["summary"], [
+    rows = [METRICS_HEADER] + [
+        f"{i + 1},{(i + 1) * rt['p']},{ll:.12e},0.000000,0,0,0"
+        for i, ll in enumerate(result.log_likelihoods)
+    ]
+    return "\n".join(rows) + "\n", TRACE_HEADER + "\n", {}, [
         "algorithm: lda (rotation-scheduled collapsed Gibbs)",
-        f"workers: {rt['P']}  topics: {K}  epochs: {epochs}",
+        f"workers: {rt['p']}  topics: {params['topics']}  epochs: {params['epochs']}",
         f"documents: {len(docs)}  vocabulary: {V}",
         f"final log-likelihood: {result.log_likelihoods[-1]:.6e}",
-    ])
-    return paths
+    ]
 
 
-def _run_mlr(cfg: ExperimentConfig, paths: dict) -> dict:
-    rt = _runtime(cfg)
-    data = cfg.data
+def _run_mlr(cfg: ExperimentConfig):
+    rt, data, params = cfg.runtime, cfg.data, cfg.params
     if "u" in data:
         U, y = datasets.read_mlr(data["u"], data["y"])
         K = int(y.max()) + 1
     else:
-        n = _get_int(data, "data", "n", default="500", minimum=1)
-        D = _get_int(data, "data", "d", default="20", minimum=1)
-        K = _get_int(data, "data", "k", default="5", minimum=2)
-        seed = _get_int(data, "data", "seed", default="0")
-        ds = datasets.gen_mlr(n, D, K, seed=seed)
+        K = data["k"]
+        ds = datasets.gen_mlr(data["n"], data["d"], K, seed=data["seed"])
         U, y = ds.U, ds.y
     problem = mlr_mod.MlrProblem(U=U, y=y, K=K)
-    steps = _get_int(cfg.algorithm, "algorithm", "steps", default="50", minimum=1)
-    batch = _get_int(cfg.algorithm, "algorithm", "batch", default="32", minimum=1)
-    eta0 = _get_float(cfg.algorithm, "algorithm", "eta0", default="0.1")
-    codec = Codec(cfg.runtime.get("codec", _DEFAULT_CODEC))
+    steps, batch, codec = params["steps"], params["batch"], rt["codec"]
     A, objectives = mlr_mod.train_sgd(
-        problem, steps, batch, eta0=eta0, seed=rt["seed"]
+        problem, steps, batch, eta0=params["eta0"], seed=rt["seed"]
     )
-    # wire accounting for one broadcast of each step's factors to P-1 peers
-    bytes_sent = 0
-    rows = [METRICS_HEADER]
-    rng = np.random.default_rng(rt["seed"])
-    for t in range(1, steps + 1):
-        idx = rng.choice(problem.n, size=min(batch, problem.n), replace=False)
-        factors = [(np.zeros(problem.K), np.zeros(problem.D))] * len(idx)
-        size = encoded_size(
-            UpdateDelta(payload=factors, timestamp=t, origin=0), codec
-        )
-        bytes_sent += size * (rt["P"] - 1)
-        rows.append(
-            f"{t},{t},{objectives[t - 1]:.12e},0.000000,0,0,{bytes_sent}"
-        )
-    with open(paths["metrics"], "w") as f:
-        f.write("\n".join(rows) + "\n")
-    with open(paths["trace"], "w") as f:
-        f.write(TRACE_HEADER + "\n")
-    with open(paths["traffic"], "w") as f:
-        f.write(traffic_report({}))
-    acc = mlr_mod.accuracy(A, U, y)
-    _write_summary(paths["summary"], [
+    # every step broadcasts its update to the P-1 peers; a sufficient-factor
+    # update carries one factor pair per minibatch row
+    if codec == "full":
+        size = full_codec_size(K, problem.D)
+    else:
+        size = sf_codec_size(K, problem.D, min(batch, problem.n))
+    step_bytes = size * (rt["p"] - 1)
+    rows = [METRICS_HEADER] + [
+        f"{t},{t},{obj:.12e},0.000000,0,0,{t * step_bytes}"
+        for t, obj in enumerate(objectives, 1)
+    ]
+    return "\n".join(rows) + "\n", TRACE_HEADER + "\n", {}, [
         "algorithm: mlr (minibatch SGD with factored gradients)",
-        f"classes: {K}  steps: {steps}  batch: {batch}  codec: {codec.value}",
+        f"classes: {K}  steps: {steps}  batch: {batch}  codec: {codec}",
         f"final objective: {objectives[-1]:.10e}",
-        f"training accuracy: {acc:.4f}",
-        f"bytes sent ({codec.value} codec): {bytes_sent}",
-    ])
-    return paths
+        f"training accuracy: {mlr_mod.accuracy(A, U, y):.4f}",
+        f"bytes sent ({codec} codec): {steps * step_bytes}",
+    ]
 
 
 # ---------------------------------------------------------------------------

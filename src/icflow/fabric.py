@@ -42,18 +42,6 @@ def sparse_codec_size(nnz: int) -> int:
     return HEADER_BYTES + 12 * nnz
 
 
-def encoded_size(delta: UpdateDelta, codec: Codec) -> int:
-    """Closed-form wire size: full = 8*K*D + header, SF = 8*S*(K+D) + header,
-    sparse = 12*nnz + header."""
-    p = delta.payload
-    if codec is Codec.SUFFICIENT_FACTOR:
-        k, d = (len(p[0][0]), len(p[0][1])) if p else (0, 0)
-        return sf_codec_size(k, d, len(p))
-    if isinstance(p, dict):
-        return sparse_codec_size(len(p))
-    return full_codec_size(1, np.asarray(p).size)
-
-
 def encode_delta(delta: UpdateDelta, codec: Codec) -> bytes:
     payload = delta.payload
     if codec is Codec.SUFFICIENT_FACTOR:
@@ -138,8 +126,6 @@ def decode_delta(data: bytes) -> UpdateDelta:
 
 
 class Topology:
-    kind = "base"
-
     def __init__(self, P: int):
         if P < 1:
             raise ConfigurationError("P must be >= 1")
@@ -152,13 +138,8 @@ class Topology:
     def route(self, src: int, dst: int) -> list[int]:
         raise NotImplementedError
 
-    def links(self) -> list[tuple[int, int]]:
-        raise NotImplementedError
-
 
 class FullP2P(Topology):
-    kind = "full_p2p"
-
     def route(self, src: int, dst: int) -> list[int]:
         self.check_worker(src)
         self.check_worker(dst)
@@ -166,51 +147,28 @@ class FullP2P(Topology):
             raise ConfigurationError("route requires src != dst")
         return [src, dst]
 
-    def links(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.P) for j in range(self.P) if i != j]
-
 
 class MasterSlave(Topology):
-    """Bipartite topology: workers 0..P-1, servers P..P+servers-1.
+    """Bipartite topology: workers 0..P-1 and one server, node P.
 
-    There is no worker-worker or server-server communication; the worker to
-    worker path is two messages through a server, not a single route.
+    There is no worker-worker communication; the worker to worker path is
+    two messages through the server, not a single route.
     """
 
-    kind = "master_slave"
-
-    def __init__(self, P: int, servers: int = 1):
+    def __init__(self, P: int):
         super().__init__(P)
-        if servers < 1:
-            raise ConfigurationError("server count must be >= 1")
-        self.servers = servers
-
-    def server_ids(self) -> list[int]:
-        return list(range(self.P, self.P + self.servers))
-
-    def is_server(self, node: int) -> bool:
-        return self.P <= node < self.P + self.servers
+        self.server = P
 
     def route(self, src: int, dst: int) -> list[int]:
-        src_server = self.is_server(src)
-        dst_server = self.is_server(dst)
-        if src_server == dst_server:
-            kind = "server-server" if src_server else "worker-worker"
+        if (src == self.server) == (dst == self.server):
+            kind = "server-server" if src == self.server else "worker-worker"
             raise ProtocolError(
                 f"{kind} communication does not exist in a master-slave topology"
             )
         for node in (src, dst):
-            if not (0 <= node < self.P + self.servers):
+            if not (0 <= node <= self.server):
                 raise ConfigurationError(f"invalid node id {node}")
         return [src, dst]
-
-    def links(self) -> list[tuple[int, int]]:
-        out = []
-        for w in range(self.P):
-            for srv in self.server_ids():
-                out.append((w, srv))
-                out.append((srv, w))
-        return out
 
 
 class HaltonTopology(Topology):
@@ -220,8 +178,6 @@ class HaltonTopology(Topology):
     the ring (+1) edge and later hops prefer the skip edge, which reproduces
     the published 6-worker worked example (1 -> 2 -> 5 -> 6 in 1-based ids).
     """
-
-    kind = "halton"
 
     def __init__(self, P: int):
         super().__init__(P)
@@ -238,10 +194,6 @@ class HaltonTopology(Topology):
         for i in range(P):
             if not self._reachable(i):
                 raise ConfigurationError("halton topology is not connected")
-
-    def neighbors(self, i: int) -> list[int]:
-        self.check_worker(i)
-        return list(self._neighbors[i])
 
     def _reachable(self, src: int) -> bool:
         seen = {src}
@@ -304,15 +256,12 @@ class HaltonTopology(Topology):
 
         return min(paths, key=key)
 
-    def links(self) -> list[tuple[int, int]]:
-        return [(i, nb) for i in range(self.P) for nb in self._neighbors[i]]
 
-
-def make_topology(kind: str, P: int, servers: int = 1) -> Topology:
+def make_topology(kind: str, P: int) -> Topology:
     if kind == "full_p2p":
         return FullP2P(P)
     if kind == "master_slave":
-        return MasterSlave(P, servers=servers)
+        return MasterSlave(P)
     if kind == "halton":
         return HaltonTopology(P)
     raise ConfigurationError(f"unknown topology kind {kind!r}")

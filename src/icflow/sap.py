@@ -169,11 +169,6 @@ class RotationPlan:
         """(document range of worker p, word-bucket index) in sub-epoch r."""
         return self.doc_ranges[p], (p + r) % self.P
 
-    def blocks(self):
-        for r in range(self.P):
-            for p in range(self.P):
-                yield r, p, self.doc_ranges[p], (p + r) % self.P
-
 
 def word_bucket(word: int, P: int) -> int:
     return (word * _HASH_MULT) % _HASH_MOD % P

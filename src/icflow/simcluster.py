@@ -58,7 +58,6 @@ class SimConfig:
     topology: str = "master_slave"
     bandwidth: float = 4096.0  # bytes per tick per link
     latency: int = 1  # ticks
-    ticks_per_unit: float = 1.0
     max_clocks: int = 50
     seed: int = 0
     slow_worker_extras: bool = False
@@ -75,6 +74,10 @@ class SimConfig:
             raise ConfigurationError("staleness must be >= 0")
         if self.max_clocks < 1:
             raise ConfigurationError("max_clocks must be >= 1")
+        if self.slow_worker_extras and self.staleness == 0:
+            # every worker would block on advancing, so all take extra
+            # passes and the clock never moves
+            raise ConfigurationError("slow_worker_extras needs staleness >= 1")
         for w in self.stragglers:
             if not (0 <= w.worker < self.P):
                 raise ConfigurationError(f"straggler worker {w.worker} out of range")
@@ -278,7 +281,7 @@ class SimCluster:
         by hop. Full P2P: P-1 direct messages."""
         topo = self.topology
         if isinstance(topo, MasterSlave):
-            srv = topo.server_ids()[0]
+            srv = topo.server
             msg = _Msg(self._msg_id, [seq], dict(payload), ts, origin, [origin, srv])
             self._msg_id += 1
             self._send(origin, srv, msg, tick)
@@ -304,7 +307,7 @@ class SimCluster:
         other workers' updates in a single combined message. Late commits at
         an already-flushed timestamp relay immediately."""
         ts = msg.timestamp
-        srv = self.topology.server_ids()[0]
+        srv = self.topology.server
         if ts in self._srv_flushed:
             self._relay(srv, [msg], ts, tick)
             return
@@ -335,7 +338,7 @@ class SimCluster:
         clock = self.store.clocks[dst] if dst < self.cfg.P else 0
         self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
                    len(msg.payload), nbytes)
-        if isinstance(self.topology, MasterSlave) and self.topology.is_server(dst):
+        if isinstance(self.topology, MasterSlave) and dst == self.topology.server:
             self._server_receive(msg, tick)
             return
         if msg.hop < len(msg.route) - 2:
@@ -383,7 +386,7 @@ class SimCluster:
         payload = self.workload.delta(view, p, t, indices)
         units = self.workload.cost_units(p, t, indices)
         cost = max(1, int(math.ceil(
-            units * self.cfg.ticks_per_unit * self.cfg.compute_factor(p, tick)
+            units * self.cfg.compute_factor(p, tick)
         )))
         self._emit(tick, "compute_start", p, t, 0, t, len(indices), 0)
         self._push(tick + cost, "finish_pass", (p, payload))

@@ -336,13 +336,6 @@ class SspCore:
         self.blocked[worker] = False
         self._emit("finish", worker)
 
-    def snapshot(self) -> np.ndarray:
-        """Fully synchronized state: base plus every committed update."""
-        out = np.zeros(self.m)
-        for upd in self.log:
-            apply_sparse(out, upd.payload)
-        return out
-
     def _check_worker(self, worker: int) -> None:
         if not (0 <= worker < self.P):
             raise ProtocolError(f"invalid worker id {worker}")

@@ -41,12 +41,26 @@ max_clocks = 5
 """
 
 
+def write_back(cfg):
+    """INI text for a parsed config; a value of None is left out."""
+    sections = {"algorithm": {"algorithm": cfg.algorithm, **cfg.params},
+                "data": cfg.data, "runtime": cfg.runtime}
+    return "".join(f"[{name}]\n" + "".join(
+        f"{k} = {v}\n" for k, v in values.items() if v is not None
+    ) for name, values in sections.items())
+
+
 def test_parse_config_round_trip_is_fixed_point(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, MINIMAL))
-    text = cfg.serialize()
-    path2 = write_cfg(tmp_path, text, "round.cfg")
-    cfg2 = parse_config(path2)
-    assert cfg2.serialize() == text
+    assert cfg.algorithm == "lasso"
+    assert cfg.data == {"n": 60, "m": 12, "k_true": 3, "seed": 0}
+    assert cfg.params == {"lam": None}
+    assert cfg.runtime["p"] == 2 and cfg.runtime["bandwidth"] == 4096.0
+    assert cfg.runtime["straggler"] is None and not cfg.runtime["slow_worker_extras"]
+    text = write_back(cfg)
+    cfg2 = parse_config(write_cfg(tmp_path, text, "round.cfg"))
+    assert cfg2 == cfg
+    assert write_back(cfg2) == text
 
 
 def test_parse_config_rejects_bad_values(tmp_path):
@@ -65,6 +79,18 @@ def test_parse_config_rejects_bad_values(tmp_path):
         ("algorithm = lasso\n[data]\ny = y.txt", "missing required key x"),
         ("algorithm = mlr\n[data]\nu = U.mtx", "missing required key y"),
         ("algorithm = mlr\n[data]\ny = y.txt", "missing required key u"),
+        ("algorithm = lasso\nlam = abc", "lam = 'abc' is not a number"),
+        ("algorithm = lasso\nlam =", "lam = '' is not a number"),
+        ("algorithm = lasso\nlam = -1", "lam = '-1' must be"),
+        ("algorithm = lasso\n[runtime]\nbandwidth = nan", "bandwidth = 'nan' must be"),
+        ("algorithm = mlr\neta0 = nan", "eta0 = 'nan' must be"),
+        ("algorithm = lasso\n[data]\nseed = -1", "[data] seed = '-1' must be >= 0"),
+        ("algorithm = lasso\n[runtime]\nseed = -1", "[runtime] seed = '-1' must be"),
+        ("algorithm = lasso\n[runtime]\nslow_worker_extras = Maybe",
+         "slow_worker_extras = 'maybe' is invalid; expected one of 1, yes, true"),
+        ("algorithm = lasso\n[runtime]\nstraggler = 1:nan", "non-finite"),
+        ("algorithm = lasso\n[data]\nx = X.mtx\ny = y.txt\nn = 5",
+         "[data] n cannot be given with x, y"),
     ):
         path = write_cfg(tmp_path, f"[algorithm]\n{bad}\n")
         with pytest.raises(ConfigurationError) as e:
@@ -113,11 +139,27 @@ def test_run_exit_codes(tmp_path):
     assert main(["--quiet", "run", unknown]) == EXIT_CONFIG
     # `good` is an existing file, so only the missing partner of x or y is wrong
     for section, line in (("[data]", "sed = 5"), ("[algorithm]", "lamda = 0.5"),
-                          ("[data]", f"x = {good}"), ("[data]", f"y = {good}")):
+                          ("[data]", f"x = {good}"), ("[data]", f"y = {good}"),
+                          ("[data]", f"x = {good}\ny = {good}"),
+                          ("[algorithm]", "lam = abc"), ("[algorithm]", "lam ="),
+                          ("[algorithm]", "lam = -1"), ("[data]", "seed = -1"),
+                          ("[runtime]", "bandwidth = nan"), ("[runtime]", "seed = -1"),
+                          ("[runtime]", "slow_worker_extras = maybe")):
         bad = write_cfg(
             tmp_path, MINIMAL.replace(section, f"{section}\n{line}"), "bad.cfg"
         )
-        assert main(["--quiet", "run", bad]) == EXIT_CONFIG
+        assert main(["--quiet", "run", bad]) == EXIT_CONFIG, line
+    bad = write_cfg(tmp_path, MLR.replace("[algorithm]", "[algorithm]\neta0 = nan"),
+                    "bad.cfg")
+    assert main(["--quiet", "run", bad]) == EXIT_CONFIG
+    # extras at staleness 0 would never let a clock advance
+    extras = MINIMAL.replace("[runtime]", "[runtime]\nslow_worker_extras = yes")
+    bad = write_cfg(tmp_path, extras.replace("staleness = 1", "staleness = 0"),
+                    "bad.cfg")
+    assert main(["--quiet", "run", bad]) == EXIT_CONFIG
+    ok = write_cfg(tmp_path, extras, "ok.cfg")
+    assert parse_config(ok).runtime["slow_worker_extras"] is True
+    assert main(["--out-dir", str(tmp_path / "ok"), "--quiet", "run", ok]) == EXIT_OK
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -130,8 +172,7 @@ def test_run_writes_expected_files(tmp_path):
     assert rows[0]["iteration"] == 1
 
 
-def test_mlr_without_codec_validates_and_runs_sufficient_factor(tmp_path):
-    body = """
+MLR = """
 [data]
 n = 60
 d = 5
@@ -145,11 +186,30 @@ batch = 8
 [runtime]
 p = 2
 """
-    cfg = write_cfg(tmp_path, body)
-    assert "codec" not in parse_config(cfg).runtime
+
+
+def test_mlr_without_codec_validates_and_runs_sufficient_factor(tmp_path):
+    cfg = write_cfg(tmp_path, MLR)
+    assert parse_config(cfg).runtime["codec"] == "sufficient_factor"
     out = tmp_path / "out"
     assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_OK
-    assert "codec: sufficient_factor" in (out / "summary.txt").read_text()
+    summary = (out / "summary.txt").read_text()
+    assert "codec: sufficient_factor" in summary
+    # steps * (P-1) peers * (header + 8 * batch rows * (K + D))
+    expected = 3 * 1 * (25 + 8 * 8 * (3 + 5))
+    assert f"bytes sent (sufficient_factor codec): {expected}" in summary
+
+
+def test_mlr_full_codec_sends_the_dense_gradient(tmp_path):
+    # d != k: a factor list of S rows cannot stand in for the K x D matrix
+    cfg = write_cfg(tmp_path, MLR.replace("p = 2", "p = 3\ncodec = full"))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_OK
+    steps, P, K, D = 3, 3, 3, 5
+    expected = steps * (P - 1) * (25 + 8 * K * D)
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[-1].split(",")[-1] == str(expected)
+    assert f"bytes sent (full codec): {expected}" in (out / "summary.txt").read_text()
 
 
 def test_run_is_deterministic(tmp_path):
@@ -289,4 +349,4 @@ def test_report_ratio_and_not_reached(tmp_path, capsys):
 def test_shipped_configs_parse():
     for name in os.listdir(CONFIG_DIR):
         cfg = parse_config(os.path.join(CONFIG_DIR, name))
-        assert cfg.algorithm["algorithm"] in ("lasso", "lda", "mlr")
+        assert cfg.algorithm in ("lasso", "lda", "mlr")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from icflow.fabric import (
     OutgoingQueue,
     decode_delta,
     encode_delta,
-    encoded_size,
     full_codec_size,
     make_topology,
     sf_codec_size,
@@ -31,11 +32,11 @@ def test_header_is_25_bytes():
 
 def test_dense_round_trip_and_size():
     rng = np.random.default_rng(0)
-    for shape in ((7,), (3, 5)):
+    for shape, (K, D) in (((7,), (1, 7)), ((3, 5), (3, 5))):
         arr = rng.normal(size=shape)
         d = UpdateDelta(payload=arr, timestamp=12, origin=3)
         wire = encode_delta(d, Codec.FULL)
-        assert len(wire) == encoded_size(d, Codec.FULL) == HEADER_BYTES + 8 * arr.size
+        assert len(wire) == full_codec_size(K, D) == HEADER_BYTES + 8 * arr.size
         back = decode_delta(wire)
         assert np.array_equal(back.payload, arr)
         assert back.timestamp == 12 and back.origin == 3
@@ -44,7 +45,7 @@ def test_dense_round_trip_and_size():
 def test_sparse_round_trip_and_size():
     d = UpdateDelta(payload={5: 1.25, 2: -0.5}, timestamp=7, origin=1)
     wire = encode_delta(d, Codec.FULL)
-    assert len(wire) == HEADER_BYTES + 12 * 2
+    assert len(wire) == sparse_codec_size(2) == HEADER_BYTES + 12 * 2
     back = decode_delta(wire)
     assert back.payload == {2: -0.5, 5: 1.25}
 
@@ -102,14 +103,15 @@ def test_decode_errors_carry_offsets():
 def test_full_p2p_routes():
     t = FullP2P(4)
     assert t.route(1, 3) == [1, 3]
-    assert len(t.links()) == 12
+    assert all(t.route(i, j) == [i, j] for i in range(4) for j in range(4) if i != j)
     with pytest.raises(ConfigurationError):
         t.route(2, 2)
 
 
 def test_master_slave_has_no_worker_worker_route():
     t = MasterSlave(4)
-    srv = t.server_ids()[0]
+    srv = t.server
+    assert srv == 4
     assert t.route(0, srv) == [0, srv]
     assert t.route(srv, 2) == [srv, 2]
     with pytest.raises(ProtocolError):
@@ -118,10 +120,19 @@ def test_master_slave_has_no_worker_worker_route():
         t.route(srv, srv)
 
 
+def halton_neighbors(i, P):
+    """The halton link rule: worker i links to i+1 and i+ceil(P/2)."""
+    return {(i + 1) % P, (i + math.ceil(P / 2)) % P} - {i}
+
+
 def test_halton_neighbors_and_published_route():
     t = HaltonTopology(6)
-    assert t.neighbors(0) == [1, 3]
-    assert t.neighbors(4) == [1, 5]
+    assert halton_neighbors(0, 6) == {1, 3}
+    assert halton_neighbors(4, 6) == {1, 5}
+    # a route is one hop exactly when the rule links the pair
+    for a in range(6):
+        for b in set(range(6)) - {a}:
+            assert (len(t.route(a, b)) == 2) == (b in halton_neighbors(a, 6))
     # the 6-worker worked example, zero-based: 0 -> 1 -> 4 -> 5
     assert t.route(0, 5) == [0, 1, 4, 5]
     with pytest.raises(ConfigurationError):
@@ -159,14 +170,14 @@ def test_halton_routes_are_shortest_paths():
                 route = t.route(src, dst)
                 assert route[0] == src and route[-1] == dst
                 for a, b in zip(route, route[1:]):
-                    assert b in t.neighbors(a)
+                    assert b in halton_neighbors(a, P)
                 # oracle: BFS distance
                 dist = {src: 0}
                 frontier = [src]
                 while frontier:
                     nxt = []
                     for n in frontier:
-                        for nb in t.neighbors(n):
+                        for nb in halton_neighbors(n, P):
                             if nb not in dist:
                                 dist[nb] = dist[n] + 1
                                 nxt.append(nb)
@@ -175,9 +186,9 @@ def test_halton_routes_are_shortest_paths():
 
 
 def test_make_topology_dispatch():
-    assert make_topology("full_p2p", 3).kind == "full_p2p"
-    assert make_topology("halton", 4).kind == "halton"
-    assert make_topology("master_slave", 2).kind == "master_slave"
+    assert type(make_topology("full_p2p", 3)) is FullP2P
+    assert type(make_topology("halton", 4)) is HaltonTopology
+    assert type(make_topology("master_slave", 2)) is MasterSlave
     with pytest.raises(ConfigurationError):
         make_topology("ring", 3)
 

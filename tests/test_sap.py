@@ -272,7 +272,7 @@ def test_rotation_plan_structure():
 
 def test_rotation_covers_every_block_pair_once():
     plan = build_rotation_plan([3, 3, 3, 3], V=8, P=4)
-    pairs = {(p, b) for _, p, _, b in plan.blocks()}
+    pairs = {(p, plan.block(p, r)[1]) for r in range(4) for p in range(4)}
     assert pairs == {(p, b) for p in range(4) for b in range(4)}
     # the published 3-worker pattern: worker p gets bucket (p + r) mod P
     plan3 = build_rotation_plan([2, 2, 2], V=6, P=3)

@@ -44,6 +44,8 @@ def test_config_validation():
         SimConfig(P=2, stragglers=(StragglerWindow(5, 2.0),))
     with pytest.raises(ConfigurationError):
         StragglerWindow(0, 0.5)
+    with pytest.raises(ConfigurationError):  # would livelock
+        SimConfig(P=2, staleness=0, slow_worker_extras=True)
 
 
 def test_inject_straggler():
@@ -150,6 +152,12 @@ def test_slow_worker_extras_run_while_waiting():
     assert sum(res.extra_passes[1:]) > 0
     rep = replay(res.trace, 2, 4)
     assert rep.ok, rep.to_text()
+    # the smallest staleness that allows extras finishes
+    res = run_simulation(
+        lasso_workload(2),
+        SimConfig(P=2, staleness=1, max_clocks=5, slow_worker_extras=True),
+    )
+    assert len(res.metrics) == 5
 
 
 def test_replay_detects_planted_clock_gap():
