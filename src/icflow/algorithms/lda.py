@@ -4,14 +4,17 @@ State is the usual trio of count tables (doc-topic, word-topic, topic totals)
 plus per-token topic assignments. ``run_rotation`` executes the block-rotation
 schedule: P workers own disjoint document ranges, word buckets rotate across
 sub-epochs, and only the shared topic totals are read from a stale snapshot
-within a sub-epoch.
+within a sub-epoch. Because the workers of a sub-epoch share no count row,
+``sample_blocks`` runs them in lockstep, one (P, K) numpy step per token
+position, with the same draws and results as sampling block after block
+with ``gibbs_token_update``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..errors import ConfigurationError, StateCorruptionError
 from ..sap import RotationPlan, build_rotation_plan
@@ -35,6 +38,16 @@ class LdaState:
         return self.word_topic.shape[0]
 
 
+def _tokens(corpus: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Document start offsets (N + 1 of them), then each token's document and
+    word id, all tokens in document order."""
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    n = int(starts[-1])
+    words = np.fromiter(chain.from_iterable(corpus), dtype=np.int64, count=n)
+    return starts, np.repeat(np.arange(len(corpus)), lengths), words
+
+
 def init_state(
     corpus: list[list[int]],
     V: int,
@@ -43,28 +56,29 @@ def init_state(
     alpha: float | None = None,
     beta: float = 0.01,
 ) -> LdaState:
-    """Random topic assignments; alpha defaults to 50/K."""
+    """Random topic assignments; alpha defaults to 50/K.
+
+    One ``rng.integers(K, size=n)`` call draws the same topics, and leaves
+    the generator in the same state, as n scalar ``rng.integers(K)`` calls.
+    """
     if K < 1 or V < 1:
         raise ConfigurationError("K and V must be >= 1")
     if alpha is None:
         alpha = 50.0 / K
     N = len(corpus)
-    doc_topic = np.zeros((N, K), dtype=np.int64)
-    word_topic = np.zeros((V, K), dtype=np.int64)
-    totals = np.zeros(K, dtype=np.int64)
-    z: list[list[int]] = []
-    for d, doc in enumerate(corpus):
-        zd = []
-        for w in doc:
-            if not (0 <= w < V):
-                raise ConfigurationError(f"word id {w} out of range for V={V}")
-            k = int(rng.integers(K))
-            zd.append(k)
-            doc_topic[d, k] += 1
-            word_topic[w, k] += 1
-            totals[k] += 1
-        z.append(zd)
-    return LdaState(doc_topic, word_topic, totals, z, alpha, beta)
+    try:
+        starts, docs, words = _tokens(corpus)
+    except OverflowError:
+        words = None
+    if words is None or not np.all((words >= 0) & (words < V)):
+        w = next(w for doc in corpus for w in doc if not 0 <= w < V)
+        raise ConfigurationError(f"word id {w} out of range for V={V}")
+    z = rng.integers(K, size=words.size)
+    doc_topic = np.bincount(docs * K + z, minlength=N * K).reshape(N, K)
+    word_topic = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
+    totals = np.bincount(z, minlength=K)
+    z_docs = [zd.tolist() for zd in np.split(z, starts[1:-1])]
+    return LdaState(doc_topic, word_topic, totals, z_docs, alpha, beta)
 
 
 def conditional_topic_distribution(
@@ -103,8 +117,10 @@ def gibbs_token_update(
         raise StateCorruptionError(
             f"negative count after decrement (doc {d}, word {w}, topic {old})"
         )
-    p = conditional_topic_distribution(state, d, w, totals=t)
-    new = int(rng.choice(state.K, p=p))
+    # the draw of rng.choice(K, p=p): one uniform, searched in the cdf
+    cdf = np.cumsum(conditional_topic_distribution(state, d, w, totals=t))
+    cdf /= cdf[-1]
+    new = int(cdf.searchsorted(rng.random(), side="right"))
     state.z[d][i] = new
     state.doc_topic[d, new] += 1
     state.word_topic[w, new] += 1
@@ -124,15 +140,19 @@ def sweep_sequential(
 def lda_log_likelihood(state: LdaState) -> float:
     """Collapsed joint log p(w, z) with topic and document simplexes
     integrated out."""
+    from scipy.special import gammaln
+
     a, b = state.alpha, state.beta
     K, V = state.K, state.V
     ll = K * (gammaln(V * b) - V * gammaln(b))
-    ll += float(np.sum(gammaln(state.word_topic + b)))
+    t = state.word_topic + b
+    ll += float(np.sum(gammaln(t, out=t)))
     ll -= float(np.sum(gammaln(state.topic_totals + V * b)))
     n_d = state.doc_topic.sum(axis=1)
     N = state.doc_topic.shape[0]
     ll += N * (gammaln(K * a) - K * gammaln(a))
-    ll += float(np.sum(gammaln(state.doc_topic + a)))
+    t = state.doc_topic + a
+    ll += float(np.sum(gammaln(t, out=t)))
     ll -= float(np.sum(gammaln(n_d + K * a)))
     return ll
 
@@ -144,6 +164,74 @@ class RotationResult:
     log_likelihoods: list[float]
     # (epoch, sub_epoch, worker, doc_range, bucket, tokens_sampled)
     schedule_log: list[tuple]
+
+
+def sample_blocks(
+    counts: np.ndarray,
+    N: int,
+    z: np.ndarray,
+    docs: np.ndarray,
+    words: np.ndarray,
+    blocks: list[np.ndarray],
+    uniforms: list[np.ndarray],
+    alpha: float,
+    beta: float,
+) -> None:
+    """Resample P blocks of tokens in lockstep, one token per block a step.
+
+    ``counts`` stacks the doc-topic rows (N), the word-topic rows (V) and one
+    topic-totals row per block (P); block i reads and writes totals row
+    N + V + i. ``blocks[i]`` lists global token ids (into ``z``, ``docs`` and
+    ``words``) in sampling order, ``uniforms[i]`` one draw per token. The
+    blocks must share no document and no word, so that no step reads a row
+    another block writes in that step: each block then gets exactly the
+    counts and draws it would get alone, and ``gibbs_token_update``'s result.
+    """
+    P = len(blocks)
+    V = counts.shape[0] - N - P
+    K = counts.shape[1]
+    # longest first: the blocks still running at step j are a prefix
+    order = sorted(range(P), key=lambda i: -len(blocks[i]))
+    L = len(blocks[order[0]])
+    ids = np.zeros((L, P), dtype=np.int64)
+    rows = np.zeros((L, 3, P), dtype=np.int64)  # doc, word and totals row
+    u = np.zeros((L, P, 1))
+    running = np.zeros(L, dtype=np.int64)
+    for slot, i in enumerate(order):
+        g = blocks[i]
+        n = len(g)
+        ids[:n, slot] = g
+        rows[:n, 0, slot] = docs[g]
+        rows[:n, 1, slot] = N + words[g]
+        rows[:, 2, slot] = N + V + i
+        u[:n, slot, 0] = uniforms[i]
+        running[:n] += 1
+    row_at = rows * K  # flat index of each row's topic 0
+    flat = counts.reshape(-1)
+    offset = np.array([alpha, beta, V * beta])[:, None, None]
+    for j, m in enumerate(running.tolist()):
+        g = ids[j, :m]
+        old = z[g]
+        at = row_at[j, :, :m] + old
+        c = flat[at]
+        c -= 1
+        flat[at] = c
+        if c.min() < 0:
+            bad = int(np.flatnonzero((c < 0).any(axis=0))[0])
+            d, w = rows[j, 0, bad], rows[j, 1, bad] - N
+            raise StateCorruptionError(
+                f"negative count after decrement (doc {d}, word {w}, topic {old[bad]})"
+            )
+        x = counts[rows[j, :, :m]] + offset
+        # conditional_topic_distribution and rng.choice's cdf, row by row
+        q = x[0] * x[1]
+        q /= x[2]
+        q /= np.add.reduce(q, axis=1, keepdims=True)
+        q.cumsum(axis=1, out=q)
+        q /= q[:, -1:]
+        new = np.add.reduce(q <= u[j, :m], axis=1, dtype=np.int64)
+        z[g] = new
+        flat[row_at[j, :, :m] + new] += 1
 
 
 def run_rotation(
@@ -159,40 +247,51 @@ def run_rotation(
     """Rotation-scheduled Gibbs sampling.
 
     Each epoch runs P sub-epochs; in sub-epoch r, worker p samples the tokens
-    of its document range whose word falls in bucket (p + r) mod P. Document
-    and word counts are touched by exactly one worker per sub-epoch, so those
-    are exact; the shared topic totals are read from a sub-epoch snapshot and
-    reconciled afterwards.
+    of its document range whose word falls in bucket (p + r) mod P, in
+    document order, with draws from ``default_rng((seed, epoch, r, p))``.
+    Document and word counts are touched by exactly one worker per sub-epoch,
+    so those are exact; the shared topic totals are read from a sub-epoch
+    snapshot and reconciled afterwards. The P workers of a sub-epoch run in
+    lockstep (``sample_blocks``).
     """
     rng = np.random.default_rng(seed)
     state = init_state(corpus, V, K, rng, alpha=alpha, beta=beta)
     plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
-    bucket_of = np.zeros(V, dtype=np.int64)
-    for bi, bucket in enumerate(plan.word_buckets):
-        for w in bucket:
-            bucket_of[w] = bi
+    N = len(corpus)
+    starts, docs, words = _tokens(corpus)
+    z = np.fromiter(chain.from_iterable(state.z), dtype=np.int64, count=words.size)
+    bucket_of = np.empty(V, dtype=np.int64)
+    for b, bucket in enumerate(plan.word_buckets):
+        bucket_of[bucket] = b
+    # block_ids[p][b]: global ids of worker p's tokens with a word in bucket b
+    block_ids = []
+    for lo, hi in plan.doc_ranges:
+        in_bucket = bucket_of[words[starts[lo] : starts[hi]]]
+        ids = (np.argsort(in_bucket, kind="stable") + starts[lo]).astype(np.int32)
+        ends = np.cumsum(np.bincount(in_bucket, minlength=P))
+        block_ids.append(np.split(ids, ends[:-1]))
+    counts = np.empty((N + V + P, K), dtype=np.int64)
+    counts[:N], counts[N : N + V] = state.doc_topic, state.word_topic
+    state.doc_topic, state.word_topic = counts[:N], counts[N : N + V]
+    local_totals = counts[N + V :]
     lls: list[float] = []
     schedule_log: list[tuple] = []
     for epoch in range(epochs):
         for r in range(P):
-            snapshot = state.topic_totals.copy()
-            local_totals = []
+            local_totals[:] = state.topic_totals
+            blocks, uniforms = [], []
             for p in range(P):
                 (lo, hi), b = plan.block(p, r)
-                totals = snapshot.copy()
-                wrng = np.random.default_rng((seed, epoch, r, p))
-                sampled = 0
-                for d in range(lo, hi):
-                    for i, w in enumerate(corpus[d]):
-                        if bucket_of[w] != b:
-                            continue
-                        gibbs_token_update(state, d, w, i, wrng, totals=totals)
-                        sampled += 1
-                local_totals.append(totals - snapshot)
-                schedule_log.append((epoch, r, p, (lo, hi), b, sampled))
-            for delta in local_totals:
-                state.topic_totals += delta
+                blocks.append(block_ids[p][b])
+                uniforms.append(
+                    np.random.default_rng((seed, epoch, r, p)).random(len(blocks[-1]))
+                )
+                schedule_log.append((epoch, r, p, (lo, hi), b, len(blocks[-1])))
+            sample_blocks(counts, N, z, docs, words, blocks, uniforms,
+                          state.alpha, state.beta)
+            state.topic_totals += (local_totals - state.topic_totals).sum(axis=0)
         lls.append(lda_log_likelihood(state))
+    state.z = [zd.tolist() for zd in np.split(z, starts[1:-1])]
     return RotationResult(state, plan, lls, schedule_log)
 
 

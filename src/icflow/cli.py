@@ -163,9 +163,15 @@ def parse_config(path: str) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as e:
         raise ConfigurationError(f"cannot parse {path}: {e}") from None
+    sections = ("data", "algorithm", "runtime")
+    unknown = [name for name in parser.sections() if name not in sections]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown section [{unknown[0]}]; expected [data], [algorithm] or [runtime]"
+        )
     data, params, runtime = (
         dict(parser.items(name)) if parser.has_section(name) else {}
-        for name in ("data", "algorithm", "runtime")
+        for name in sections
     )
     if "algorithm" not in params:
         raise ConfigurationError("[algorithm] missing required key algorithm")

@@ -4,7 +4,9 @@ Formats are deliberately plain: Matrix Market coordinate files for design
 matrices (scipy handles the round trip), a dense text vector for responses,
 the bag-of-words triple format `docID wordID count` (1-based, three header
 lines) for corpora, and one integer class id per line for labels. Every
-generator writes a ground-truth sidecar next to the data.
+generator writes a ground-truth sidecar next to the data. scipy is imported
+only by the functions that read or write Matrix Market files, so importing
+this module (and the CLI) does not pay for it.
 """
 from __future__ import annotations
 
@@ -12,8 +14,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .errors import ConfigurationError
 
@@ -70,6 +70,9 @@ def gen_lasso(
 
 
 def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
+    import scipy.io
+    import scipy.sparse
+
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "X": os.path.join(out_dir, f"{stem}_X.mtx"),
@@ -85,6 +88,8 @@ def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
 
 
 def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
+    import scipy.io
+
     X = np.asarray(scipy.io.mmread(x_path).todense())
     y = np.loadtxt(y_path)
     return X, y
@@ -197,6 +202,9 @@ def gen_mlr(
 
 
 def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
+    import scipy.io
+    import scipy.sparse
+
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "U": os.path.join(out_dir, f"{stem}_U.mtx"),
@@ -210,6 +218,8 @@ def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
 
 
 def read_mlr(u_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
+    import scipy.io
+
     U = np.asarray(scipy.io.mmread(u_path).todense())
     y = np.loadtxt(y_path).astype(int)
     return U, y

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import icflow
 from icflow import datasets
 from icflow.cli import (
     EXIT_CONFIG,
@@ -91,11 +94,24 @@ def test_parse_config_rejects_bad_values(tmp_path):
         ("algorithm = lasso\n[runtime]\nstraggler = 1:nan", "non-finite"),
         ("algorithm = lasso\n[data]\nx = X.mtx\ny = y.txt\nn = 5",
          "[data] n cannot be given with x, y"),
+        ("algorithm = lasso\n[runtim]\np = 4", "unknown section [runtim]"),
+        ("algorithm = lasso\n[Runtime]\np = 4", "unknown section [Runtime]"),
     ):
         path = write_cfg(tmp_path, f"[algorithm]\n{bad}\n")
         with pytest.raises(ConfigurationError) as e:
             parse_config(path)
         assert fragment.strip("[]") in str(e.value)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is imported by the functions that use it, not at start-up."""
+    code = ("import sys, icflow.cli; print(' '.join(m for m in "
+            "('scipy.io', 'scipy.sparse', 'scipy.special') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(icflow.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_parse_config_missing_file():
@@ -137,6 +153,9 @@ def test_run_exit_codes(tmp_path):
     assert main(["--quiet", "run", bad]) == EXIT_CONFIG
     unknown = write_cfg(tmp_path, MINIMAL + "priority_mode = fifo\n", "unknown.cfg")
     assert main(["--quiet", "run", unknown]) == EXIT_CONFIG
+    # a misspelt section would otherwise run with the [runtime] defaults
+    misspelt = write_cfg(tmp_path, MINIMAL.replace("[runtime]", "[runtim]"), "bad.cfg")
+    assert main(["--quiet", "run", misspelt]) == EXIT_CONFIG
     # `good` is an existing file, so only the missing partner of x or y is wrong
     for section, line in (("[data]", "sed = 5"), ("[algorithm]", "lamda = 0.5"),
                           ("[data]", f"x = {good}"), ("[data]", f"y = {good}"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from icflow.algorithms import lda
 from icflow.algorithms.lda import (
     LdaState,
     conditional_topic_distribution,
@@ -10,10 +11,12 @@ from icflow.algorithms.lda import (
     lda_log_likelihood,
     run_rotation,
     run_sequential,
+    sample_blocks,
     sweep_sequential,
 )
 from icflow.datasets import gen_lda
 from icflow.errors import ConfigurationError, StateCorruptionError
+from icflow.sap import build_rotation_plan
 
 
 def small_corpus(seed=0):
@@ -139,3 +142,222 @@ def test_rotation_tracks_sequential_likelihood():
     _, seq_lls = run_sequential(corpus, V=25, K=4, epochs=6, seed=14)
     rot = run_rotation(corpus, V=25, K=4, P=4, epochs=6, seed=14)
     assert rot.log_likelihoods[-1] == pytest.approx(seq_lls[-1], rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# references: the scalar loops the vectorized code replaced
+
+
+def _reference_init(corpus, V, K, rng, alpha=None, beta=0.01):
+    """One rng.integers(K) call per token, counts incremented one by one."""
+    if alpha is None:
+        alpha = 50.0 / K
+    N = len(corpus)
+    doc_topic = np.zeros((N, K), dtype=np.int64)
+    word_topic = np.zeros((V, K), dtype=np.int64)
+    totals = np.zeros(K, dtype=np.int64)
+    z = []
+    for d, doc in enumerate(corpus):
+        zd = []
+        for w in doc:
+            k = int(rng.integers(K))
+            zd.append(k)
+            doc_topic[d, k] += 1
+            word_topic[w, k] += 1
+            totals[k] += 1
+        z.append(zd)
+    return LdaState(doc_topic, word_topic, totals, z, alpha, beta)
+
+
+def _choice_update(state, d, w, i, rng, totals=None):
+    """Token update sampled with rng.choice, as gibbs_token_update once was."""
+    old = state.z[d][i]
+    t = state.topic_totals if totals is None else totals
+    state.doc_topic[d, old] -= 1
+    state.word_topic[w, old] -= 1
+    t[old] -= 1
+    p = conditional_topic_distribution(state, d, w, totals=t)
+    new = int(rng.choice(state.K, p=p))
+    state.z[d][i] = new
+    state.doc_topic[d, new] += 1
+    state.word_topic[w, new] += 1
+    t[new] += 1
+    return new
+
+
+def _reference_rotation(corpus, V, K, P, epochs, seed=0, alpha=None, beta=0.01):
+    """run_rotation one token at a time: worker after worker, each sampling
+    its block in document order with gibbs_token_update."""
+    rng = np.random.default_rng(seed)
+    state = _reference_init(corpus, V, K, rng, alpha=alpha, beta=beta)
+    plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
+    bucket_of = np.zeros(V, dtype=np.int64)
+    for bi, bucket in enumerate(plan.word_buckets):
+        for w in bucket:
+            bucket_of[w] = bi
+    lls, schedule_log = [], []
+    for epoch in range(epochs):
+        for r in range(P):
+            snapshot = state.topic_totals.copy()
+            local_totals = []
+            for p in range(P):
+                (lo, hi), b = plan.block(p, r)
+                totals = snapshot.copy()
+                wrng = np.random.default_rng((seed, epoch, r, p))
+                sampled = 0
+                for d in range(lo, hi):
+                    for i, w in enumerate(corpus[d]):
+                        if bucket_of[w] != b:
+                            continue
+                        gibbs_token_update(state, d, w, i, wrng, totals=totals)
+                        sampled += 1
+                local_totals.append(totals - snapshot)
+                schedule_log.append((epoch, r, p, (lo, hi), b, sampled))
+            for delta in local_totals:
+                state.topic_totals += delta
+        lls.append(lda_log_likelihood(state))
+    return state, lls, schedule_log
+
+
+def _assert_same_state(a, b):
+    assert np.array_equal(a.doc_topic, b.doc_topic)
+    assert np.array_equal(a.word_topic, b.word_topic)
+    assert np.array_equal(a.topic_totals, b.topic_totals)
+    assert a.z == b.z
+    assert (a.alpha, a.beta) == (b.alpha, b.beta)
+
+
+@pytest.mark.parametrize("K", [2, 5, 100, 129, 1000])
+def test_init_state_matches_scalar_draws(K):
+    corpus = gen_lda(30, 40, 4, 10, seed=K).docs + [[]]
+    rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
+    _assert_same_state(
+        init_state(corpus, 40, K, rng), _reference_init(corpus, 40, K, ref_rng)
+    )
+    # the generator is left where n scalar draws leave it
+    assert rng.random() == ref_rng.random()
+    assert rng.integers(K) == ref_rng.integers(K)
+
+
+def test_init_state_rejects_word_ids_out_of_range():
+    rng = np.random.default_rng(0)
+    for corpus, bad in (([[0, 1], [12]], 12), ([[-1]], -1), ([[3], [2**70]], 2**70)):
+        with pytest.raises(ConfigurationError) as e:
+            init_state(corpus, V=12, K=3, rng=rng)
+        assert str(e.value) == f"word id {bad} out of range for V=12"
+
+
+@pytest.mark.parametrize("K", [2, 5, 100, 129])
+def test_gibbs_token_update_draws_what_choice_draws(K):
+    corpus = gen_lda(10, 30, 3, 15, seed=K).docs
+    state = init_state(corpus, 30, K, np.random.default_rng(1))
+    ref = init_state(corpus, 30, K, np.random.default_rng(1))
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    for d, doc in enumerate(corpus):
+        for i, w in enumerate(doc):
+            new = gibbs_token_update(state, d, w, i, rng)
+            assert new == _choice_update(ref, d, w, i, ref_rng)
+    _assert_same_state(state, ref)
+
+
+@pytest.mark.parametrize(
+    "n_docs, V, K, P, doc_len",
+    [
+        (20, 12, 5, 1, 8),  # one worker
+        (30, 13, 5, 4, 10),  # P does not divide V
+        (40, 50, 100, 3, 12),
+        (25, 31, 129, 5, 9),  # K above numpy's 128-element pairwise-sum block
+    ],
+)
+def test_rotation_is_bit_identical_to_token_loop(n_docs, V, K, P, doc_len):
+    corpus = gen_lda(n_docs, V, 4, doc_len, seed=K + P).docs
+    ref_state, ref_lls, ref_log = _reference_rotation(corpus, V, K, P, epochs=3, seed=P)
+    result = run_rotation(corpus, V, K, P, epochs=3, seed=P)
+    assert result.log_likelihoods == ref_lls
+    assert result.schedule_log == ref_log
+    _assert_same_state(result.state, ref_state)
+
+
+def test_rotation_is_bit_identical_with_empty_and_uneven_blocks():
+    # an empty document, and a last worker whose one document repeats one
+    # word: its block is 100 tokens long in one sub-epoch and empty in the rest
+    corpus = gen_lda(20, 16, 3, 6, seed=3).docs
+    corpus[4] = []
+    corpus[-1] = [5] * 100
+    ref_state, ref_lls, ref_log = _reference_rotation(corpus, 16, 7, 4, 2, seed=9)
+    result = run_rotation(corpus, 16, 7, 4, epochs=2, seed=9)
+    sizes = [entry[-1] for entry in ref_log]
+    assert 0 in sizes and max(sizes) > 5 * np.median(sizes)
+    assert result.log_likelihoods == ref_lls
+    assert result.schedule_log == ref_log
+    _assert_same_state(result.state, ref_state)
+
+
+class _FixedDraw:
+    """Stands in for a Generator whose next uniform is known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("K", [5, 100, 129])
+def test_sample_blocks_matches_token_update_on_cdf_boundaries(K):
+    """Uniforms on, and one ulp below, each cdf value: there one ulp of
+    difference between the (P, K) arithmetic and the per-token arithmetic
+    changes the sampled topic, which random uniforms almost never show."""
+    V, P = 20, 3
+    corpus = gen_lda(12, V, 3, 10, seed=K).docs
+    plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
+    state = init_state(corpus, V, K, np.random.default_rng(K))
+    starts = np.cumsum([0] + [len(doc) for doc in corpus])
+    # worker p's first token in bucket p: no shared document or word
+    tokens = [
+        next((d, i, w) for d in range(lo, hi) for i, w in enumerate(corpus[d])
+             if w in plan.word_buckets[p])
+        for p, (lo, hi) in enumerate(plan.doc_ranges)
+    ]
+    cdfs = []
+    for d, i, w in tokens:
+        probe = init_state(corpus, V, K, np.random.default_rng(K))
+        old = probe.z[d][i]
+        probe.doc_topic[d, old] -= 1
+        probe.word_topic[w, old] -= 1
+        probe.topic_totals[old] -= 1
+        cdf = np.cumsum(conditional_topic_distribution(probe, d, w))
+        cdfs.append(cdf / cdf[-1])
+    docs = np.repeat(np.arange(len(corpus)), np.diff(starts))
+    words = np.concatenate(corpus)
+    blocks = [np.array([starts[d] + i]) for d, i, _ in tokens]
+    for k in range(K - 1):
+        for below in (False, True):
+            us = [np.nextafter(c[k], 0) if below else c[k] for c in cdfs]
+            expected = []
+            for (d, i, w), u in zip(tokens, us):
+                ref = init_state(corpus, V, K, np.random.default_rng(K))
+                expected.append(gibbs_token_update(
+                    ref, d, w, i, _FixedDraw(u), totals=ref.topic_totals.copy()
+                ))
+            counts = np.vstack(
+                [state.doc_topic, state.word_topic, np.tile(state.topic_totals, (P, 1))]
+            )
+            z = np.concatenate([np.asarray(zd, dtype=np.int64) for zd in state.z])
+            sample_blocks(counts, len(corpus), z, docs, words, blocks,
+                          [np.array([u]) for u in us], state.alpha, state.beta)
+            assert [int(z[g[0]]) for g in blocks] == expected
+
+
+def test_rotation_detects_corrupted_counts(monkeypatch):
+    corpus = small_corpus(seed=5)
+    real_init = lda.init_state
+
+    def corrupted(*args, **kwargs):
+        state = real_init(*args, **kwargs)
+        state.word_topic[corpus[0][0], state.z[0][0]] = 0
+        return state
+
+    monkeypatch.setattr(lda, "init_state", corrupted)
+    with pytest.raises(StateCorruptionError, match=f"word {corpus[0][0]}"):
+        run_rotation(corpus, V=12, K=3, P=2, epochs=1, seed=6)
