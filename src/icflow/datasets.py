@@ -163,18 +163,38 @@ def write_corpus(corpus: LdaCorpus, out_dir: str, stem: str = "lda") -> dict:
 
 
 def read_corpus(path: str) -> tuple[list[list[int]], int]:
-    """Read bag-of-words triples back into token lists (repeated per count)."""
+    """Read bag-of-words triples back into token lists: each document holds
+    its words (0-based) in file order, each repeated per its count. The file
+    is D, V and the number of triples, then one `docID wordID count` triple
+    per line with 1-based ids; a docID outside 1..D, a wordID outside 1..V,
+    a negative count or a field that is not an integer is a configuration
+    error."""
     with open(path) as f:
-        lines = f.read().split()
-    D, V, nnz = int(lines[0]), int(lines[1]), int(lines[2])
-    docs: list[list[int]] = [[] for _ in range(D)]
-    vals = lines[3:]
-    if len(vals) != 3 * nnz:
-        raise ConfigurationError(f"expected {3 * nnz} triple fields, got {len(vals)}")
-    for i in range(nnz):
-        d, w, c = int(vals[3 * i]) - 1, int(vals[3 * i + 1]) - 1, int(vals[3 * i + 2])
-        docs[d].extend([w] * c)
-    return docs, V
+        fields = f.read().split()
+    try:
+        nums = np.array(list(map(int, fields)), dtype=np.int64)
+    except (ValueError, OverflowError) as e:
+        raise ConfigurationError(f"{path}: not a bag-of-words file: {e}") from None
+    if len(nums) < 3 or nums[0] < 1 or nums[1] < 1:
+        raise ConfigurationError(f"{path}: header must give D >= 1, V >= 1, nnz")
+    D, V, nnz = nums[:3].tolist()
+    if len(nums) - 3 != 3 * nnz:
+        raise ConfigurationError(
+            f"{path}: expected {3 * nnz} triple fields, got {len(nums) - 3}")
+    d, w, c = nums[3:].reshape(-1, 3).T
+    for name, col, hi in (("docID", d, D), ("wordID", w, V)):
+        bad = np.flatnonzero((col < 1) | (col > hi))
+        if len(bad):
+            raise ConfigurationError(f"{path}: triple {bad[0] + 1}: {name} "
+                                     f"{col[bad[0]]} is outside 1..{hi}")
+    bad = np.flatnonzero(c < 0)
+    if len(bad):
+        raise ConfigurationError(
+            f"{path}: triple {bad[0] + 1}: negative count {c[bad[0]]}")
+    doc = np.repeat(d - 1, c)
+    order = np.argsort(doc, kind="stable")
+    ends = np.cumsum(np.bincount(doc, minlength=D))[:-1]
+    return [t.tolist() for t in np.split(np.repeat(w - 1, c)[order], ends)], V
 
 
 # ---------------------------------------------------------------------------

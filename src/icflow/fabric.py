@@ -130,6 +130,8 @@ class Topology:
         if P < 1:
             raise ConfigurationError("P must be >= 1")
         self.P = P
+        # origin -> its broadcast tree, filled on first use
+        self._trees: dict[int, list[tuple[int, ...]]] = {}
 
     def check_worker(self, w: int) -> None:
         if not (0 <= w < self.P):
@@ -137,6 +139,26 @@ class Topology:
 
     def route(self, src: int, dst: int) -> list[int]:
         raise NotImplementedError
+
+    def _parent(self, origin: int, dst: int) -> int:
+        """The node before `dst` on its route from `origin`."""
+        return self.route(origin, dst)[-2]
+
+    def children(self, origin: int) -> list[tuple[int, ...]]:
+        """The broadcast tree of worker `origin`: entry n lists, in increasing
+        order, the workers that node n relays origin's commits to. A worker's
+        parent is the node before it on its route from `origin`; the routes
+        are prefix-closed, so every worker receives over exactly its route
+        and each link carries a commit at most once. (Master-slave has no
+        worker-to-worker routes; its server relays instead.)"""
+        tree = self._trees.get(origin)
+        if tree is None:
+            kids: list[list[int]] = [[] for _ in range(self.P)]
+            for dst in range(self.P):
+                if dst != origin:
+                    kids[self._parent(origin, dst)].append(dst)
+            tree = self._trees[origin] = [tuple(k) for k in kids]
+        return tree
 
 
 class FullP2P(Topology):
@@ -177,84 +199,57 @@ class HaltonTopology(Topology):
     Routing picks a shortest path; among shortest paths the first hop prefers
     the ring (+1) edge and later hops prefer the skip edge, which reproduces
     the published 6-worker worked example (1 -> 2 -> 5 -> 6 in 1-based ids).
+    The graph is circulant, so the route from a to b is the route from 0 to
+    (b - a) mod P shifted by a. One BFS from worker 0 gives every distance,
+    and a route is picked hop by hop among the links that keep it shortest.
     """
 
     def __init__(self, P: int):
         super().__init__(P)
         if P < 2:
             raise ConfigurationError("halton topology needs P >= 2")
-        self._neighbors = {}
-        # (src, dst) -> route, filled on first use; route() hands out copies
-        self._routes: dict[tuple[int, int], list[int]] = {}
-        half = ceil(P / 2)
-        for i in range(P):
-            nb = {(i + 1) % P, (i + half) % P} - {i}
-            self._neighbors[i] = sorted(nb)
-        # connectivity: the +1 ring edge alone reaches every node
-        for i in range(P):
-            if not self._reachable(i):
-                raise ConfigurationError("halton topology is not connected")
-
-    def _reachable(self, src: int) -> bool:
-        seen = {src}
-        stack = [src]
-        while stack:
-            n = stack.pop()
-            for nb in self._neighbors[n]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.P
-
-    def _offset(self, a: int, b: int) -> int:
-        return (b - a) % self.P
+        # link offsets, ring edge first; the ring edge alone reaches every node
+        self._steps = sorted({1, ceil(P / 2)})
+        # hops from worker 0 to worker r, i.e. between any a and (a + r) mod P
+        self._dist = [0] + [-1] * (P - 1)
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for n in frontier:
+                for s in self._steps:
+                    nb = (n + s) % P
+                    if self._dist[nb] < 0:
+                        self._dist[nb] = self._dist[n] + 1
+                        nxt.append(nb)
+            frontier = nxt
+        # offset r -> route from 0 to r, filled on first use
+        self._paths: dict[int, list[int]] = {}
 
     def route(self, src: int, dst: int) -> list[int]:
         self.check_worker(src)
         self.check_worker(dst)
         if src == dst:
             raise ConfigurationError("route requires src != dst")
-        path = self._routes.get((src, dst))
+        return [(src + n) % self.P for n in self._path((dst - src) % self.P)]
+
+    def _parent(self, origin: int, dst: int) -> int:
+        return (origin + self._path((dst - origin) % self.P)[-2]) % self.P
+
+    def _path(self, off: int) -> list[int]:
+        """The route from worker 0 to worker `off`: the first hop takes the
+        smallest offset that stays on a shortest path, every later hop the
+        largest."""
+        path = self._paths.get(off)
         if path is None:
-            path = self._routes[(src, dst)] = self._shortest_route(src, dst)
-        return list(path)
-
-    def _shortest_route(self, src: int, dst: int) -> list[int]:
-        # BFS layering, then enumerate shortest paths and pick by hop policy
-        dist = {src: 0}
-        frontier = [src]
-        while frontier and dst not in dist:
-            nxt = []
-            for n in frontier:
-                for nb in self._neighbors[n]:
-                    if nb not in dist:
-                        dist[nb] = dist[n] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        if dst not in dist:
-            raise ProtocolError(f"destination {dst} unreachable from {src}")
-
-        paths: list[list[int]] = []
-
-        def extend(path: list[int]):
-            node = path[-1]
-            if node == dst:
-                paths.append(list(path))
-                return
-            for nb in self._neighbors[node]:
-                if dist.get(nb, -1) == dist[node] + 1 and dist[nb] <= dist[dst]:
-                    path.append(nb)
-                    extend(path)
-                    path.pop()
-
-        extend([src])
-        paths = [p for p in paths if len(p) - 1 == dist[dst]]
-
-        def key(path):
-            offs = [self._offset(path[i], path[i + 1]) for i in range(len(path) - 1)]
-            return (offs[0],) + tuple(-o for o in offs[1:])
-
-        return min(paths, key=key)
+            dist, P = self._dist, self.P
+            path, order = [0], self._steps
+            while path[-1] != off:
+                left = (off - path[-1]) % P
+                step = next(s for s in order if dist[(left - s) % P] == dist[left] - 1)
+                path.append((path[-1] + step) % P)
+                order = self._steps[::-1]
+            self._paths[off] = path
+        return path
 
 
 def make_topology(kind: str, P: int) -> Topology:

@@ -18,7 +18,6 @@ import numpy as np
 from .engine import FixedBlockScheduler, apply_sparse, merge_payloads
 from .errors import ConfigurationError, StateCorruptionError
 from .fabric import (
-    HaltonTopology,
     MasterSlave,
     OutgoingQueue,
     make_topology,
@@ -184,8 +183,6 @@ class _Msg:
     payload: dict[int, float]
     timestamp: int
     origin: int
-    route: list[int]
-    hop: int = 0
 
     def nbytes(self) -> int:
         return sparse_codec_size(len(self.payload))
@@ -264,43 +261,32 @@ class SimCluster:
 
     # -- network ------------------------------------------------------------
 
-    def _send(self, src: int, dst: int, msg: _Msg, tick: int) -> None:
+    def _send(self, src: int, dst: int, seqs: list[int], payload: dict,
+              ts: int, origin: int, tick: int) -> None:
+        """Put one new message (with a fresh id) on link src -> dst."""
+        msg = _Msg(self._msg_id, seqs, payload, ts, origin)
+        self._msg_id += 1
         nbytes = msg.nbytes()
         delivery = self._link(src, dst).transmit(nbytes, tick)
         self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
-        self._emit(tick, "msg_send", src, clock, msg.id, msg.timestamp,
-                   len(msg.payload), nbytes)
+        self._emit(tick, "msg_send", src, clock, msg.id, ts, len(payload), nbytes)
         self._push(delivery, "deliver", ((src, dst), msg))
 
     def _broadcast(self, origin: int, seq: int, payload: dict, ts: int,
                    tick: int) -> None:
         """Send one commit to every other worker. Master-slave: one message
         to the server, which relays batched rounds (`_server_receive`).
-        Halton: one message per destination along its route, forwarded hop
-        by hop. Full P2P: P-1 direct messages."""
+        Otherwise the commit goes down the origin's broadcast tree
+        (`Topology.children`): one message to each child, which relays it
+        to its own children on delivery (`_deliver`), so P-1 link messages
+        in all. On full P2P the tree is a star of P-1 direct messages."""
         topo = self.topology
         if isinstance(topo, MasterSlave):
-            srv = topo.server
-            msg = _Msg(self._msg_id, [seq], dict(payload), ts, origin, [origin, srv])
-            self._msg_id += 1
-            self._send(origin, srv, msg, tick)
-        elif isinstance(topo, HaltonTopology):
-            for dst in range(self.cfg.P):
-                if dst == origin:
-                    continue
-                route = topo.route(origin, dst)
-                msg = _Msg(self._msg_id, [seq], dict(payload), ts, origin, route)
-                self._msg_id += 1
-                self._send(route[0], route[1], msg, tick)
-        else:
-            for dst in range(self.cfg.P):
-                if dst == origin:
-                    continue
-                msg = _Msg(self._msg_id, [seq], dict(payload), ts, origin,
-                           [origin, dst])
-                self._msg_id += 1
-                self._send(origin, dst, msg, tick)
+            self._send(origin, topo.server, [seq], payload, ts, origin, tick)
+            return
+        for child in topo.children(origin)[origin]:
+            self._send(origin, child, [seq], payload, ts, origin, tick)
 
     def _server_receive(self, msg: _Msg, tick: int) -> None:
         """Batch one full round per timestamp, then relay each worker the
@@ -325,9 +311,7 @@ class SimCluster:
                 continue
             seqs = [s for m in part for s in m.seqs]
             payload = merge_payloads([m.payload for m in part])
-            out = _Msg(self._msg_id, seqs, payload, ts, srv, [srv, dst])
-            self._msg_id += 1
-            self._send(srv, dst, out, tick)
+            self._send(srv, dst, seqs, payload, ts, srv, tick)
 
     def _deliver(self, link: tuple[int, int], msg: _Msg, tick: int) -> None:
         lk = self.links[link]
@@ -338,14 +322,16 @@ class SimCluster:
         clock = self.store.clocks[dst] if dst < self.cfg.P else 0
         self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
                    len(msg.payload), nbytes)
-        if isinstance(self.topology, MasterSlave) and dst == self.topology.server:
-            self._server_receive(msg, tick)
-            return
-        if msg.hop < len(msg.route) - 2:
-            # intermediate node on a multi-hop route: forward
-            msg.hop += 1
-            self._send(msg.route[msg.hop], msg.route[msg.hop + 1], msg, tick)
-            return
+        topo = self.topology
+        if isinstance(topo, MasterSlave):
+            if dst == topo.server:
+                self._server_receive(msg, tick)
+                return
+        else:
+            # relay down the origin's broadcast tree before taking it in
+            for child in topo.children(msg.origin)[dst]:
+                self._send(dst, child, msg.seqs, msg.payload, msg.timestamp,
+                           msg.origin, tick)
         for seq in msg.seqs:
             self.delivered[dst].add(seq)
             upd = self.store.log[seq]

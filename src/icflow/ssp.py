@@ -102,7 +102,8 @@ class Trace:
 
     A trace read by ``from_text`` keeps its events as a column table (see
     ``table``) and builds ``TraceEvent`` objects only when ``events`` is
-    first asked for; from then on the list is the record."""
+    first asked for; from then on the list is the record. The table is
+    built at most once between appends."""
 
     def __init__(self, events: Optional[list[TraceEvent]] = None):
         self._events: Optional[list[TraceEvent]] = events or []
@@ -112,21 +113,21 @@ class Trace:
     def events(self) -> list[TraceEvent]:
         if self._events is None:
             self._events = list(map(TraceEvent._make, self._table.tolist()))
-            self._table = None
         return self._events
 
     def table(self) -> np.ndarray:
         """The events as a structured array with one field per TraceEvent
         field, in trace order."""
-        if self._events is None:
-            return self._table
-        try:
-            return np.array(self._events, dtype=_TABLE_DTYPE)
-        except OverflowError:
-            return np.array(self._events, dtype=_WIDE_TABLE_DTYPE)
+        if self._table is None:
+            try:
+                self._table = np.array(self._events, dtype=_TABLE_DTYPE)
+            except OverflowError:
+                self._table = np.array(self._events, dtype=_WIDE_TABLE_DTYPE)
+        return self._table
 
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
+        self._table = None
 
     def __len__(self) -> int:
         return len(self._table) if self._events is None else len(self._events)

@@ -294,6 +294,54 @@ def test_dataset_files_round_trip(tmp_path):
     assert np.array_equal(y, mds.y)
 
 
+def _reference_read_corpus(path):
+    """`read_corpus` as a loop over the triples, for well-formed files."""
+    with open(path) as f:
+        fields = f.read().split()
+    D, V, nnz = int(fields[0]), int(fields[1]), int(fields[2])
+    docs = [[] for _ in range(D)]
+    for i in range(nnz):
+        d, w, c = (int(x) for x in fields[3 + 3 * i: 6 + 3 * i])
+        docs[d - 1].extend([w - 1] * c)
+    return docs, V
+
+
+def test_corpus_ids_and_counts_are_checked(tmp_path):
+    def corpus(*triples, D=2, V=3):
+        path = tmp_path / "docs.txt"
+        path.write_text(f"{D}\n{V}\n{len(triples)}\n"
+                        + "".join(f"{d} {w} {c}\n" for d, w, c in triples))
+        return str(path)
+
+    # triples in any order; each document keeps its words in file order
+    assert datasets.read_corpus(corpus((2, 3, 1), (1, 2, 2), (2, 1, 0), (2, 1, 1))) \
+        == ([[1, 1], [2, 0]], 3)
+    assert datasets.read_corpus(corpus(D=3)) == ([[], [], []], 3)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        D, V = (int(x) for x in rng.integers(1, 7, size=2))
+        path = corpus(*zip(rng.integers(1, D + 1, size=12).tolist(),
+                           rng.integers(1, V + 1, size=12).tolist(),
+                           rng.integers(0, 4, size=12).tolist()), D=D, V=V)
+        assert datasets.read_corpus(path) == _reference_read_corpus(path)
+    cfg = write_cfg(tmp_path, f"[data]\ndocs = {corpus((1, 1, 2), (2, 3, 1))}\n"
+                    "[algorithm]\nalgorithm = lda\ntopics = 2\nepochs = 1\n"
+                    "[runtime]\np = 2\n")
+    assert main(["--out-dir", str(tmp_path / "ok"), "--quiet", "run", cfg]) == EXIT_OK
+    for bad in ((0, 1, 2),  # docID 0 used to land in the last document
+                (3, 1, 2),  # docID above D
+                (1, 0, 2), (1, 4, 2),  # wordID outside 1..V
+                (1, 2, -3),  # negative count
+                (1, 2, "x"), (1, 2, 2**70)):
+        corpus((1, 1, 2), bad)
+        with pytest.raises(ConfigurationError):
+            datasets.read_corpus(str(tmp_path / "docs.txt"))
+        assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, bad
+    for text in ("", "2 3", "0 3 0", "2 0 0", "2 3 2\n1 1 1\n"):
+        (tmp_path / "docs.txt").write_text(text)
+        assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, text
+
+
 def test_replay_subcommand_exit_codes(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, MINIMAL)

@@ -185,6 +185,88 @@ def test_halton_routes_are_shortest_paths():
                 assert len(route) - 1 == dist[dst]
 
 
+def _enumerated_route(P, src, dst):
+    """The route by its definition: enumerate every shortest path, then
+    take the least by (first offset, minus each later offset)."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier and dst not in dist:
+        nxt = []
+        for n in frontier:
+            for nb in sorted(halton_neighbors(n, P)):
+                if nb not in dist:
+                    dist[nb] = dist[n] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    paths = []
+
+    def extend(path):
+        node = path[-1]
+        if node == dst:
+            paths.append(list(path))
+            return
+        for nb in sorted(halton_neighbors(node, P)):
+            if dist.get(nb, -1) == dist[node] + 1 and dist[nb] <= dist[dst]:
+                path.append(nb)
+                extend(path)
+                path.pop()
+
+    extend([src])
+
+    def key(path):
+        offs = [(b - a) % P for a, b in zip(path, path[1:])]
+        return (offs[0],) + tuple(-o for o in offs[1:])
+
+    return min(paths, key=key)
+
+
+def test_halton_routes_match_enumeration():
+    for P in range(2, 41):
+        t = HaltonTopology(P)
+        for src in range(P):
+            for dst in range(P):
+                if src != dst:
+                    assert t.route(src, dst) == _enumerated_route(P, src, dst), (
+                        P, src, dst)
+
+
+def _assert_is_route_tree(t, origin):
+    P = t.P
+    tree = t.children(origin)
+    assert len(tree) == P
+    parent = {c: n for n in range(P) for c in tree[n]}
+    assert sorted(parent) == sorted(set(range(P)) - {origin})
+    for dst in parent:
+        route = t.route(origin, dst)
+        # prefix-closed: the route to the parent is this route less its end
+        assert parent[dst] == route[-2]
+        assert route[:-1] == ([origin] if parent[dst] == origin
+                              else t.route(origin, parent[dst]))
+    assert all(list(kids) == sorted(kids) for kids in tree)
+
+
+def test_halton_broadcast_trees_follow_the_routes():
+    for P in list(range(2, 21)) + [32, 33, 64]:
+        t = HaltonTopology(P)
+        for origin in range(P):
+            _assert_is_route_tree(t, origin)
+            assert t.children(origin) is t.children(origin)
+    # full P2P: a star
+    assert FullP2P(4).children(2) == [(), (), (0, 1, 3), ()]
+
+
+def test_halton_builds_every_tree_at_p_256():
+    P = 256
+    t = HaltonTopology(P)
+    trees = [t.children(o) for o in range(P)]
+    for origin in (0, 1, 127, 128, 255):
+        _assert_is_route_tree(t, origin)
+    # the graph is circulant: each tree is worker 0's shifted by its origin
+    for o in range(P):
+        assert trees[o] == [tuple(sorted((c + o) % P for c in trees[0][(n - o) % P]))
+                            for n in range(P)]
+
+
 def test_make_topology_dispatch():
     assert type(make_topology("full_p2p", 3)) is FullP2P
     assert type(make_topology("halton", 4)) is HaltonTopology
@@ -262,17 +344,19 @@ def test_enqueue_drain_agrees_with_transmit():
 
 def test_broadcast_counts():
     # SimCluster._broadcast is the one broadcast plan: P-1 direct messages
-    # on full P2P, one to the server on master-slave, P-1 first hops along
-    # the routes on halton
+    # on full P2P, one to the server on master-slave, one to each child of
+    # the origin's tree on halton (the children relay on delivery)
+    halton_children = HaltonTopology(6).children(0)[0]
+    assert halton_children == (1, 3)
     for topology, P, first_hops in (
         ("full_p2p", 4, {(0, 1), (0, 2), (0, 3)}),
         ("master_slave", 4, {(0, 4)}),
-        ("halton", 6, {(0, HaltonTopology(6).route(0, d)[1]) for d in range(1, 6)}),
+        ("halton", 6, {(0, c) for c in halton_children}),
     ):
         sim = SimCluster(FuzzWorkload(12, P), SimConfig(P=P, topology=topology))
         sim._broadcast(0, 0, {0: 1.0, 3: 2.0}, 0, 0)
         sends = [e for e in sim.trace if e.event == "msg_send"]
-        assert len(sends) == (1 if topology == "master_slave" else P - 1)
+        assert len(sends) == len(first_hops)
         assert all(e.bytes == sparse_codec_size(2) for e in sends)
         assert set(sim.links) == first_hops
 

@@ -4,7 +4,7 @@ import pytest
 from icflow import ssp
 from icflow.engine import apply_sparse
 from icflow.errors import ProtocolError, TraceParseError
-from icflow.simcluster import FuzzWorkload, SimConfig, run_simulation
+from icflow.simcluster import FuzzWorkload, SimConfig, replay, run_simulation
 from icflow.ssp import (
     TRACE_HEADER,
     SspCore,
@@ -111,8 +111,9 @@ def test_table_parse_matches_line_by_line_parse():
 
 
 def test_table_parse_round_trips_a_simulator_trace():
+    # P-1 link sends per halton commit: 60 clocks give at least 10,000 events
     res = run_simulation(FuzzWorkload(48, 8, seed=3),
-                         SimConfig(P=8, staleness=2, topology="halton", max_clocks=30))
+                         SimConfig(P=8, staleness=2, topology="halton", max_clocks=60))
     assert len(res.trace) >= 10_000
     text = res.trace.to_text()
     parsed = Trace.from_text(text)
@@ -133,6 +134,26 @@ def test_parsed_trace_builds_events_once_and_stays_appendable():
     assert len(trace) == 2
     assert trace.table()["event"].tolist() == ["clock", "finish"]
     assert Trace.from_text(trace.to_text()).events == events
+
+def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
+    trace = run_simulation(FuzzWorkload(24, 4, seed=1),
+                           SimConfig(P=4, staleness=1, max_clocks=4)).trace
+    built = []
+    table = Trace.table
+
+    def counted(self):
+        built.append(self._table is None)
+        return table(self)
+
+    monkeypatch.setattr(Trace, "table", counted)
+    assert replay(trace, 1, 4).ok
+    assert len(built) >= 2 and built.count(True) == 1
+    first = trace.table()
+    assert trace.table() is first
+    # an append drops the cached table
+    trace.append(TraceEvent(99, "finish", 0, 4, 0, 0, 0, 0))
+    assert trace.table() is not first and len(trace.table()) == len(first) + 1
+
 
 def test_commit_requires_current_clock_timestamp():
     store = SspCore(P=2, staleness=1, m=4)
