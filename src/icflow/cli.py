@@ -475,18 +475,36 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# per kind: `icflow gen` option -> the [data] generator key whose parser
+# checks its value
+_GEN_OPTIONS = {
+    "lasso": {"n": "n", "m": "m", "k_true": "k_true", "seed": "seed"},
+    "lda": {"n_docs": "n_docs", "vocab": "v", "topics": "k", "doc_len": "doc_len",
+            "seed": "seed"},
+    "mlr": {"n": "n", "dims": "d", "classes": "k", "seed": "seed"},
+}
+
+
 def _cmd_gen(args) -> int:
+    generator = _ALGORITHMS[args.kind][1]
+    data = {
+        key: generator[key][0]("gen", "--" + option.replace("_", "-"),
+                               str(getattr(args, option)))
+        for option, key in _GEN_OPTIONS[args.kind].items()
+    }
+    if not math.isfinite(args.zipf):
+        raise ConfigurationError(f"--zipf = {args.zipf} must be finite")
     if args.kind == "lasso":
-        ds = datasets.gen_lasso(args.n, args.m, args.k_true, seed=args.seed)
+        ds = datasets.gen_lasso(data["n"], data["m"], data["k_true"], seed=data["seed"])
         paths = datasets.write_lasso(ds, args.out_dir)
     elif args.kind == "lda":
         corpus = datasets.gen_lda(
-            args.n_docs, args.vocab, args.topics, args.doc_len,
-            seed=args.seed, zipf_s=args.zipf,
+            data["n_docs"], data["v"], data["k"], data["doc_len"],
+            seed=data["seed"], zipf_s=args.zipf,
         )
         paths = datasets.write_corpus(corpus, args.out_dir)
     else:
-        ds = datasets.gen_mlr(args.n, args.dims, args.classes, seed=args.seed)
+        ds = datasets.gen_mlr(data["n"], data["d"], data["k"], seed=data["seed"])
         paths = datasets.write_mlr(ds, args.out_dir)
     if not args.quiet:
         for k, v in paths.items():

@@ -88,10 +88,19 @@ def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
 
 
 def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Matrix Market matrix and a text vector with one value per row of it;
+    a vector of any other shape is a configuration error."""
     import scipy.io
 
     X = np.asarray(scipy.io.mmread(x_path).todense())
-    y = np.loadtxt(y_path)
+    try:
+        y = np.loadtxt(y_path, ndmin=1)
+    except ValueError as e:
+        raise ConfigurationError(f"{y_path}: not a text vector: {e}") from None
+    if y.shape != (X.shape[0],):
+        raise ConfigurationError(
+            f"{y_path}: expected one value per line for the {X.shape[0]} rows "
+            f"of {x_path}, got shape {y.shape}")
     return X, y
 
 
@@ -128,6 +137,10 @@ def gen_lda(
     for k in range(K):
         w = np.zeros(V)
         w[topic_words[k]] = weights[topic_words[k]]
+        if not w.sum() > 0:
+            raise ConfigurationError(
+                f"topic {k} has no word of nonzero weight: K = {K} exceeds "
+                f"V = {V}, or the Zipf exponent {zipf_s} underflows")
         topic_dists.append(w / w.sum())
     docs: list[list[int]] = []
     for _ in range(n_docs):
@@ -238,8 +251,11 @@ def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
 
 
 def read_mlr(u_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
-    import scipy.io
-
-    U = np.asarray(scipy.io.mmread(u_path).todense())
-    y = np.loadtxt(y_path).astype(int)
-    return U, y
+    """Features and integer class ids; a label that is not an integer is a
+    configuration error."""
+    U, y = read_lasso(u_path, y_path)  # the same matrix and vector layout
+    bad = np.flatnonzero(~np.isfinite(y) | (y != np.floor(y)))
+    if len(bad):
+        raise ConfigurationError(
+            f"{y_path}: value {bad[0] + 1}: label {y[bad[0]]} is not a class id")
+    return U, y.astype(int)

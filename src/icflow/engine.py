@@ -64,24 +64,13 @@ class StoppingCriterion:
         return abs(new - old) / denom < self.objective_tolerance
 
 
-def merge_payloads(payloads: Sequence[Any]) -> Any:
-    """Additively merge shard payloads, in the given order.
-
-    Dense arrays sum elementwise; sparse dicts merge key-wise dropping
-    explicit zeros is NOT done here (aggregation must stay exact).
-    """
-    if not payloads:
-        return {}
-    first = payloads[0]
-    if isinstance(first, dict):
-        out: dict = {}
-        for p in payloads:
-            for k, v in p.items():
-                out[k] = out.get(k, 0.0) + v
-        return out
-    out = np.array(first, copy=True)
-    for p in payloads[1:]:
-        out = out + p
+def merge_payloads(payloads: Sequence[dict]) -> dict:
+    """Sum sparse payloads key by key, in the given order. Keys whose sum is
+    zero are kept, so the merge stays exact."""
+    out: dict = {}
+    for p in payloads:
+        for k, v in p.items():
+            out[k] = out.get(k, 0.0) + v
     return out
 
 

@@ -1,5 +1,5 @@
-"""Managed communication: topologies and routing, wire codecs with exact byte
-accounting, and rate-limited FIFO link queues."""
+"""Managed communication: topologies and their broadcast trees, wire codecs
+with exact byte accounting, and rate-limited FIFO link queues."""
 from __future__ import annotations
 
 import struct
@@ -11,7 +11,7 @@ from math import ceil
 import numpy as np
 
 from .engine import UpdateDelta
-from .errors import ConfigurationError, DecodeError, ProtocolError
+from .errors import ConfigurationError, DecodeError
 
 HEADER_FMT = "<BIIIqI"  # tag, K, D, S, timestamp, origin
 HEADER_BYTES = struct.calcsize(HEADER_FMT)  # 25
@@ -126,130 +126,85 @@ def decode_delta(data: bytes) -> UpdateDelta:
 
 
 class Topology:
+    """The worker-to-worker graphs are circulant, so origin o's broadcast
+    tree is worker 0's shifted by o. `_kids` holds worker 0's tree as
+    offsets: entry r lists the offsets that offset r relays to."""
+
     def __init__(self, P: int):
         if P < 1:
             raise ConfigurationError("P must be >= 1")
         self.P = P
-        # origin -> its broadcast tree, filled on first use
-        self._trees: dict[int, list[tuple[int, ...]]] = {}
+        self._kids: list[tuple[int, ...]] = [()] * P
 
-    def check_worker(self, w: int) -> None:
-        if not (0 <= w < self.P):
-            raise ConfigurationError(f"invalid worker id {w} for P={self.P}")
-
-    def route(self, src: int, dst: int) -> list[int]:
-        raise NotImplementedError
-
-    def _parent(self, origin: int, dst: int) -> int:
-        """The node before `dst` on its route from `origin`."""
-        return self.route(origin, dst)[-2]
-
-    def children(self, origin: int) -> list[tuple[int, ...]]:
-        """The broadcast tree of worker `origin`: entry n lists, in increasing
-        order, the workers that node n relays origin's commits to. A worker's
-        parent is the node before it on its route from `origin`; the routes
-        are prefix-closed, so every worker receives over exactly its route
-        and each link carries a commit at most once. (Master-slave has no
-        worker-to-worker routes; its server relays instead.)"""
-        tree = self._trees.get(origin)
-        if tree is None:
-            kids: list[list[int]] = [[] for _ in range(self.P)]
-            for dst in range(self.P):
-                if dst != origin:
-                    kids[self._parent(origin, dst)].append(dst)
-            tree = self._trees[origin] = [tuple(k) for k in kids]
-        return tree
+    def relays(self, origin: int, node: int) -> tuple[int, ...]:
+        """The workers `node` forwards `origin`'s commits to, in increasing
+        order (the send order fixes the event order). Each worker other
+        than the origin has exactly one sender, so a commit costs P-1 link
+        messages."""
+        P = self.P
+        return tuple(sorted((origin + c) % P for c in self._kids[(node - origin) % P]))
 
 
 class FullP2P(Topology):
-    def route(self, src: int, dst: int) -> list[int]:
-        self.check_worker(src)
-        self.check_worker(dst)
-        if src == dst:
-            raise ConfigurationError("route requires src != dst")
-        return [src, dst]
+    """Every worker links to every other: a commit goes straight to each."""
+
+    def __init__(self, P: int):
+        super().__init__(P)
+        self._kids[0] = tuple(range(1, P))
 
 
 class MasterSlave(Topology):
     """Bipartite topology: workers 0..P-1 and one server, node P.
 
-    There is no worker-worker communication; the worker to worker path is
-    two messages through the server, not a single route.
+    There is no worker-worker communication: a worker sends its commits to
+    the server, which relays them to the other workers in batched rounds.
     """
 
     def __init__(self, P: int):
         super().__init__(P)
         self.server = P
 
-    def route(self, src: int, dst: int) -> list[int]:
-        if (src == self.server) == (dst == self.server):
-            kind = "server-server" if src == self.server else "worker-worker"
-            raise ProtocolError(
-                f"{kind} communication does not exist in a master-slave topology"
-            )
-        for node in (src, dst):
-            if not (0 <= node <= self.server):
-                raise ConfigurationError(f"invalid node id {node}")
-        return [src, dst]
+    def relays(self, origin: int, node: int) -> tuple[int, ...]:
+        return (self.server,) if node == origin else ()
 
 
 class HaltonTopology(Topology):
-    """Partially-connected P2P graph: worker i links to i+1 and i+ceil(P/2).
+    """Partially-connected P2P graph: worker i links to i+1 and i+h, with
+    h = ceil(P/2).
 
-    Routing picks a shortest path; among shortest paths the first hop prefers
+    A route is a shortest path; among shortest paths the first hop prefers
     the ring (+1) edge and later hops prefer the skip edge, which reproduces
     the published 6-worker worked example (1 -> 2 -> 5 -> 6 in 1-based ids).
-    The graph is circulant, so the route from a to b is the route from 0 to
-    (b - a) mod P shifted by a. One BFS from worker 0 gives every distance,
-    and a route is picked hop by hop among the links that keep it shortest.
+    From worker 0 that gives a closed form (`_prev`): offsets below h are
+    reached only along the ring, h takes the skip, and every offset above h
+    goes 0 -> 1 -> h+1 and then along the ring.
     """
 
     def __init__(self, P: int):
         super().__init__(P)
         if P < 2:
             raise ConfigurationError("halton topology needs P >= 2")
-        # link offsets, ring edge first; the ring edge alone reaches every node
-        self._steps = sorted({1, ceil(P / 2)})
-        # hops from worker 0 to worker r, i.e. between any a and (a + r) mod P
-        self._dist = [0] + [-1] * (P - 1)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for s in self._steps:
-                    nb = (n + s) % P
-                    if self._dist[nb] < 0:
-                        self._dist[nb] = self._dist[n] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        # offset r -> route from 0 to r, filled on first use
-        self._paths: dict[int, list[int]] = {}
+        self._h = ceil(P / 2)
+        kids: list[list[int]] = [[] for _ in range(P)]
+        for r in range(1, P):
+            kids[self._prev(r)].append(r)
+        self._kids = [tuple(k) for k in kids]
+
+    def _prev(self, r: int) -> int:
+        """The offset before offset r on its route from worker 0."""
+        return r - self._h if r in (self._h, self._h + 1) else r - 1
 
     def route(self, src: int, dst: int) -> list[int]:
-        self.check_worker(src)
-        self.check_worker(dst)
+        P = self.P
+        for w in (src, dst):
+            if not (0 <= w < P):
+                raise ConfigurationError(f"invalid worker id {w} for P={P}")
         if src == dst:
             raise ConfigurationError("route requires src != dst")
-        return [(src + n) % self.P for n in self._path((dst - src) % self.P)]
-
-    def _parent(self, origin: int, dst: int) -> int:
-        return (origin + self._path((dst - origin) % self.P)[-2]) % self.P
-
-    def _path(self, off: int) -> list[int]:
-        """The route from worker 0 to worker `off`: the first hop takes the
-        smallest offset that stays on a shortest path, every later hop the
-        largest."""
-        path = self._paths.get(off)
-        if path is None:
-            dist, P = self._dist, self.P
-            path, order = [0], self._steps
-            while path[-1] != off:
-                left = (off - path[-1]) % P
-                step = next(s for s in order if dist[(left - s) % P] == dist[left] - 1)
-                path.append((path[-1] + step) % P)
-                order = self._steps[::-1]
-            self._paths[off] = path
-        return path
+        path = [(dst - src) % P]
+        while path[-1]:
+            path.append(self._prev(path[-1]))
+        return [(src + r) % P for r in reversed(path)]
 
 
 def make_topology(kind: str, P: int) -> Topology:

@@ -3,7 +3,6 @@ independent subsets, load balancing, and the LDA block-rotation plan."""
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,18 +27,15 @@ def dependency_check(j: int, k: int, X: np.ndarray) -> float:
 
 
 def build_independent_subsets(
-    candidates,
-    kappa: float,
-    X: np.ndarray,
-    max_subset_factor: float = 4.0,
+    candidates, kappa: float, X: np.ndarray
 ) -> list[list[int]]:
     """Group candidates into subsets safe for cross-worker parallel update.
 
     Any pair with dependency weight >= kappa lands in the same subset
     (connected components of the thresholded dependency graph); all
-    cross-subset pairs have weight < kappa. Components larger than
-    ``max_subset_factor`` times the average subset size are split with a
-    warning, accepting a bounded number of dependency violations.
+    cross-subset pairs have weight < kappa. Components stay whole however
+    large, since a split component would update dependent columns on
+    different workers.
 
     All pair weights of a call come from one Gram product of the candidate
     columns. A pair whose blocked weight lies within ``_KAPPA_TIE`` of kappa
@@ -67,26 +63,7 @@ def build_independent_subsets(
     groups: dict[int, list[int]] = {}
     for a, j in enumerate(cand):
         groups.setdefault(find(a), []).append(j)
-    subsets = sorted(groups.values(), key=lambda g: g[0])
-
-    if not np.isfinite(max_subset_factor):
-        return subsets
-    avg = len(cand) / len(subsets)
-    cap = max(1, int(np.ceil(max_subset_factor * avg)))
-    out: list[list[int]] = []
-    for g in subsets:
-        if len(g) > cap:
-            warnings.warn(
-                f"splitting dependency component of size {len(g)} (cap {cap}); "
-                "some cross-worker dependencies may be violated",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for i in range(0, len(g), cap):
-                out.append(g[i : i + cap])
-        else:
-            out.append(g)
-    return out
+    return sorted(groups.values(), key=lambda g: g[0])
 
 
 @dataclass
@@ -217,31 +194,21 @@ class SapScheduler:
         kappa: float = 0.1,
         pool_size: int | None = None,
         seed: int = 0,
-        column_costs=None,
-        max_subset_factor: float = float("inf"),
     ):
         self.X = X
         self.P = P
         self.kappa = kappa
-        # splitting a dependency component is only safe when its chunks stay
-        # on one worker, so the scheduler keeps components whole by default;
-        # a finite factor trades safety for balance on dense graphs
-        self.max_subset_factor = max_subset_factor
         m = X.shape[1]
         self.pool_size = min(m, pool_size or max(P * 8, 32))
         self.priority = PriorityState(m=m)
         self.rng = np.random.default_rng(seed)
-        if column_costs is None:
-            column_costs = [max(1, int(np.count_nonzero(X[:, j]))) for j in range(m)]
-        self.column_costs = column_costs
+        self.column_costs = [max(1, int(np.count_nonzero(X[:, j]))) for j in range(m)]
         self._last_emitted: list[int] = []
 
     def rounds(self, t: int, values) -> list[list[int]]:
         candidates = prioritize_sample(self.priority, self.pool_size, self.rng)
         self._last_emitted = candidates
-        subsets = build_independent_subsets(
-            candidates, self.kappa, self.X, self.max_subset_factor
-        )
+        subsets = build_independent_subsets(candidates, self.kappa, self.X)
         costs = [sum(self.column_costs[j] for j in s) for s in subsets]
         assignment = balance_load(costs, self.P)
         out: list[list[int]] = []

@@ -17,12 +17,7 @@ import numpy as np
 
 from .engine import FixedBlockScheduler, apply_sparse, merge_payloads
 from .errors import ConfigurationError, StateCorruptionError
-from .fabric import (
-    MasterSlave,
-    OutgoingQueue,
-    make_topology,
-    sparse_codec_size,
-)
+from .fabric import OutgoingQueue, make_topology, sparse_codec_size
 from .ssp import SspCore, Trace, TraceEvent, check_staleness_invariants
 
 METRICS_HEADER = (
@@ -275,18 +270,14 @@ class SimCluster:
 
     def _broadcast(self, origin: int, seq: int, payload: dict, ts: int,
                    tick: int) -> None:
-        """Send one commit to every other worker. Master-slave: one message
-        to the server, which relays batched rounds (`_server_receive`).
-        Otherwise the commit goes down the origin's broadcast tree
-        (`Topology.children`): one message to each child, which relays it
-        to its own children on delivery (`_deliver`), so P-1 link messages
-        in all. On full P2P the tree is a star of P-1 direct messages."""
-        topo = self.topology
-        if isinstance(topo, MasterSlave):
-            self._send(origin, topo.server, [seq], payload, ts, origin, tick)
-            return
-        for child in topo.children(origin)[origin]:
-            self._send(origin, child, [seq], payload, ts, origin, tick)
+        """Send one commit to every other worker. The origin sends one
+        message to each node it relays to (`Topology.relays`), and each
+        receiving worker relays it on (`_deliver`): down the origin's
+        broadcast tree, P-1 link messages in all, a star of direct messages
+        on full P2P. On master-slave the origin sends to the server, which
+        relays batched rounds (`_server_receive`)."""
+        for dst in self.topology.relays(origin, origin):
+            self._send(origin, dst, [seq], payload, ts, origin, tick)
 
     def _server_receive(self, msg: _Msg, tick: int) -> None:
         """Batch one full round per timestamp, then relay each worker the
@@ -322,16 +313,13 @@ class SimCluster:
         clock = self.store.clocks[dst] if dst < self.cfg.P else 0
         self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
                    len(msg.payload), nbytes)
-        topo = self.topology
-        if isinstance(topo, MasterSlave):
-            if dst == topo.server:
-                self._server_receive(msg, tick)
-                return
-        else:
-            # relay down the origin's broadcast tree before taking it in
-            for child in topo.children(msg.origin)[dst]:
-                self._send(dst, child, msg.seqs, msg.payload, msg.timestamp,
-                           msg.origin, tick)
+        if dst == self.cfg.P:  # the master-slave server
+            self._server_receive(msg, tick)
+            return
+        # relay down the origin's broadcast tree before taking it in
+        for child in self.topology.relays(msg.origin, dst):
+            self._send(dst, child, msg.seqs, msg.payload, msg.timestamp,
+                       msg.origin, tick)
         for seq in msg.seqs:
             self.delivered[dst].add(seq)
             upd = self.store.log[seq]

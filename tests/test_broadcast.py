@@ -1,6 +1,6 @@
 """The Halton broadcast plan: one shortest-path tree per origin.
 
-`SimCluster` sends each commit down its origin's tree (`Topology.children`);
+`SimCluster` sends each commit down its origin's tree (`Topology.relays`);
 every node relays a fresh message to its children before it takes the commit
 in. The per-destination unicast plan it replaced (one copy per destination,
 forwarded hop by hop along `route(origin, dst)`) is kept here as the
@@ -31,8 +31,8 @@ class _RoutesOnly:
     def route(self, src, dst):
         return self.halton.route(src, dst)
 
-    def children(self, origin):
-        return [()] * self.P
+    def relays(self, origin, node):
+        return ()
 
 
 class UnicastCluster(SimCluster):

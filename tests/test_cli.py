@@ -250,6 +250,61 @@ def test_gen_lasso_is_deterministic(tmp_path):
     assert (a / "lasso_y.txt").read_bytes() == (b / "lasso_y.txt").read_bytes()
 
 
+def test_gen_checks_values_with_the_data_key_bounds(tmp_path):
+    # each option takes the bound of its [data] generator key; before these
+    # checks some raised a ValueError and the rest wrote unusable data
+    for argv in (["lda", "--vocab", "0"], ["lda", "--topics", "0"],
+                 ["lda", "--doc-len", "-3"], ["lasso", "--n", "-5"],
+                 ["lasso", "--k-true", "-1"], ["lda", "--zipf", "nan"],
+                 ["lda", "--zipf", "inf"], ["lasso", "--n", "0"],
+                 ["lda", "--n-docs", "0"], ["mlr", "--dims", "0"],
+                 ["mlr", "--classes", "1"],
+                 # a topic with no word of nonzero weight
+                 ["lda", "--topics", "60", "--vocab", "50"], ["lda", "--zipf", "2000"]):
+        out = tmp_path / "_".join(argv)
+        assert main(["--out-dir", str(out), "--quiet", "gen", *argv]) \
+            == EXIT_CONFIG, argv
+        assert not out.exists(), argv
+    assert main(["--seed", "-1", "--quiet", "gen", "lasso"]) == EXIT_CONFIG
+    more_topics = write_cfg(tmp_path, "[data]\nv = 10\nk = 12\n"
+                            "[algorithm]\nalgorithm = lda\n[runtime]\np = 2\n")
+    assert main(["--quiet", "run", more_topics]) == EXIT_CONFIG
+    assert main(["--out-dir", str(tmp_path / "ok"), "--quiet",
+                 "gen", "mlr", "--classes", "2", "--n", "1"]) == EXIT_OK
+
+
+def test_data_files_whose_shapes_disagree_exit_2(tmp_path):
+    lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
+    labels = np.loadtxt(mlr["y"])
+
+    def run(algorithm, x, y):
+        cfg = write_cfg(tmp_path, f"[data]\n{'x' if algorithm == 'lasso' else 'u'}"
+                        f" = {x}\ny = {y}\n[algorithm]\nalgorithm = {algorithm}\n"
+                        "[runtime]\np = 2\nmax_clocks = 2\n")
+        return main(["--out-dir", str(tmp_path / "out"), "--quiet", "run", cfg])
+
+    def vector(name, values, fmt="%.17g"):
+        np.savetxt(tmp_path / name, values, fmt=fmt)
+        return str(tmp_path / name)
+
+    assert run("lasso", lasso["X"], lasso["y"]) == EXIT_OK
+    assert run("mlr", mlr["U"], mlr["y"]) == EXIT_OK
+    y = np.loadtxt(lasso["y"])
+    for bad in (y[:29], np.append(y, 1.0), np.column_stack([y, y])):
+        assert run("lasso", lasso["X"], vector("y.txt", bad)) == EXIT_CONFIG
+    (tmp_path / "words.txt").write_text("abc\n" * 30)
+    assert run("lasso", lasso["X"], str(tmp_path / "words.txt")) == EXIT_CONFIG
+    # a short label file used to exit 3, a fractional label to run as class 1
+    assert run("mlr", mlr["U"], vector("l.txt", labels[:29], "%d")) == EXIT_CONFIG
+    for label in (1.7, np.nan, np.inf):
+        bad = labels.copy()
+        bad[4] = label
+        with pytest.raises(ConfigurationError):
+            datasets.read_mlr(mlr["U"], vector("l.txt", bad))
+        assert run("mlr", mlr["U"], str(tmp_path / "l.txt")) == EXIT_CONFIG, label
+
+
 def rank_frequency_slope(docs, top=30):
     """Least-squares slope of log frequency vs log rank over the top ranks."""
     counts = np.bincount([w for doc in docs for w in doc])

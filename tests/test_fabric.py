@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from icflow.algorithms.mlr import gradient_from_factors
 from icflow.engine import UpdateDelta
-from icflow.errors import ConfigurationError, DecodeError, ProtocolError
+from icflow.errors import ConfigurationError, DecodeError
 from icflow.fabric import (
     Codec,
     FullP2P,
@@ -100,26 +101,6 @@ def test_decode_errors_carry_offsets():
         decode_delta(bad_tag)
 
 
-def test_full_p2p_routes():
-    t = FullP2P(4)
-    assert t.route(1, 3) == [1, 3]
-    assert all(t.route(i, j) == [i, j] for i in range(4) for j in range(4) if i != j)
-    with pytest.raises(ConfigurationError):
-        t.route(2, 2)
-
-
-def test_master_slave_has_no_worker_worker_route():
-    t = MasterSlave(4)
-    srv = t.server
-    assert srv == 4
-    assert t.route(0, srv) == [0, srv]
-    assert t.route(srv, 2) == [srv, 2]
-    with pytest.raises(ProtocolError):
-        t.route(0, 1)
-    with pytest.raises(ProtocolError):
-        t.route(srv, srv)
-
-
 def halton_neighbors(i, P):
     """The halton link rule: worker i links to i+1 and i+ceil(P/2)."""
     return {(i + 1) % P, (i + math.ceil(P / 2)) % P} - {i}
@@ -185,19 +166,28 @@ def test_halton_routes_are_shortest_paths():
                 assert len(route) - 1 == dist[dst]
 
 
-def _enumerated_route(P, src, dst):
-    """The route by its definition: enumerate every shortest path, then
-    take the least by (first offset, minus each later offset)."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier and dst not in dist:
+@functools.lru_cache(maxsize=None)
+def _hops(P, start, reverse=False):
+    """BFS hop counts from `start`, or to it over the links reversed (m
+    links to n when n - m is 1 or ceil(P/2))."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
         nxt = []
         for n in frontier:
-            for nb in sorted(halton_neighbors(n, P)):
+            for nb in ({(n - 1) % P, (n - math.ceil(P / 2)) % P} - {n} if reverse
+                       else halton_neighbors(n, P)):
                 if nb not in dist:
                     dist[nb] = dist[n] + 1
                     nxt.append(nb)
         frontier = nxt
+    return dist
+
+
+def _enumerated_route(P, src, dst):
+    """The route by its definition: enumerate every shortest path, then
+    take the least by (first offset, minus each later offset)."""
+    dist, left = _hops(P, src), _hops(P, dst, reverse=True)
     paths = []
 
     def extend(path):
@@ -206,7 +196,8 @@ def _enumerated_route(P, src, dst):
             paths.append(list(path))
             return
         for nb in sorted(halton_neighbors(node, P)):
-            if dist.get(nb, -1) == dist[node] + 1 and dist[nb] <= dist[dst]:
+            # nb is one hop further from src and on a shortest path to dst
+            if dist[nb] == dist[node] + 1 and dist[nb] + left[nb] == dist[dst]:
                 path.append(nb)
                 extend(path)
                 path.pop()
@@ -228,20 +219,25 @@ def test_halton_routes_match_enumeration():
                 if src != dst:
                     assert t.route(src, dst) == _enumerated_route(P, src, dst), (
                         P, src, dst)
+    # every other route is one of these shifted by its source
+    for P in range(41, 129):
+        t = HaltonTopology(P)
+        for dst in range(1, P):
+            assert t.route(0, dst) == _enumerated_route(P, 0, dst), (P, dst)
 
 
 def _assert_is_route_tree(t, origin):
     P = t.P
-    tree = t.children(origin)
-    assert len(tree) == P
+    tree = [t.relays(origin, n) for n in range(P)]
     parent = {c: n for n in range(P) for c in tree[n]}
+    assert sum(map(len, tree)) == len(parent)  # one sender per receiver
     assert sorted(parent) == sorted(set(range(P)) - {origin})
-    for dst in parent:
-        route = t.route(origin, dst)
+    routes = {dst: t.route(origin, dst) for dst in parent}
+    for dst, route in routes.items():
         # prefix-closed: the route to the parent is this route less its end
         assert parent[dst] == route[-2]
         assert route[:-1] == ([origin] if parent[dst] == origin
-                              else t.route(origin, parent[dst]))
+                              else routes[parent[dst]])
     assert all(list(kids) == sorted(kids) for kids in tree)
 
 
@@ -250,21 +246,31 @@ def test_halton_broadcast_trees_follow_the_routes():
         t = HaltonTopology(P)
         for origin in range(P):
             _assert_is_route_tree(t, origin)
-            assert t.children(origin) is t.children(origin)
+    # a shifted tree wraps around, and its relays stay in increasing order
+    assert HaltonTopology(6).relays(4, 4) == (1, 5)
     # full P2P: a star
-    assert FullP2P(4).children(2) == [(), (), (0, 1, 3), ()]
+    assert [FullP2P(4).relays(2, n) for n in range(4)] == [(), (), (0, 1, 3), ()]
+    # master-slave: the origin sends to the server and no worker relays
+    ms = MasterSlave(4)
+    assert [ms.relays(1, n) for n in range(4)] == [(), (4,), (), ()]
 
 
 def test_halton_builds_every_tree_at_p_256():
     P = 256
     t = HaltonTopology(P)
-    trees = [t.children(o) for o in range(P)]
+    trees = [[t.relays(o, n) for n in range(P)] for o in range(P)]
     for origin in (0, 1, 127, 128, 255):
         _assert_is_route_tree(t, origin)
     # the graph is circulant: each tree is worker 0's shifted by its origin
     for o in range(P):
         assert trees[o] == [tuple(sorted((c + o) % P for c in trees[0][(n - o) % P]))
                             for n in range(P)]
+
+
+def test_halton_trees_at_p_2048():
+    t = HaltonTopology(2048)
+    for origin in (0, 1024, 2047):
+        _assert_is_route_tree(t, origin)
 
 
 def test_make_topology_dispatch():
@@ -346,7 +352,7 @@ def test_broadcast_counts():
     # SimCluster._broadcast is the one broadcast plan: P-1 direct messages
     # on full P2P, one to the server on master-slave, one to each child of
     # the origin's tree on halton (the children relay on delivery)
-    halton_children = HaltonTopology(6).children(0)[0]
+    halton_children = HaltonTopology(6).relays(0, 0)
     assert halton_children == (1, 3)
     for topology, P, first_hops in (
         ("full_p2p", 4, {(0, 1), (0, 2), (0, 3)}),

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -58,21 +56,9 @@ def test_independent_subsets_separate_weak_pairs():
                     assert dependency_check(j, k, X) < 0.5
 
 
-def test_oversized_component_is_split_with_warning():
-    # one 8-column correlated clump plus 12 independent columns: the clump
-    # exceeds 4x the average subset size and must be split
-    rng = np.random.default_rng(2)
-    common = rng.normal(size=(2000, 1))
-    clump = common + 0.01 * rng.normal(size=(2000, 8))
-    X = unit_cols(np.column_stack([clump, rng.normal(size=(2000, 12))]))
-    with pytest.warns(RuntimeWarning):
-        subsets = build_independent_subsets(range(20), 0.1, X)
-    assert max(len(s) for s in subsets) < 8
-
-
-def _pairwise_subsets(candidates, kappa, X, max_subset_factor=4.0):
+def _pairwise_subsets(candidates, kappa, X):
     """Reference grouping: one dependency_check per candidate pair, union-find,
-    then the same ordering and splitting rule as build_independent_subsets."""
+    then the same ordering as build_independent_subsets."""
     cand = sorted(set(candidates))
     if not cand:
         return []
@@ -93,38 +79,11 @@ def _pairwise_subsets(candidates, kappa, X, max_subset_factor=4.0):
     groups = {}
     for j in cand:
         groups.setdefault(find(j), []).append(j)
-    subsets = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-    if not np.isfinite(max_subset_factor):
-        return subsets
-    avg = len(cand) / len(subsets)
-    cap = max(1, int(np.ceil(max_subset_factor * avg)))
-    out = []
-    for g in subsets:
-        if len(g) > cap:
-            warnings.warn(
-                f"splitting dependency component of size {len(g)} (cap {cap}); "
-                "some cross-worker dependencies may be violated",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for i in range(0, len(g), cap):
-                out.append(g[i : i + cap])
-        else:
-            out.append(g)
-    return out
-
-
-def _subsets_and_warnings(build, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        subsets = build(*args)
-    return subsets, [(w.category, str(w.message)) for w in caught]
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
 def test_blocked_grouping_matches_pairwise_reference():
     rng = np.random.default_rng(21)
-    split_warnings = 0
     for i in range(24):
         if i % 2:
             ds = gen_lasso(int(rng.integers(80, 200)), int(rng.integers(30, 120)), 5,
@@ -136,14 +95,10 @@ def test_blocked_grouping_matches_pairwise_reference():
                                            int(rng.integers(10, 120)))))
         m = X.shape[1]
         candidates = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
-        # kappa = 0 joins every pair, so the finite factors must split
+        # kappa = 0 joins every pair into one component
         kappa = 0.0 if i == 0 else float(rng.uniform(0.02, 0.6))
-        for factor in (float("inf"), 4.0, 1.0):
-            args = (candidates.tolist(), kappa, X, factor)
-            got = _subsets_and_warnings(build_independent_subsets, *args)
-            assert got == _subsets_and_warnings(_pairwise_subsets, *args)
-            split_warnings += len(got[1])
-    assert split_warnings > 0  # the finite factors did split some components
+        args = (candidates.tolist(), kappa, X)
+        assert build_independent_subsets(*args) == _pairwise_subsets(*args)
 
 
 def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
@@ -158,10 +113,10 @@ def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
         return dependency_check(a, b, X)
 
     monkeypatch.setattr(sap, "dependency_check", counting_check)
-    subsets = build_independent_subsets(range(40), kappa, X, float("inf"))
+    subsets = build_independent_subsets(range(40), kappa, X)
     assert (j, k) in oracle_calls
     assert [j, k] in subsets
-    assert subsets == _pairwise_subsets(range(40), kappa, X, float("inf"))
+    assert subsets == _pairwise_subsets(range(40), kappa, X)
 
 
 def test_sap_scheduler_rounds_match_pairwise_reference(monkeypatch):
