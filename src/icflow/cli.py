@@ -1,8 +1,9 @@
 """Command-line front end: dataset generation, experiment runs from INI
 configs, trace replay, and metrics reporting.
 
-Exit codes: 0 success, 2 configuration error (also bad `replay` arguments and
-an unreadable or malformed trace), 3 runtime invariant violation.
+Exit codes: 0 success, 2 configuration error (also bad `replay` arguments, an
+unreadable or malformed trace or metrics file, and a global option that the
+command does not read), 3 runtime invariant violation.
 """
 from __future__ import annotations
 
@@ -56,12 +57,19 @@ def _int(minimum: int):
     return parse
 
 
-def _positive(section: str, key: str, raw: str) -> float:
+def _finite(section: str, key: str, raw: str) -> float:
     try:
         v = float(raw)
     except ValueError:
         raise _invalid(section, key, raw, "is not a number") from None
-    if not (math.isfinite(v) and v > 0):
+    if not math.isfinite(v):
+        raise _invalid(section, key, raw, "must be finite")
+    return v
+
+
+def _positive(section: str, key: str, raw: str) -> float:
+    v = _finite(section, key, raw)
+    if v <= 0:
         raise _invalid(section, key, raw, "must be a finite number > 0")
     return v
 
@@ -105,25 +113,29 @@ _RUNTIME = {
 }
 _SEED = (_int(0), 0)
 # per algorithm: the [data] files, read together; the [data] generator keys
-# used when no file is named; the [algorithm] keys
+# used when no file is named; the [algorithm] keys; the [runtime] keys its run
+# reads, any other being unknown
 _ALGORITHMS = {
     "lasso": (
         ("x", "y"),
         {"n": (_int(1), 200), "m": (_int(1), 50), "k_true": (_int(0), 10),
          "seed": _SEED},
         {"lam": (_positive, None)},  # None: LassoProblem's default rule
+        tuple(key for key in _RUNTIME if key != "codec"),
     ),
     "lda": (
         ("docs",),
         {"n_docs": (_int(1), 100), "v": (_int(1), 50), "k": (_int(1), 5),
          "doc_len": (_int(1), 20), "seed": _SEED},
         {"topics": (_int(1), 5), "epochs": (_int(1), 10)},
+        ("p", "seed"),
     ),
     "mlr": (
         ("u", "y"),
         {"n": (_int(1), 500), "d": (_int(1), 20), "k": (_int(2), 5),
          "seed": _SEED},
         {"steps": (_int(1), 50), "batch": (_int(1), 32), "eta0": (_positive, 0.1)},
+        ("p", "seed", "codec"),
     ),
 }
 
@@ -176,7 +188,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if "algorithm" not in params:
         raise ConfigurationError("[algorithm] missing required key algorithm")
     algo = _choice(*_ALGORITHMS)("algorithm", "algorithm", params.pop("algorithm"))
-    files, generator, algo_keys = _ALGORITHMS[algo]
+    files, generator, algo_keys, runtime_keys = _ALGORITHMS[algo]
     named = [key for key in files if key in data]
     missing = [key for key in files if key not in data]
     if named and missing:
@@ -193,8 +205,9 @@ def parse_config(path: str) -> ExperimentConfig:
         data = _fill("data", data, dict.fromkeys(files, (_file, None)))
     else:
         data = _fill("data", data, generator)
-    runtime = _fill("runtime", runtime, _RUNTIME)
-    runtime["straggler"] = parse_straggler(runtime["straggler"], runtime["p"])
+    runtime = _fill("runtime", runtime, {key: _RUNTIME[key] for key in runtime_keys})
+    if "straggler" in runtime:
+        runtime["straggler"] = parse_straggler(runtime["straggler"], runtime["p"])
     return ExperimentConfig(algo, data, _fill("algorithm", params, algo_keys), runtime)
 
 
@@ -225,8 +238,6 @@ def parse_straggler(raw: str, P: int):
         raise ConfigurationError(
             f"[runtime] straggler worker {worker} out of range for p = {P}"
         )
-    if factor < 1:
-        raise ConfigurationError("[runtime] straggler factor must be >= 1")
     return StragglerWindow(worker, factor, start, duration)
 
 
@@ -376,20 +387,25 @@ def ticks_to_tolerance(rows: list[dict], tolerance: float):
 
 
 def read_metrics(path: str) -> list[dict]:
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    try:
+        with open(path) as f:
+            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"cannot read metrics: {e}") from None
     if not lines or lines[0] != METRICS_HEADER:
         raise ConfigurationError(
             f"{path}: header mismatch (expected {METRICS_HEADER!r})"
         )
+    if len(lines) == 1:
+        raise ConfigurationError(f"{path}: no rows after the header")
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        rows.append({
-            "iteration": int(parts[0]),
-            "tick": int(parts[1]),
-            "objective": float(parts[2]),
-        })
+        try:
+            rows.append({"iteration": int(parts[0]), "tick": int(parts[1]),
+                         "objective": float(parts[2])})
+        except (ValueError, IndexError):
+            raise ConfigurationError(f"{path}: malformed row {ln!r}") from None
     return rows
 
 
@@ -438,28 +454,39 @@ def build_report(paths: list[str], tolerance: float | None) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+# per kind: `icflow gen` option -> (parser, default) of the [data] generator
+# key it feeds, in the generator's parameter order. `seed` is the global
+# --seed; --zipf alone has no [data] key (an LDA config takes gen_lda's 1.0).
+_GEN_OPTIONS = {
+    kind: {option: {**_ALGORITHMS[kind][1], "zipf": (_finite, 1.0)}[key]
+           for option, key in options.items()}
+    for kind, options in {
+        "lasso": {"n": "n", "m": "m", "k_true": "k_true", "seed": "seed"},
+        "lda": {"n_docs": "n_docs", "vocab": "v", "topics": "k", "doc_len": "doc_len",
+                "seed": "seed", "zipf": "zipf"},
+        "mlr": {"n": "n", "dims": "d", "classes": "k", "seed": "seed"},
+    }.items()
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="icflow", description="iterative-convergent runtime harness"
     )
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out-dir", default=".")
+    # None when not given; main rejects them for a command that does not read them
+    ap.add_argument("--seed", help=f"for gen (default {_SEED[1]})")
+    ap.add_argument("--out-dir", help="for gen and run (default .)")
     ap.add_argument("--quiet", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("kind", choices=("lasso", "lda", "mlr"))
-    g.add_argument("--n", type=int, default=200)
-    g.add_argument("--m", type=int, default=50)
-    g.add_argument("--k-true", type=int, default=10)
-    g.add_argument("--n-docs", type=int, default=100)
-    g.add_argument("--vocab", type=int, default=50)
-    g.add_argument("--topics", type=int, default=5)
-    g.add_argument("--doc-len", type=int, default=20)
-    g.add_argument("--zipf", type=float, default=1.0)
-    g.add_argument("--classes", type=int, default=5)
-    g.add_argument("--dims", type=int, default=20)
+    kinds = g.add_subparsers(dest="kind", required=True)
+    for kind, options in _GEN_OPTIONS.items():
+        k = kinds.add_parser(kind, allow_abbrev=False)
+        for option, (_, default) in options.items():
+            if option != "seed":
+                k.add_argument("--" + option.replace("_", "-"),
+                               help=f"default {default}")
 
     r = sub.add_parser("run", help="run an experiment from an INI config")
     r.add_argument("config")
@@ -475,37 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# per kind: `icflow gen` option -> the [data] generator key whose parser
-# checks its value
-_GEN_OPTIONS = {
-    "lasso": {"n": "n", "m": "m", "k_true": "k_true", "seed": "seed"},
-    "lda": {"n_docs": "n_docs", "vocab": "v", "topics": "k", "doc_len": "doc_len",
-            "seed": "seed"},
-    "mlr": {"n": "n", "dims": "d", "classes": "k", "seed": "seed"},
-}
-
-
 def _cmd_gen(args) -> int:
-    generator = _ALGORITHMS[args.kind][1]
-    data = {
-        key: generator[key][0]("gen", "--" + option.replace("_", "-"),
-                               str(getattr(args, option)))
-        for option, key in _GEN_OPTIONS[args.kind].items()
-    }
-    if not math.isfinite(args.zipf):
-        raise ConfigurationError(f"--zipf = {args.zipf} must be finite")
-    if args.kind == "lasso":
-        ds = datasets.gen_lasso(data["n"], data["m"], data["k_true"], seed=data["seed"])
-        paths = datasets.write_lasso(ds, args.out_dir)
-    elif args.kind == "lda":
-        corpus = datasets.gen_lda(
-            data["n_docs"], data["v"], data["k"], data["doc_len"],
-            seed=data["seed"], zipf_s=args.zipf,
-        )
-        paths = datasets.write_corpus(corpus, args.out_dir)
-    else:
-        ds = datasets.gen_mlr(data["n"], data["d"], data["k"], seed=data["seed"])
-        paths = datasets.write_mlr(ds, args.out_dir)
+    values = [
+        default if getattr(args, option) is None
+        else parse("gen", "--" + option.replace("_", "-"), getattr(args, option))
+        for option, (parse, default) in _GEN_OPTIONS[args.kind].items()
+    ]
+    generate, write = {"lasso": (datasets.gen_lasso, datasets.write_lasso),
+                       "lda": (datasets.gen_lda, datasets.write_corpus),
+                       "mlr": (datasets.gen_mlr, datasets.write_mlr)}[args.kind]
+    paths = write(generate(*values), args.out_dir)
     if not args.quiet:
         for k, v in paths.items():
             print(f"{k}: {v}")
@@ -538,6 +544,12 @@ def _cmd_replay(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, commands in (("seed", ("gen",)), ("out_dir", ("gen", "run"))):
+            if getattr(args, name) is not None and args.command not in commands:
+                raise ConfigurationError(f"--{name.replace('_', '-')} is read only "
+                                         f"by {' and '.join(commands)}")
+        if args.out_dir is None:
+            args.out_dir = "."
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "run":

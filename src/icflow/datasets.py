@@ -89,10 +89,15 @@ def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
 
 def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
     """A Matrix Market matrix and a text vector with one value per row of it;
-    a vector of any other shape is a configuration error."""
+    a malformed matrix or a vector of any other shape is a configuration
+    error."""
     import scipy.io
 
-    X = np.asarray(scipy.io.mmread(x_path).todense())
+    try:
+        X = np.asarray(scipy.io.mmread(x_path).todense())
+    except ValueError as e:
+        raise ConfigurationError(
+            f"{x_path}: not a readable Matrix Market matrix: {e}") from None
     try:
         y = np.loadtxt(y_path, ndmin=1)
     except ValueError as e:

@@ -8,6 +8,9 @@ import pytest
 import icflow
 from icflow import datasets
 from icflow.cli import (
+    _ALGORITHMS,
+    _GEN_OPTIONS,
+    _RUNTIME,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -18,6 +21,7 @@ from icflow.cli import (
     read_metrics,
 )
 from icflow.errors import ConfigurationError
+from icflow.simcluster import METRICS_HEADER
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -281,7 +285,8 @@ def test_data_files_whose_shapes_disagree_exit_2(tmp_path):
     def run(algorithm, x, y):
         cfg = write_cfg(tmp_path, f"[data]\n{'x' if algorithm == 'lasso' else 'u'}"
                         f" = {x}\ny = {y}\n[algorithm]\nalgorithm = {algorithm}\n"
-                        "[runtime]\np = 2\nmax_clocks = 2\n")
+                        "[runtime]\np = 2\n"
+                        + ("max_clocks = 2\n" if algorithm == "lasso" else ""))
         return main(["--out-dir", str(tmp_path / "out"), "--quiet", "run", cfg])
 
     def vector(name, values, fmt="%.17g"):
@@ -472,3 +477,162 @@ def test_shipped_configs_parse():
     for name in os.listdir(CONFIG_DIR):
         cfg = parse_config(os.path.join(CONFIG_DIR, name))
         assert cfg.algorithm in ("lasso", "lda", "mlr")
+
+
+def test_malformed_matrix_files_exit_2(tmp_path, capsys):
+    lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
+    for algorithm, key, paths in (("lasso", "x", lasso), ("mlr", "u", mlr)):
+        lines = (tmp_path / paths[key.upper()]).read_text().splitlines(keepends=True)
+        assert lines[3].startswith("1 1 ")  # banner, comment, sizes, first entry
+        cases = {
+            "vector": (tmp_path / paths["y"]).read_text(),
+            "truncated": "".join(lines[: len(lines) // 2]),
+            "non_numeric": "".join(lines[:3] + ["1 1 abc\n"] + lines[4:]),
+            "empty": "",
+        }
+        for name, text in cases.items():
+            matrix = tmp_path / f"{algorithm}_{name}.mtx"
+            matrix.write_text(text)
+            with pytest.raises(ConfigurationError, match=str(matrix)):
+                datasets.read_lasso(str(matrix), paths["y"])
+            cfg = write_cfg(tmp_path, f"[data]\n{key} = {matrix}\ny = {paths['y']}\n"
+                            f"[algorithm]\nalgorithm = {algorithm}\n[runtime]\np = 2\n")
+            assert main(["--out-dir", str(tmp_path / "out"), "--quiet", "run", cfg]) \
+                == EXIT_CONFIG, (algorithm, name)
+            assert str(matrix) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read metrics"),
+    (METRICS_HEADER + "\n", "no rows after the header"),
+    (METRICS_HEADER + "\n1,x,3\n", "malformed row '1,x,3'"),
+], ids=["missing", "header_only", "non_numeric_row"])
+def test_report_bad_metrics_file_is_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "metrics.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["report", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_global_options_a_command_does_not_read_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    run = tmp_path / "run"
+    assert main(["--out-dir", str(run), "--quiet", "run", cfg]) == EXIT_OK
+    replay_argv = ["replay", str(run / "trace.txt"), "--staleness", "1", "--workers", "2"]
+    out = tmp_path / "unread"
+    for option, argv in ((["--seed", "99"], ["run", cfg]),
+                         (["--seed", "0"], replay_argv),
+                         (["--out-dir", str(out)], replay_argv),
+                         (["--seed", "0"], ["report", str(run / "metrics.csv")]),
+                         (["--out-dir", str(out)], ["report", str(run / "metrics.csv")])):
+        assert main([*option, "--quiet", *argv]) == EXIT_CONFIG, argv
+        assert f"{option[0]} is read only by" in capsys.readouterr().err
+        assert not out.exists()
+        if argv[0] != "run":
+            assert main(["--quiet", *argv]) == EXIT_OK
+    # left out, --seed is 0 and --out-dir the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["--quiet", "gen", "lasso", "--n", "20", "--m", "10"]) == EXIT_OK
+    assert main(["--seed", "0", "--out-dir", "seed0", "--quiet",
+                 "gen", "lasso", "--n", "20", "--m", "10"]) == EXIT_OK
+    assert (tmp_path / "lasso_X.mtx").read_bytes() \
+        == (tmp_path / "seed0" / "lasso_X.mtx").read_bytes()
+    assert main(["--quiet", "run", cfg]) == EXIT_OK
+    assert (tmp_path / "metrics.csv").read_bytes() == (run / "metrics.csv").read_bytes()
+
+
+# The knob audit: every [runtime] key an algorithm reads and every `icflow gen`
+# option changes what is written, and every other one exits 2. The values are
+# not defaults; a key or option added without one here fails the audit.
+RUNTIME_VALUES = {"p": "3", "staleness": "2", "seed": "5", "max_clocks": "3",
+                  "topology": "halton", "codec": "full", "scheduler": "sap",
+                  "bandwidth": "1", "latency": "9", "straggler": "1:5",
+                  "slow_worker_extras": "yes"}
+# what a key needs to act: Lasso draws from its seed only in a randomized
+# scheduler (SAP samples a pool of at least 32 of the m = 40 coordinates), and
+# extra passes need a worker that waits on a slower one
+RUNTIME_NEEDS = {("lasso", "seed"): {"scheduler": "sap"},
+                 ("lasso", "slow_worker_extras"): {"staleness": "1", "straggler": "1:5"}}
+AUDIT_BASE = {
+    "lasso": ("n = 60\nm = 40\nk_true = 3", "", {"max_clocks": "5"}),
+    "lda": ("n_docs = 20\nv = 15\nk = 3\ndoc_len = 8", "epochs = 2", {}),
+    "mlr": ("n = 60\nd = 5\nk = 3", "steps = 3\nbatch = 8", {}),
+}
+GEN_VALUES = {"n": "7", "m": "12", "k_true": "2", "seed": "3", "n_docs": "9",
+              "vocab": "30", "topics": "3", "doc_len": "8", "zipf": "0.5",
+              "dims": "4", "classes": "3"}
+
+
+def _audit_run(tmp_path, name, algorithm, runtime):
+    data, params, base = AUDIT_BASE[algorithm]
+    lines = "".join(f"{k} = {v}\n" for k, v in {**base, **runtime}.items())
+    cfg = write_cfg(tmp_path, f"[data]\n{data}\n[algorithm]\nalgorithm = {algorithm}\n"
+                    f"{params}\n[runtime]\n{lines}", f"{name}.cfg")
+    out = tmp_path / name
+    return main(["--out-dir", str(out), "--quiet", "run", cfg]), out
+
+
+def _files(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_every_runtime_key_an_algorithm_reads_changes_its_run(tmp_path):
+    assert set(RUNTIME_VALUES) == set(_RUNTIME)
+    for algorithm, (*_, keys) in _ALGORITHMS.items():
+        for key in keys:
+            needs = RUNTIME_NEEDS.get((algorithm, key), {})
+            name = f"{algorithm}_{key}"
+            code, base = _audit_run(tmp_path, name + "_base", algorithm, needs)
+            assert code == EXIT_OK, name
+            code, out = _audit_run(tmp_path, name, algorithm,
+                                   {**needs, key: RUNTIME_VALUES[key]})
+            assert code == EXIT_OK, name
+            # summary.txt echoes the settings; the run itself must change
+            before, after = _files(base), _files(out)
+            assert {f for f in after if after[f] != before[f]} - {"summary.txt"}, name
+
+
+def test_every_other_runtime_key_exits_2_before_any_work(tmp_path, capsys):
+    assert sorted(_ALGORITHMS["lda"][3]) == ["p", "seed"]
+    assert sorted(_ALGORITHMS["mlr"][3]) == ["codec", "p", "seed"]
+    assert set(_RUNTIME) - set(_ALGORITHMS["lasso"][3]) == {"codec"}
+    for algorithm, (*_, keys) in _ALGORITHMS.items():
+        for key in set(_RUNTIME) - set(keys):
+            name = f"{algorithm}_{key}"
+            code, out = _audit_run(tmp_path, name, algorithm, {key: RUNTIME_VALUES[key]})
+            assert code == EXIT_CONFIG, name
+            assert f"[runtime] unknown key {key}; expected one of " \
+                f"{', '.join(keys)}" in capsys.readouterr().err
+            assert not out.exists(), name
+
+
+def _gen(tmp_path, name, kind, option=None):
+    out = tmp_path / name
+    argv = ["--out-dir", str(out), "--quiet", "gen", kind]
+    if option == "seed":  # the global option
+        argv = ["--seed", GEN_VALUES[option], *argv]
+    elif option:
+        argv += ["--" + option.replace("_", "-"), GEN_VALUES[option]]
+    assert main(argv) == EXIT_OK, argv
+    return _files(out)
+
+
+def test_every_gen_option_changes_the_files_and_others_exit_2(tmp_path):
+    assert {o for options in _GEN_OPTIONS.values() for o in options} == set(GEN_VALUES)
+    for kind, options in _GEN_OPTIONS.items():
+        base = _gen(tmp_path, kind, kind)
+        for option in options:
+            assert _gen(tmp_path, f"{kind}_{option}", kind, option) != base, option
+        for option in set(GEN_VALUES) - set(options):
+            with pytest.raises(SystemExit) as e:
+                main(["--quiet", "gen", kind, "--" + option.replace("_", "-"),
+                      GEN_VALUES[option]])
+            assert e.value.code == 2, (kind, option)
+    # each default is the [data] generator default: `gen mlr` writes 500 rows
+    for kind, rows in (("lasso", "lasso_y.txt"), ("mlr", "mlr_y.txt")):
+        y = (tmp_path / kind / rows).read_text().splitlines()
+        assert len(y) == _ALGORITHMS[kind][1]["n"][1]
+    docs = (tmp_path / "lda" / "lda_docs.txt").read_text().split()
+    assert int(docs[0]) == _ALGORITHMS["lda"][1]["n_docs"][1]
