@@ -62,10 +62,6 @@ class LassoProblem:
     def m(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
 
 def lasso_objective(problem: LassoProblem, a: np.ndarray) -> float:
     resid = problem.X @ a - problem.y

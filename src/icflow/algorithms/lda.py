@@ -53,18 +53,15 @@ def init_state(
     V: int,
     K: int,
     rng: np.random.Generator,
-    alpha: float | None = None,
-    beta: float = 0.01,
 ) -> LdaState:
-    """Random topic assignments; alpha defaults to 50/K.
+    """Random topic assignments, with the Dirichlet priors alpha = 50/K and
+    beta = 0.01.
 
     One ``rng.integers(K, size=n)`` call draws the same topics, and leaves
     the generator in the same state, as n scalar ``rng.integers(K)`` calls.
     """
     if K < 1 or V < 1:
         raise ConfigurationError("K and V must be >= 1")
-    if alpha is None:
-        alpha = 50.0 / K
     N = len(corpus)
     try:
         starts, docs, words = _tokens(corpus)
@@ -78,7 +75,7 @@ def init_state(
     word_topic = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
     totals = np.bincount(z, minlength=K)
     z_docs = [zd.tolist() for zd in np.split(z, starts[1:-1])]
-    return LdaState(doc_topic, word_topic, totals, z_docs, alpha, beta)
+    return LdaState(doc_topic, word_topic, totals, z_docs, 50.0 / K, 0.01)
 
 
 def conditional_topic_distribution(
@@ -241,8 +238,6 @@ def run_rotation(
     P: int,
     epochs: int,
     seed: int = 0,
-    alpha: float | None = None,
-    beta: float = 0.01,
 ) -> RotationResult:
     """Rotation-scheduled Gibbs sampling.
 
@@ -255,7 +250,7 @@ def run_rotation(
     lockstep (``sample_blocks``).
     """
     rng = np.random.default_rng(seed)
-    state = init_state(corpus, V, K, rng, alpha=alpha, beta=beta)
+    state = init_state(corpus, V, K, rng)
     plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
     N = len(corpus)
     starts, docs, words = _tokens(corpus)
@@ -301,11 +296,9 @@ def run_sequential(
     K: int,
     epochs: int,
     seed: int = 0,
-    alpha: float | None = None,
-    beta: float = 0.01,
 ) -> tuple[LdaState, list[float]]:
     rng = np.random.default_rng(seed)
-    state = init_state(corpus, V, K, rng, alpha=alpha, beta=beta)
+    state = init_state(corpus, V, K, rng)
     lls = []
     for _ in range(epochs):
         sweep_sequential(state, corpus, rng)

@@ -476,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     # None when not given; main rejects them for a command that does not read them
     ap.add_argument("--seed", help=f"for gen (default {_SEED[1]})")
     ap.add_argument("--out-dir", help="for gen and run (default .)")
-    ap.add_argument("--quiet", action="store_true")
+    ap.add_argument("--quiet", action="store_true", default=None,
+                    help="for gen, run and replay")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -544,10 +545,11 @@ def _cmd_replay(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name, commands in (("seed", ("gen",)), ("out_dir", ("gen", "run"))):
+        for name, commands in (("seed", ("gen",)), ("out_dir", ("gen", "run")),
+                               ("quiet", ("gen", "run", "replay"))):
             if getattr(args, name) is not None and args.command not in commands:
                 raise ConfigurationError(f"--{name.replace('_', '-')} is read only "
-                                         f"by {' and '.join(commands)}")
+                                         f"by {', '.join(commands)}")
         if args.out_dir is None:
             args.out_dir = "."
         if args.command == "gen":

@@ -1,9 +1,10 @@
 """Synthetic dataset generators and on-disk formats.
 
-Formats are deliberately plain: Matrix Market coordinate files for design
-matrices (scipy handles the round trip), a dense text vector for responses,
-the bag-of-words triple format `docID wordID count` (1-based, three header
-lines) for corpora, and one integer class id per line for labels. Every
+Formats are deliberately plain: Matrix Market files for design matrices
+(written in coordinate format, read in coordinate or array format; scipy
+handles the round trip), a dense text vector for responses, the
+bag-of-words triple format `docID wordID count` (1-based, three header lines)
+for corpora, and one integer class id per line for labels. Every
 generator writes a ground-truth sidecar next to the data. scipy is imported
 only by the functions that read or write Matrix Market files, so importing
 this module (and the CLI) does not pay for it.
@@ -35,11 +36,11 @@ def gen_lasso(
     m: int,
     k_true: int,
     seed: int = 0,
-    noise: float = 0.01,
     block_size: int = 0,
     block_rho: float = 0.0,
 ) -> LassoDataset:
-    """Planted-sparsity regression instance.
+    """Planted-sparsity regression instance, with noise of standard
+    deviation 0.01 on the response.
 
     With ``block_size`` > 0, consecutive column blocks share a latent factor
     with correlation ``block_rho``, giving the dependency structure that
@@ -65,7 +66,7 @@ def gen_lasso(
     coef = np.zeros(m)
     signs = rng.choice([-1.0, 1.0], size=k_true)
     coef[support] = signs * rng.uniform(0.5, 2.0, size=k_true)
-    y = X @ coef + noise * rng.normal(size=n)
+    y = X @ coef + 0.01 * rng.normal(size=n)
     return LassoDataset(X=X, y=y, true_support=support, true_coef=coef)
 
 
@@ -87,17 +88,34 @@ def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
     return paths
 
 
+def _check_finite_real(path: str, a: np.ndarray) -> np.ndarray:
+    """`a` unchanged if every entry is a finite real number; a complex or
+    non-finite entry is a configuration error that names `path`."""
+    if np.iscomplexobj(a):
+        raise ConfigurationError(f"{path}: complex entries; only real values are read")
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = ", ".join(str(i + 1) for i in bad[0])
+        raise ConfigurationError(
+            f"{path}: entry ({at}) is {a[tuple(bad[0])]}, not a finite number")
+    return a
+
+
 def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A Matrix Market matrix and a text vector with one value per row of it;
-    a malformed matrix or a vector of any other shape is a configuration
-    error."""
+    """A real Matrix Market matrix (coordinate or array format) and a text
+    vector with one value per row of it, every entry finite; a malformed or
+    complex matrix, a non-finite entry or a vector of any other shape is a
+    configuration error."""
     import scipy.io
+    import scipy.sparse
 
     try:
-        X = np.asarray(scipy.io.mmread(x_path).todense())
+        X = scipy.io.mmread(x_path)
     except ValueError as e:
         raise ConfigurationError(
             f"{x_path}: not a readable Matrix Market matrix: {e}") from None
+    if scipy.sparse.issparse(X):  # coordinate format; array format is dense
+        X = np.asarray(X.todense())
     try:
         y = np.loadtxt(y_path, ndmin=1)
     except ValueError as e:
@@ -106,7 +124,7 @@ def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(
             f"{y_path}: expected one value per line for the {X.shape[0]} rows "
             f"of {x_path}, got shape {y.shape}")
-    return X, y
+    return _check_finite_real(x_path, X), _check_finite_real(y_path, y)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +245,14 @@ class MlrDataset:
     true_centers: np.ndarray
 
 
-def gen_mlr(
-    n: int, D: int, K: int, seed: int = 0, margin: float = 4.0, spread: float = 1.0
-) -> MlrDataset:
-    """Linearly separable classes: well-separated Gaussian blobs."""
+def gen_mlr(n: int, D: int, K: int, seed: int = 0) -> MlrDataset:
+    """Linearly separable classes: Gaussian blobs of standard deviation 0.1
+    around centers at distance 4 from the origin."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(K, D))
-    centers *= margin / np.linalg.norm(centers, axis=1, keepdims=True)
+    centers *= 4.0 / np.linalg.norm(centers, axis=1, keepdims=True)
     y = rng.integers(K, size=n)
-    U = centers[y] + spread * 0.1 * rng.normal(size=(n, D))
+    U = centers[y] + 0.1 * rng.normal(size=(n, D))
     return MlrDataset(U=U, y=y, K=K, true_centers=centers)
 
 
@@ -256,10 +273,11 @@ def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
 
 
 def read_mlr(u_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Features and integer class ids; a label that is not an integer is a
-    configuration error."""
-    U, y = read_lasso(u_path, y_path)  # the same matrix and vector layout
-    bad = np.flatnonzero(~np.isfinite(y) | (y != np.floor(y)))
+    """Features and integer class ids, read as `read_lasso` reads its
+    matrix and vector; a label that is not an integer is a configuration
+    error."""
+    U, y = read_lasso(u_path, y_path)
+    bad = np.flatnonzero(y != np.floor(y))
     if len(bad):
         raise ConfigurationError(
             f"{y_path}: value {bad[0] + 1}: label {y[bad[0]]} is not a class id")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -142,8 +142,7 @@ class FuzzWorkload:
 
     def __init__(self, m: int, P: int, seed: int = 0, keys_per_update: int = 3):
         self.m = m
-        bounds = np.linspace(0, m, P + 1).astype(int)
-        self.stripes = [list(range(bounds[p], bounds[p + 1])) for p in range(P)]
+        self.stripes = FixedBlockScheduler(m, P).blocks
         self.rngs = [np.random.default_rng((seed, p)) for p in range(P)]
         self.keys_per_update = keys_per_update
 
@@ -236,8 +235,9 @@ class SimCluster:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, tick: int, action: str, data: Any) -> None:
-        heapq.heappush(self.heap, (tick, self._heap_seq, action, data))
+    def _push(self, tick: int, handler: Callable, *args) -> None:
+        """Schedule `handler(*args, tick)`; equal ticks run in push order."""
+        heapq.heappush(self.heap, (tick, self._heap_seq, handler, args))
         self._heap_seq += 1
 
     def _link(self, a: int, b: int) -> OutgoingQueue:
@@ -266,7 +266,7 @@ class SimCluster:
         self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
         self._emit(tick, "msg_send", src, clock, msg.id, ts, len(payload), nbytes)
-        self._push(delivery, "deliver", ((src, dst), msg))
+        self._push(delivery, self._deliver, (src, dst), msg)
 
     def _broadcast(self, origin: int, seq: int, payload: dict, ts: int,
                    tick: int) -> None:
@@ -309,7 +309,6 @@ class SimCluster:
         nbytes = msg.nbytes()
         lk.inflight -= nbytes
         dst = link[1]
-        self.store.set_tick(tick)
         clock = self.store.clocks[dst] if dst < self.cfg.P else 0
         self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
                    len(msg.payload), nbytes)
@@ -343,7 +342,7 @@ class SimCluster:
             self.blocked_ticks[p] += tick - self.wait_since[p]
             self.wait_since[p] = None
         self.phase[p] = "computing"
-        self._push(tick, "start", p)
+        self._push(tick, self._start_pass, p)
 
     def _start_pass(self, p: int, tick: int) -> None:
         store = self.store
@@ -363,7 +362,7 @@ class SimCluster:
             units * self.cfg.compute_factor(p, tick)
         )))
         self._emit(tick, "compute_start", p, t, 0, t, len(indices), 0)
-        self._push(tick + cost, "finish_pass", (p, payload))
+        self._push(tick + cost, self._finish_pass, p, payload)
 
     def _finish_pass(self, p: int, payload: dict, tick: int) -> None:
         store = self.store
@@ -383,7 +382,7 @@ class SimCluster:
         if self.cfg.slow_worker_extras and store.would_block_if_advanced(p):
             # use the wait productively: another pass over the same block
             self.extra_passes[p] += 1
-            self._push(tick, "start", p)
+            self._push(tick, self._start_pass, p)
             return
         blocked = store.advance_clock(p)
         self.phase[p] = "waiting"
@@ -414,22 +413,14 @@ class SimCluster:
 
     def run(self) -> SimResult:
         for p in range(self.cfg.P):
-            self.wait_since[p] = 0
             self._maybe_start(p, 0)
         last_tick = 0
         while self.heap:
-            tick, _, action, data = heapq.heappop(self.heap)
+            tick, _, handler, args = heapq.heappop(self.heap)
             if tick < last_tick:
                 raise StateCorruptionError("event ticks went backwards")
             last_tick = tick
-            if action == "start":
-                self._start_pass(data, tick)
-            elif action == "finish_pass":
-                self._finish_pass(data[0], data[1], tick)
-            elif action == "deliver":
-                self._deliver(data[0], data[1], tick)
-            else:
-                raise StateCorruptionError(f"unknown event {action}")
+            handler(*args, tick)
         if any(ph != "done" for ph in self.phase):
             dump = ", ".join(
                 f"worker {p}: phase={self.phase[p]} clock={self.store.clocks[p]}"

@@ -181,7 +181,7 @@ class SspCore:
     everything already committed (fresher-than-required reads are allowed).
     """
 
-    def __init__(self, P: int, staleness: int, m: int, trace: Optional[Trace] = None):
+    def __init__(self, P: int, staleness: int, m: int):
         if P < 1:
             raise ProtocolError("P must be >= 1")
         if staleness < 0:
@@ -189,7 +189,7 @@ class SspCore:
         self.P = P
         self.staleness = staleness
         self.m = m
-        self.trace = trace if trace is not None else Trace()
+        self.trace = Trace()
         self.tick = 0
         self.clocks = [0] * P
         self.finished = [False] * P
@@ -260,9 +260,10 @@ class SspCore:
 
     def release_unblocked(self) -> list[int]:
         """Clear the blocked flag for workers whose gap has closed."""
+        limit = self.min_clock() + self.staleness
         released = []
         for p in range(self.P):
-            if self.blocked[p] and not self.would_block(p):
+            if self.blocked[p] and self.clocks[p] <= limit:
                 self.blocked[p] = False
                 self._emit("unblock", p)
                 released.append(p)
@@ -276,36 +277,33 @@ class SspCore:
         whose messages have actually arrived at the worker); the caller is
         then responsible for not reading before the guarantee is met.
         """
-        self._check_worker(worker)
-        horizon = self.clocks[worker] - self.staleness - 1
-        keep: list[int] = []
-        applied: list[_Update] = []
-        for seq in self.unapplied[worker]:
-            upd = self.log[seq]
-            if upd.timestamp <= horizon and (allowed is None or seq in allowed):
-                apply_sparse(self.views[worker], upd.payload)
-                applied.append(upd)
-                self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
-                           key_count=len(upd.payload), nbytes=upd.bytes())
-            else:
-                keep.append(seq)
-        self.unapplied[worker] = keep
-        return applied
+        return self._apply(worker, allowed, self._horizon(worker))
 
     def apply_pending(self, worker: int, allowed=None) -> list[_Update]:
         """Apply committed foreign updates regardless of age (reads may be
         fresher than the guarantee), optionally limited to `allowed` seqs."""
         self._check_worker(worker)
-        applied = []
+        return self._apply(worker, allowed, None)
+
+    def _horizon(self, worker: int) -> int:
+        """Newest timestamp the protocol obliges this worker to see."""
+        self._check_worker(worker)
+        return self.clocks[worker] - self.staleness - 1
+
+    def _apply(self, worker: int, allowed, horizon: Optional[int]) -> list[_Update]:
+        """Fold into the worker's view, in commit order, each unapplied seq
+        in `allowed` with a timestamp <= `horizon`; None for either is no limit."""
         keep: list[int] = []
+        applied: list[_Update] = []
         for seq in self.unapplied[worker]:
-            if allowed is not None and seq not in allowed:
+            # `allowed` first: a seq it keeps costs no log lookup
+            upd = self.log[seq] if allowed is None or seq in allowed else None
+            if upd is None or (horizon is not None and upd.timestamp > horizon):
                 keep.append(seq)
                 continue
-            upd = self.log[seq]
             apply_sparse(self.views[worker], upd.payload)
             applied.append(upd)
-            self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
+            self._emit("apply", worker, seq=seq, timestamp=upd.timestamp,
                        key_count=len(upd.payload), nbytes=upd.bytes())
         self.unapplied[worker] = keep
         return applied
@@ -313,8 +311,7 @@ class SspCore:
     def missing_required(self, worker: int, available) -> list[int]:
         """Seqs the protocol obliges this worker to see that are not yet in
         `available` (e.g. still in the network)."""
-        self._check_worker(worker)
-        horizon = self.clocks[worker] - self.staleness - 1
+        horizon = self._horizon(worker)
         return [
             seq for seq in self.unapplied[worker]
             if self.log[seq].timestamp <= horizon and seq not in available

@@ -179,8 +179,8 @@ def _arrivals(cls, P, bandwidth, latency, commits):
             sim._broadcast(origin, sim.store.commit(origin, payload, 0), payload,
                            0, tick)
             continue
-        tick, _, action, (link, msg) = heapq.heappop(sim.heap)
-        assert action == "deliver"
+        tick, _, handler, (link, msg) = heapq.heappop(sim.heap)
+        assert handler == sim._deliver
         sim._deliver(link, msg, tick)
         for seq in msg.seqs:
             if seq in sim.delivered[link[1]]:

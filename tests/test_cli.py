@@ -503,6 +503,70 @@ def test_malformed_matrix_files_exit_2(tmp_path, capsys):
             assert str(matrix) in capsys.readouterr().err
 
 
+def _matrix_run(tmp_path, name, algorithm, matrix, y):
+    key = "x" if algorithm == "lasso" else "u"
+    cfg = write_cfg(tmp_path, f"[data]\n{key} = {matrix}\ny = {y}\n[algorithm]\n"
+                    f"algorithm = {algorithm}\n[runtime]\np = 2\n", f"{name}.cfg")
+    out = tmp_path / name
+    return main(["--out-dir", str(out), "--quiet", "run", cfg]), out
+
+
+def test_array_format_matrix_files_run_like_coordinate_ones(tmp_path):
+    import scipy.io
+
+    lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
+    for algorithm, paths in (("lasso", lasso), ("mlr", mlr)):
+        coordinate = paths["X" if algorithm == "lasso" else "U"]
+        array = tmp_path / f"{algorithm}_array.mtx"
+        scipy.io.mmwrite(str(array), scipy.io.mmread(coordinate).toarray())
+        assert array.read_text().startswith("%%MatrixMarket matrix array real")
+        outputs = []
+        for name, matrix in (("coordinate", coordinate), ("array", array)):
+            code, out = _matrix_run(tmp_path, f"{algorithm}_{name}", algorithm,
+                                    matrix, paths["y"])
+            assert code == EXIT_OK, (algorithm, name)
+            outputs.append(_files(out))
+        assert outputs[0] == outputs[1], algorithm
+
+
+def test_complex_or_non_finite_data_files_exit_2(tmp_path, capsys):
+    import scipy.io
+
+    lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
+    complex_matrix = tmp_path / "complex.mtx"
+    complex_matrix.write_text(
+        "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 2.0\n")
+    one = tmp_path / "one.txt"
+    one.write_text("1\n")
+    cases = [("lasso", "complex", complex_matrix, one, complex_matrix),
+             ("mlr", "complex", complex_matrix, one, complex_matrix)]
+    for algorithm, paths in (("lasso", lasso), ("mlr", mlr)):
+        matrix = paths["X" if algorithm == "lasso" else "U"]
+        dense = scipy.io.mmread(matrix).toarray()
+        for value in (np.nan, np.inf):
+            bad = dense.copy()
+            bad[2, 1] = value
+            path = tmp_path / f"{algorithm}_{value}.mtx"
+            scipy.io.mmwrite(str(path), bad)
+            cases.append((algorithm, f"matrix {value}", path, paths["y"], path))
+        # a NaN MLR label: test_data_files_whose_shapes_disagree_exit_2
+        if algorithm == "lasso":
+            y = np.loadtxt(paths["y"])
+            y[4] = np.nan
+            path = tmp_path / "lasso_nan_y.txt"
+            np.savetxt(path, y)
+            cases.append((algorithm, "vector nan", matrix, path, path))
+    for algorithm, name, matrix, y, named in cases:
+        with pytest.raises(ConfigurationError, match=str(named)):
+            datasets.read_lasso(str(matrix), str(y))
+        assert _matrix_run(tmp_path, "bad", algorithm, matrix, y)[0] == EXIT_CONFIG, \
+            (algorithm, name)
+        err = capsys.readouterr().err
+        assert str(named) in err and "unit-normalized" not in err, (algorithm, name)
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read metrics"),
     (METRICS_HEADER + "\n", "no rows after the header"),
@@ -531,7 +595,10 @@ def test_global_options_a_command_does_not_read_exit_2(tmp_path, monkeypatch, ca
         assert f"{option[0]} is read only by" in capsys.readouterr().err
         assert not out.exists()
         if argv[0] != "run":
-            assert main(["--quiet", *argv]) == EXIT_OK
+            assert main(argv) == EXIT_OK
+    # report prints its table whatever --quiet says, so it rejects the flag
+    assert main(["--quiet", "report", str(run / "metrics.csv")]) == EXIT_CONFIG
+    assert "--quiet is read only by gen, run, replay" in capsys.readouterr().err
     # left out, --seed is 0 and --out-dir the working directory
     monkeypatch.chdir(tmp_path)
     assert main(["--quiet", "gen", "lasso", "--n", "20", "--m", "10"]) == EXIT_OK

@@ -125,7 +125,7 @@ def test_block_delta_leaves_view_unmodified():
 
 
 def test_recovers_planted_support():
-    ds = gen_lasso(300, 40, 5, seed=11, noise=0.01)
+    ds = gen_lasso(300, 40, 5, seed=11)
     prob = LassoProblem.from_raw(ds.X, ds.y)
     prog = LassoCDProgram(prob)
     a = prog.initial_values()

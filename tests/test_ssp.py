@@ -188,6 +188,36 @@ def test_catch_up_applies_exactly_the_required_horizon():
     assert store.views[1][0] == 11.0
 
 
+def test_catch_up_applies_only_allowed_seqs_within_the_horizon():
+    store = SspCore(P=3, staleness=1, m=4)
+    old = [store.commit(p, {p: 1.0}, 0) for p in (0, 1)]
+    for p in (0, 1):
+        store.advance_clock(p)
+    new = [store.commit(p, {p: 10.0}, 1) for p in (0, 1)]
+    store.advance_clock(2)
+    store.advance_clock(2)
+    # worker 2 at clock 2 may take timestamps <= 0; of those only seq old[1]
+    # has arrived, and the arrived new[0] is too fresh
+    applied = store.catch_up(2, allowed={old[1], new[0]})
+    assert [u.seq for u in applied] == [old[1]]
+    assert store.unapplied[2] == [old[0], *new]
+    assert list(store.views[2]) == [0.0, 1.0, 0.0, 0.0]
+    assert [e.seq for e in store.trace if e.event == "apply"] == [old[1]]
+
+
+def test_release_unblocked_takes_the_clock_minimum_once(monkeypatch):
+    store = SspCore(P=8, staleness=0, m=2)
+    assert [store.advance_clock(p) for p in range(7)] == [True] * 7
+    calls = []
+    min_clock = store.min_clock
+    monkeypatch.setattr(store, "min_clock", lambda: calls.append(1) or min_clock())
+    assert store.release_unblocked() == []
+    assert store.advance_clock(7) is False
+    calls.clear()
+    assert store.release_unblocked() == list(range(7))
+    assert len(calls) == 1
+
+
 def test_blocking_at_the_staleness_bound():
     store = SspCore(P=2, staleness=1, m=2)
     assert store.advance_clock(0) is False  # gap 1 <= s
