@@ -93,8 +93,8 @@ def _text(section: str, key: str, raw: str) -> str:
 
 
 def _file(section: str, key: str, raw: str) -> str:
-    if not os.path.exists(raw):
-        raise _invalid(section, key, raw, "does not exist")
+    if not os.path.isfile(raw):
+        raise _invalid(section, key, raw, "is not a file")
     return raw
 
 

@@ -205,9 +205,9 @@ def read_corpus(path: str) -> tuple[list[list[int]], int]:
     per line with 1-based ids; a docID outside 1..D, a wordID outside 1..V,
     a negative count or a field that is not an integer is a configuration
     error."""
-    with open(path) as f:
-        fields = f.read().split()
     try:
+        with open(path) as f:
+            fields = f.read().split()
         nums = np.array(list(map(int, fields)), dtype=np.int64)
     except (ValueError, OverflowError) as e:
         raise ConfigurationError(f"{path}: not a bag-of-words file: {e}") from None

@@ -3,8 +3,8 @@
 P logical workers run an iterative workload over a bounded-staleness store.
 Time is discrete-event: compute passes cost ticks (scaled by straggler
 windows), committed updates travel as messages over rate-limited links of the
-configured topology, and a worker may only fold in a foreign update once its
-message has arrived. Identical (config, seed) produces identical traces.
+configured topology, and a worker may only fold in a foreign update once the
+store records its arrival. Identical (config, seed) produces identical traces.
 """
 from __future__ import annotations
 
@@ -209,7 +209,6 @@ class SimCluster:
         self.store = SspCore(P, config.staleness, workload.m)
         self.trace = self.store.trace
         self.links: dict[tuple[int, int], OutgoingQueue] = {}
-        self.delivered: list[set[int]] = [set() for _ in range(P)]
         self.phase = ["waiting"] * P
         self.wait_since: list[Optional[int]] = [0] * P
         self.blocked_ticks = [0] * P
@@ -320,8 +319,7 @@ class SimCluster:
             self._send(dst, child, msg.seqs, msg.payload, msg.timestamp,
                        msg.origin, tick)
         for seq in msg.seqs:
-            self.delivered[dst].add(seq)
-            upd = self.store.log[seq]
+            upd = self.store.deliver(dst, seq)
             st = clock - upd.timestamp
             lk.stats.staleness_sum += st
             lk.stats.staleness_count += 1
@@ -336,7 +334,7 @@ class SimCluster:
         self.store.set_tick(tick)
         if self.store.blocked[p]:
             return
-        if self.store.missing_required(p, self.delivered[p]):
+        if self.store.missing_required(p):
             return
         if self.wait_since[p] is not None:
             self.blocked_ticks[p] += tick - self.wait_since[p]
@@ -347,13 +345,13 @@ class SimCluster:
     def _start_pass(self, p: int, tick: int) -> None:
         store = self.store
         store.set_tick(tick)
-        applied = store.apply_pending(p, allowed=self.delivered[p])
+        applied = store.apply_pending(p)
         for upd in applied:
             st = store.clocks[p] - upd.timestamp
             self.stale_sum += st
             self.stale_cnt += 1
             self.stale_max = max(self.stale_max, st)
-        view = store.read(p, allowed=self.delivered[p])
+        view = store.read(p)
         t = store.clocks[p]
         indices = self.workload.block(p, t, view)
         payload = self.workload.delta(view, p, t, indices)

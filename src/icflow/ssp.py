@@ -1,11 +1,12 @@
 """Bounded-staleness parameter store.
 
 Workers commit timestamped sparse updates and advance a per-worker clock. A
-worker at clock t is guaranteed to see every update with timestamp at or
-before t - s - 1 (s is the staleness bound) plus all of its own writes; it may
-additionally see newer updates from others. A worker that runs more than s
-clocks ahead of the slowest one blocks until the gap closes. With s = 0 the
-protocol degenerates to fully synchronous lock-step execution.
+foreign update becomes visible to a worker once it has arrived there. A worker
+at clock t waits for and sees every update with timestamp at or before
+t - s - 1 (s is the staleness bound) plus all of its own writes; it may
+additionally see newer updates from others that have arrived. A worker that
+runs more than s clocks ahead of the slowest one blocks until the gap closes.
+With s = 0 the protocol degenerates to fully synchronous lock-step execution.
 
 All store activity can be recorded as a trace (one CSV line per event) that an
 independent checker replays to verify the protocol guarantees.
@@ -174,11 +175,11 @@ class _Update:
 class SspCore:
     """Single-threaded bounded-staleness store driven by an external clock.
 
-    The caller owns the notion of time (``tick``); the store records protocol
-    events against it. Each worker sees the base values plus a per-worker set
-    of applied updates. ``catch_up`` applies exactly the updates the protocol
-    obliges a worker to see; ``apply_pending`` opportunistically applies
-    everything already committed (fresher-than-required reads are allowed).
+    The caller owns the notion of time (``tick``) and the network: ``deliver``
+    records that a foreign update has arrived at a worker, and only arrived
+    updates are applied. ``catch_up`` applies those the protocol obliges a
+    worker to see, ``apply_pending`` all of them (fresher-than-required reads
+    are allowed); ``missing_required`` counts obligatory ones still in flight.
     """
 
     def __init__(self, P: int, staleness: int, m: int):
@@ -196,8 +197,10 @@ class SspCore:
         self.blocked = [False] * P
         self.views = [np.zeros(m) for _ in range(P)]
         self.log: list[_Update] = []
-        # seqs committed by others and not yet folded into this worker's view
-        self.unapplied: list[list[int]] = [[] for _ in range(P)]
+        # per worker: foreign seqs that have arrived and are not yet applied
+        self.arrived: list[set[int]] = [set() for _ in range(P)]
+        # per worker: timestamp -> number of foreign commits not yet arrived
+        self.in_flight: list[dict[int, int]] = [{} for _ in range(P)]
         self._seq = 0
 
     # -- event helpers ------------------------------------------------------
@@ -235,7 +238,8 @@ class SspCore:
         self.log.append(upd)
         for p in range(self.P):
             if p != worker:
-                self.unapplied[p].append(upd.seq)
+                flight = self.in_flight[p]
+                flight[timestamp] = flight.get(timestamp, 0) + 1
         apply_sparse(self.views[worker], upd.payload)
         self._emit("commit", worker, seq=upd.seq, timestamp=timestamp,
                    key_count=len(upd.payload), nbytes=upd.bytes())
@@ -269,61 +273,59 @@ class SspCore:
                 released.append(p)
         return released
 
-    def catch_up(self, worker: int, allowed=None) -> list[_Update]:
-        """Apply every foreign update the protocol requires this worker to see
-        (timestamp <= t_p - staleness - 1). Returns the updates applied.
+    def deliver(self, worker: int, seq: int) -> _Update:
+        """Record that foreign commit `seq` has arrived at `worker`."""
+        upd = self.log[seq]
+        flight = self.in_flight[worker]
+        left = flight.pop(upd.timestamp, 0) - 1
+        if left < 0 or upd.worker == worker:
+            raise ProtocolError(f"seq {seq} is not in flight to worker {worker}")
+        if left:
+            flight[upd.timestamp] = left
+        self.arrived[worker].add(seq)
+        return upd
 
-        `allowed`, when given, restricts application to those seqs (updates
-        whose messages have actually arrived at the worker); the caller is
-        then responsible for not reading before the guarantee is met.
-        """
-        return self._apply(worker, allowed, self._horizon(worker))
+    def catch_up(self, worker: int) -> list[_Update]:
+        """Apply the arrived foreign updates the protocol requires this worker
+        to see (timestamp <= t_p - staleness - 1) and return them."""
+        return self._apply(worker, self._horizon(worker))
 
-    def apply_pending(self, worker: int, allowed=None) -> list[_Update]:
-        """Apply committed foreign updates regardless of age (reads may be
-        fresher than the guarantee), optionally limited to `allowed` seqs."""
+    def apply_pending(self, worker: int) -> list[_Update]:
+        """Apply every arrived foreign update, however fresh, and return them."""
         self._check_worker(worker)
-        return self._apply(worker, allowed, None)
+        return self._apply(worker, None)
 
     def _horizon(self, worker: int) -> int:
         """Newest timestamp the protocol obliges this worker to see."""
         self._check_worker(worker)
         return self.clocks[worker] - self.staleness - 1
 
-    def _apply(self, worker: int, allowed, horizon: Optional[int]) -> list[_Update]:
-        """Fold into the worker's view, in commit order, each unapplied seq
-        in `allowed` with a timestamp <= `horizon`; None for either is no limit."""
-        keep: list[int] = []
-        applied: list[_Update] = []
-        for seq in self.unapplied[worker]:
-            # `allowed` first: a seq it keeps costs no log lookup
-            upd = self.log[seq] if allowed is None or seq in allowed else None
-            if upd is None or (horizon is not None and upd.timestamp > horizon):
-                keep.append(seq)
-                continue
+    def _apply(self, worker: int, horizon: Optional[int]) -> list[_Update]:
+        """Fold into the worker's view, in commit order, each arrived seq with
+        a timestamp <= `horizon` (None: no limit); newer ones stay arrived."""
+        arrived = self.arrived[worker]
+        applied = [self.log[seq] for seq in sorted(arrived)
+                   if horizon is None or self.log[seq].timestamp <= horizon]
+        for upd in applied:
+            arrived.remove(upd.seq)
             apply_sparse(self.views[worker], upd.payload)
-            applied.append(upd)
-            self._emit("apply", worker, seq=seq, timestamp=upd.timestamp,
+            self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
                        key_count=len(upd.payload), nbytes=upd.bytes())
-        self.unapplied[worker] = keep
         return applied
 
-    def missing_required(self, worker: int, available) -> list[int]:
-        """Seqs the protocol obliges this worker to see that are not yet in
-        `available` (e.g. still in the network)."""
+    def missing_required(self, worker: int) -> int:
+        """How many foreign commits the protocol obliges this worker to see
+        are still in flight to it."""
         horizon = self._horizon(worker)
-        return [
-            seq for seq in self.unapplied[worker]
-            if self.log[seq].timestamp <= horizon and seq not in available
-        ]
+        return sum(n for ts, n in self.in_flight[worker].items() if ts <= horizon)
 
     def would_block_if_advanced(self, worker: int) -> bool:
         return self.clocks[worker] + 1 - self.min_clock() > self.staleness
 
-    def read(self, worker: int, allowed=None) -> np.ndarray:
-        """Snapshot satisfying the staleness guarantee for this worker."""
+    def read(self, worker: int) -> np.ndarray:
+        """Snapshot meeting the staleness guarantee once `missing_required` is 0."""
         self._check_worker(worker)
-        self.catch_up(worker, allowed)
+        self.catch_up(worker)
         self._emit("read", worker)
         return self.views[worker].copy()
 

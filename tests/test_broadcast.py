@@ -144,7 +144,7 @@ def test_each_commit_takes_p_minus_1_sends_one_per_route():
                     path.append(parent[path[-1]])
                 assert path[::-1] == topo.route(origin, dst), (seq, dst)
         for p in range(P):
-            assert sim.delivered[p] == {u.seq for u in log if u.worker != p}
+            assert sim.store.in_flight[p] == {}
         assert replay(res.trace, s, P).ok
 
 
@@ -183,7 +183,7 @@ def _arrivals(cls, P, bandwidth, latency, commits):
         assert handler == sim._deliver
         sim._deliver(link, msg, tick)
         for seq in msg.seqs:
-            if seq in sim.delivered[link[1]]:
+            if seq in sim.store.arrived[link[1]]:
                 arrived.setdefault((seq, link[1]), tick)
     assert all(q.inflight == 0 for q in sim.links.values())
     return arrived

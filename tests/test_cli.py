@@ -130,6 +130,29 @@ def test_parse_config_checks_data_paths(tmp_path):
         parse_config(write_cfg(tmp_path, body))
 
 
+def test_data_file_keys_naming_a_directory_exit_2(tmp_path, capsys):
+    files = {
+        "lasso": datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1),
+                                      str(tmp_path)),
+        "lda": datasets.write_corpus(datasets.gen_lda(10, 8, 2, 6, seed=1),
+                                     str(tmp_path)),
+        "mlr": datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path)),
+    }
+    for algorithm, (keys, *_) in _ALGORITHMS.items():
+        paths = {key: files[algorithm][key.upper() if key in "xu" else key]
+                 for key in keys}
+        for key in keys:
+            data = {**paths, key: str(tmp_path)}
+            cfg = write_cfg(tmp_path, "[data]\n" + "".join(
+                f"{k} = {v}\n" for k, v in data.items()
+            ) + f"[algorithm]\nalgorithm = {algorithm}\n[runtime]\np = 2\n")
+            out = tmp_path / "out"
+            assert main(["--out-dir", str(out), "--quiet", "run", cfg]) \
+                == EXIT_CONFIG, (algorithm, key)
+            assert not out.exists()
+            assert f"{key} = '{tmp_path}' is not a file" in capsys.readouterr().err
+
+
 def test_parse_straggler():
     assert parse_straggler("", 4) is None
     w = parse_straggler("1:5", 4)
@@ -397,8 +420,12 @@ def test_corpus_ids_and_counts_are_checked(tmp_path):
         with pytest.raises(ConfigurationError):
             datasets.read_corpus(str(tmp_path / "docs.txt"))
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, bad
-    for text in ("", "2 3", "0 3 0", "2 0 0", "2 3 2\n1 1 1\n"):
-        (tmp_path / "docs.txt").write_text(text)
+    # the last is not UTF-8, which used to end in a UnicodeDecodeError
+    for text in (b"", b"2 3", b"0 3 0", b"2 0 0", b"2 3 2\n1 1 1\n",
+                 b"2 3 1\n1 1 \xff\n"):
+        (tmp_path / "docs.txt").write_bytes(text)
+        with pytest.raises(ConfigurationError, match="docs.txt"):
+            datasets.read_corpus(str(tmp_path / "docs.txt"))
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, text
 
 

@@ -194,6 +194,16 @@ def test_all_topologies_satisfy_the_protocol():
             assert rep.ok, (topo, s, rep.to_text())
 
 
+def test_large_halton_ring_delivers_everything_in_lock_step():
+    # 128 workers at staleness 0: every delivery to a waiting worker asks
+    # the store whether it may start, which must not rescan per-seq lists
+    sim = SimCluster(FuzzWorkload(256, 128),
+                     SimConfig(P=128, staleness=0, topology="halton", max_clocks=3))
+    res = sim.run()
+    assert replay(res.trace, 0, 128).ok
+    assert all(flight == {} for flight in sim.store.in_flight)
+
+
 def test_link_transmissions_never_exceed_bandwidth():
     res = run_simulation(
         FuzzWorkload(24, 4, seed=2),

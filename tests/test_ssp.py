@@ -174,9 +174,9 @@ def test_read_my_writes_is_immediate():
 
 def test_catch_up_applies_exactly_the_required_horizon():
     store = SspCore(P=2, staleness=1, m=4)
-    store.commit(0, {0: 1.0}, timestamp=0)
+    store.deliver(1, store.commit(0, {0: 1.0}, timestamp=0))
     store.advance_clock(0)
-    store.commit(0, {0: 10.0}, timestamp=1)
+    store.deliver(1, store.commit(0, {0: 10.0}, timestamp=1))
     # reader at clock 2 with s=1 must see timestamps <= 0 only
     store.advance_clock(1)
     store.advance_clock(1)
@@ -198,9 +198,13 @@ def test_catch_up_applies_only_allowed_seqs_within_the_horizon():
     store.advance_clock(2)
     # worker 2 at clock 2 may take timestamps <= 0; of those only seq old[1]
     # has arrived, and the arrived new[0] is too fresh
-    applied = store.catch_up(2, allowed={old[1], new[0]})
+    for seq in (old[1], new[0]):
+        store.deliver(2, seq)
+    applied = store.catch_up(2)
     assert [u.seq for u in applied] == [old[1]]
-    assert store.unapplied[2] == [old[0], *new]
+    assert store.arrived[2] == {new[0]}
+    assert store.missing_required(2) == 1  # old[0]
+    assert store.in_flight[2] == {0: 1, 1: 1}  # old[0] and new[1]
     assert list(store.views[2]) == [0.0, 1.0, 0.0, 0.0]
     assert [e.seq for e in store.trace if e.event == "apply"] == [old[1]]
 
@@ -260,8 +264,32 @@ def test_missing_required_reflects_undelivered_updates():
     store = SspCore(P=2, staleness=0, m=2)
     seq = store.commit(0, {0: 1.0}, 0)
     store.advance_clock(1)
-    assert store.missing_required(1, available=set()) == [seq]
-    assert store.missing_required(1, available={seq}) == []
+    assert store.missing_required(1) == 1
+    store.deliver(1, seq)
+    assert store.missing_required(1) == 0
+
+
+def test_arrival_order_does_not_change_apply_order():
+    store = SspCore(P=2, staleness=0, m=2)
+    for k in range(10):
+        store.commit(0, {0: 2.0 ** k}, 0)
+    # seqs 9 and 1 arrive newest first; they share a slot of a small set, so
+    # applying in the arrived set's own order would apply 9 before 1
+    store.deliver(1, 9)
+    store.deliver(1, 1)
+    assert [u.seq for u in store.apply_pending(1)] == [1, 9]
+    assert [e.seq for e in store.trace if e.event == "apply"] == [1, 9]
+    assert store.in_flight[1] == {0: 8} and store.arrived[1] == set()
+
+
+def test_deliver_rejects_what_is_not_in_flight():
+    store = SspCore(P=2, staleness=0, m=2)
+    seq = store.commit(0, {0: 1.0}, 0)
+    with pytest.raises(ProtocolError):
+        store.deliver(0, seq)  # a worker's own commit never travels to it
+    store.deliver(1, seq)
+    with pytest.raises(ProtocolError):
+        store.deliver(1, seq)
 
 
 def run_two_workers(staleness, rounds):
@@ -271,7 +299,7 @@ def run_two_workers(staleness, rounds):
         for p in (0, 1):
             store.set_tick(t)
             store.read(p)
-            store.commit(p, {p: 1.0}, store.clocks[p])
+            store.deliver(1 - p, store.commit(p, {p: 1.0}, store.clocks[p]))
             store.advance_clock(p)
             store.release_unblocked()
     for p in (0, 1):
