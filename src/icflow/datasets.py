@@ -1,13 +1,13 @@
 """Synthetic dataset generators and on-disk formats.
 
-Formats are deliberately plain: Matrix Market files for design matrices
-(written in coordinate format, read in coordinate or array format; scipy
-handles the round trip), a dense text vector for responses, the
-bag-of-words triple format `docID wordID count` (1-based, three header lines)
-for corpora, and one integer class id per line for labels. Every
-generator writes a ground-truth sidecar next to the data. scipy is imported
-only by the functions that read or write Matrix Market files, so importing
-this module (and the CLI) does not pay for it.
+Formats are deliberately plain: numpy `.npy` files for design matrices
+(a 2-D array of real floating values, every one finite; a Matrix Market file
+in coordinate or array format is read too), a dense text vector for
+responses, the bag-of-words triple format `docID wordID count` (1-based,
+three header lines) for corpora, and one integer class id per line for
+labels. Every generator writes a ground-truth sidecar next to the data.
+scipy is imported only when a Matrix Market file is read, so importing this
+module (and the CLI), `icflow gen` and a run on `.npy` data do not pay for it.
 """
 from __future__ import annotations
 
@@ -71,16 +71,15 @@ def gen_lasso(
 
 
 def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
-    import scipy.io
-    import scipy.sparse
-
+    """The design matrix as `<stem>_X.npy`, the response as a text vector and
+    the planted support with its coefficients as `<stem>_truth.txt`."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "X": os.path.join(out_dir, f"{stem}_X.mtx"),
+        "X": os.path.join(out_dir, f"{stem}_X.npy"),
         "y": os.path.join(out_dir, f"{stem}_y.txt"),
         "truth": os.path.join(out_dir, f"{stem}_truth.txt"),
     }
-    scipy.io.mmwrite(paths["X"], scipy.sparse.coo_matrix(ds.X))
+    np.save(paths["X"], ds.X)
     np.savetxt(paths["y"], ds.y, fmt="%.17g")
     with open(paths["truth"], "w") as f:
         for j, c in zip(ds.true_support, ds.true_coef[ds.true_support]):
@@ -102,20 +101,39 @@ def _check_finite_real(path: str, a: np.ndarray) -> np.ndarray:
 
 
 def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A real Matrix Market matrix (coordinate or array format) and a text
-    vector with one value per row of it, every entry finite; a malformed or
-    complex matrix, a non-finite entry or a vector of any other shape is a
-    configuration error."""
-    import scipy.io
-    import scipy.sparse
+    """A design matrix and a text vector with one value per row of it.
 
-    try:
-        X = scipy.io.mmread(x_path)
-    except ValueError as e:
+    The matrix is a `.npy` file, known by its magic bytes and not its name,
+    holding a 2-D array of real floating values, or else a real Matrix Market
+    file (coordinate or array format). A malformed file, a matrix with no rows
+    or no columns, a complex or non-finite entry, or a vector of any other
+    shape is a configuration error."""
+    with open(x_path, "rb") as f:
+        npy = f.read(6) == b"\x93NUMPY"
+    if npy:
+        try:
+            X = np.load(x_path, allow_pickle=False)
+        except ValueError as e:
+            raise ConfigurationError(f"{x_path}: not a readable .npy array: {e}") from None
+        if X.ndim != 2 or X.dtype.kind != "f":
+            raise ConfigurationError(f"{x_path}: a {X.ndim}-D {X.dtype} array; "
+                                     "expected a 2-D array of real floating values")
+        X = np.ascontiguousarray(X, dtype=np.float64)  # as Matrix Market is read
+    else:
+        import scipy.io
+        import scipy.sparse
+
+        try:
+            X = scipy.io.mmread(x_path)
+        except ValueError as e:
+            raise ConfigurationError(
+                f"{x_path}: not a readable Matrix Market matrix: {e}") from None
+        if scipy.sparse.issparse(X):  # coordinate format; array format is dense
+            X = np.asarray(X.todense())
+    if 0 in X.shape:
         raise ConfigurationError(
-            f"{x_path}: not a readable Matrix Market matrix: {e}") from None
-    if scipy.sparse.issparse(X):  # coordinate format; array format is dense
-        X = np.asarray(X.todense())
+            f"{x_path}: a {X.shape[0]}x{X.shape[1]} design matrix; it needs "
+            "at least one row and one column")
     try:
         y = np.loadtxt(y_path, ndmin=1)
     except ValueError as e:
@@ -257,16 +275,15 @@ def gen_mlr(n: int, D: int, K: int, seed: int = 0) -> MlrDataset:
 
 
 def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
-    import scipy.io
-    import scipy.sparse
-
+    """The features as `<stem>_U.npy`, one class id per line and the class
+    centers as `<stem>_truth.txt`."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "U": os.path.join(out_dir, f"{stem}_U.mtx"),
+        "U": os.path.join(out_dir, f"{stem}_U.npy"),
         "y": os.path.join(out_dir, f"{stem}_y.txt"),
         "truth": os.path.join(out_dir, f"{stem}_truth.txt"),
     }
-    scipy.io.mmwrite(paths["U"], scipy.sparse.coo_matrix(ds.U))
+    np.save(paths["U"], ds.U)
     np.savetxt(paths["y"], ds.y, fmt="%d")
     np.savetxt(paths["truth"], ds.true_centers, fmt="%.17g")
     return paths

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,15 +108,43 @@ def test_parse_config_rejects_bad_values(tmp_path):
         assert fragment.strip("[]") in str(e.value)
 
 
+def _fresh_python(code, *args):
+    """Standard output of `code` run in a new interpreter (this process may
+    already hold the modules a test looks for), which must exit 0."""
+    src = os.path.dirname(os.path.dirname(icflow.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_importing_the_cli_loads_no_scipy():
     """scipy is imported by the functions that use it, not at start-up."""
-    code = ("import sys, icflow.cli; print(' '.join(m for m in "
-            "('scipy.io', 'scipy.sparse', 'scipy.special') if m in sys.modules))")
-    src = os.path.dirname(os.path.dirname(icflow.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert _fresh_python("import sys, icflow.cli; print(' '.join(m for m in "
+                         "('scipy.io', 'scipy.sparse', 'scipy.special') "
+                         "if m in sys.modules))") == ""
+
+
+# runs `icflow` in a fresh interpreter and prints its exit code and whether
+# scipy, whose import costs more than reading a `.npy` matrix, got loaded
+CLI_AND_SCIPY = ("import sys; from icflow.cli import main; "
+                 "print(main(sys.argv[1:]), 'scipy' in sys.modules)")
+
+
+def test_gen_loads_no_scipy(tmp_path):
+    assert _fresh_python(CLI_AND_SCIPY, "--out-dir", str(tmp_path), "--quiet",
+                         "gen", "lasso", "--n", "40", "--m", "10") == "0 False"
+    assert (tmp_path / "lasso_X.npy").exists()
+
+
+def test_a_run_on_npy_data_loads_no_scipy(tmp_path):
+    paths = datasets.write_lasso(datasets.gen_lasso(40, 10, 3, seed=1), str(tmp_path))
+    cfg = write_cfg(tmp_path, f"[data]\nx = {paths['X']}\ny = {paths['y']}\n"
+                    "[algorithm]\nalgorithm = lasso\n[runtime]\np = 2\nmax_clocks = 3\n")
+    out = tmp_path / "run"
+    assert _fresh_python(CLI_AND_SCIPY, "--out-dir", str(out), "--quiet",
+                         "run", cfg) == "0 False"
+    assert (out / "metrics.csv").exists()
 
 
 def test_parse_config_missing_file():
@@ -273,7 +302,7 @@ def test_gen_lasso_is_deterministic(tmp_path):
     for d in (a, b):
         assert main(["--seed", "7", "--out-dir", str(d), "--quiet",
                      "gen", "lasso", "--n", "50", "--m", "10"]) == EXIT_OK
-    assert (a / "lasso_X.mtx").read_bytes() == (b / "lasso_X.mtx").read_bytes()
+    assert (a / "lasso_X.npy").read_bytes() == (b / "lasso_X.npy").read_bytes()
     assert (a / "lasso_y.txt").read_bytes() == (b / "lasso_y.txt").read_bytes()
 
 
@@ -362,6 +391,10 @@ def test_dataset_files_round_trip(tmp_path):
     X, y = datasets.read_lasso(paths["X"], paths["y"])
     assert np.allclose(X, ds.X)
     assert np.allclose(y, ds.y)
+    # any real floating dtype is read as float64, as a Matrix Market file is
+    np.save(tmp_path / "X32.npy", ds.X.astype(np.float32))
+    X32, _ = datasets.read_lasso(str(tmp_path / "X32.npy"), paths["y"])
+    assert X32.dtype == np.float64 and np.array_equal(X32, ds.X.astype(np.float32))
 
     corpus = datasets.gen_lda(15, 10, 2, 6, seed=2)
     cpaths = datasets.write_corpus(corpus, str(tmp_path))
@@ -506,11 +539,22 @@ def test_shipped_configs_parse():
         assert cfg.algorithm in ("lasso", "lda", "mlr")
 
 
+def _mtx_copy(npy_path):
+    """Path of a coordinate Matrix Market copy of the `.npy` matrix at
+    `npy_path`, written next to it by scipy."""
+    import scipy.io
+    import scipy.sparse
+
+    path = npy_path.removesuffix(".npy") + ".mtx"
+    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(np.load(npy_path)))
+    return path
+
+
 def test_malformed_matrix_files_exit_2(tmp_path, capsys):
     lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
     mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
     for algorithm, key, paths in (("lasso", "x", lasso), ("mlr", "u", mlr)):
-        lines = (tmp_path / paths[key.upper()]).read_text().splitlines(keepends=True)
+        lines = Path(_mtx_copy(paths[key.upper()])).read_text().splitlines(keepends=True)
         assert lines[3].startswith("1 1 ")  # banner, comment, sizes, first entry
         cases = {
             "vector": (tmp_path / paths["y"]).read_text(),
@@ -544,17 +588,22 @@ def test_array_format_matrix_files_run_like_coordinate_ones(tmp_path):
     lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
     mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
     for algorithm, paths in (("lasso", lasso), ("mlr", mlr)):
-        coordinate = paths["X" if algorithm == "lasso" else "U"]
+        npy = paths["X" if algorithm == "lasso" else "U"]
+        coordinate = _mtx_copy(npy)
         array = tmp_path / f"{algorithm}_array.mtx"
         scipy.io.mmwrite(str(array), scipy.io.mmread(coordinate).toarray())
         assert array.read_text().startswith("%%MatrixMarket matrix array real")
+        # a .npy file is known by its magic bytes, whatever its name
+        renamed = tmp_path / f"{algorithm}_npy.txt"
+        renamed.write_bytes(Path(npy).read_bytes())
         outputs = []
-        for name, matrix in (("coordinate", coordinate), ("array", array)):
+        for name, matrix in (("coordinate", coordinate), ("array", array),
+                             ("npy", npy), ("renamed", renamed)):
             code, out = _matrix_run(tmp_path, f"{algorithm}_{name}", algorithm,
                                     matrix, paths["y"])
             assert code == EXIT_OK, (algorithm, name)
             outputs.append(_files(out))
-        assert outputs[0] == outputs[1], algorithm
+        assert all(o == outputs[0] for o in outputs[1:]), algorithm
 
 
 def test_complex_or_non_finite_data_files_exit_2(tmp_path, capsys):
@@ -570,7 +619,8 @@ def test_complex_or_non_finite_data_files_exit_2(tmp_path, capsys):
     cases = [("lasso", "complex", complex_matrix, one, complex_matrix),
              ("mlr", "complex", complex_matrix, one, complex_matrix)]
     for algorithm, paths in (("lasso", lasso), ("mlr", mlr)):
-        matrix = paths["X" if algorithm == "lasso" else "U"]
+        npy = paths["X" if algorithm == "lasso" else "U"]
+        matrix = _mtx_copy(npy)
         dense = scipy.io.mmread(matrix).toarray()
         for value in (np.nan, np.inf):
             bad = dense.copy()
@@ -578,6 +628,12 @@ def test_complex_or_non_finite_data_files_exit_2(tmp_path, capsys):
             path = tmp_path / f"{algorithm}_{value}.mtx"
             scipy.io.mmwrite(str(path), bad)
             cases.append((algorithm, f"matrix {value}", path, paths["y"], path))
+            path = tmp_path / f"{algorithm}_{value}.npy"
+            np.save(path, bad)
+            cases.append((algorithm, f"npy {value}", path, paths["y"], path))
+        path = tmp_path / f"{algorithm}_complex.npy"
+        np.save(path, np.load(npy) + 1j)
+        cases.append((algorithm, "npy complex", path, paths["y"], path))
         # a NaN MLR label: test_data_files_whose_shapes_disagree_exit_2
         if algorithm == "lasso":
             y = np.loadtxt(paths["y"])
@@ -592,6 +648,51 @@ def test_complex_or_non_finite_data_files_exit_2(tmp_path, capsys):
             (algorithm, name)
         err = capsys.readouterr().err
         assert str(named) in err and "unit-normalized" not in err, (algorithm, name)
+
+
+def _exits_2_naming(tmp_path, capsys, algorithm, matrix, y):
+    """Reading `matrix` raises a configuration error naming it, and a run on
+    it exits 2 with that name on standard error."""
+    with pytest.raises(ConfigurationError, match=str(matrix)):
+        datasets.read_lasso(str(matrix), str(y))
+    assert _matrix_run(tmp_path, "bad", algorithm, matrix, y)[0] == EXIT_CONFIG
+    assert str(matrix) in capsys.readouterr().err
+
+
+def test_malformed_npy_files_exit_2(tmp_path, capsys):
+    lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
+    for algorithm, paths in (("lasso", lasso), ("mlr", mlr)):
+        npy = paths["X" if algorithm == "lasso" else "U"]
+        data = Path(npy).read_bytes()
+        header = 10 + int.from_bytes(data[8:10], "little")  # format version 1.0
+        X = np.load(npy)
+        cases = {"1d": X[:, 0], "3d": X[None], "int": X.astype(np.int64),
+                 "object": X.astype(object)}
+        for name, array in cases.items():
+            path = tmp_path / f"{algorithm}_{name}.npy"
+            np.save(path, array, allow_pickle=True)
+            _exits_2_naming(tmp_path, capsys, algorithm, path, paths["y"])
+        for name, cut in (("cut_header", header // 2), ("cut_data", header + 100)):
+            path = tmp_path / f"{algorithm}_{name}.npy"
+            path.write_bytes(data[:cut])
+            _exits_2_naming(tmp_path, capsys, algorithm, path, paths["y"])
+
+
+def test_design_matrices_with_no_rows_or_columns_exit_2(tmp_path, capsys):
+    # before this check a 5x0 Lasso .mtx ended in a ValueError traceback, a
+    # 6x0 MLR matrix trained, and a 0xN one failed as "zero column"
+    y = tmp_path / "y.txt"
+    for rows, cols in ((5, 0), (6, 0), (0, 5)):
+        np.savetxt(y, np.zeros(rows), fmt="%d")
+        mtx = tmp_path / f"{rows}x{cols}.mtx"
+        mtx.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n{rows} {cols} 0\n")
+        npy = tmp_path / f"{rows}x{cols}.npy"
+        np.save(npy, np.zeros((rows, cols)))
+        for algorithm in ("lasso", "mlr"):
+            for matrix in (mtx, npy):
+                _exits_2_naming(tmp_path, capsys, algorithm, matrix, y)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -631,8 +732,8 @@ def test_global_options_a_command_does_not_read_exit_2(tmp_path, monkeypatch, ca
     assert main(["--quiet", "gen", "lasso", "--n", "20", "--m", "10"]) == EXIT_OK
     assert main(["--seed", "0", "--out-dir", "seed0", "--quiet",
                  "gen", "lasso", "--n", "20", "--m", "10"]) == EXIT_OK
-    assert (tmp_path / "lasso_X.mtx").read_bytes() \
-        == (tmp_path / "seed0" / "lasso_X.mtx").read_bytes()
+    assert (tmp_path / "lasso_X.npy").read_bytes() \
+        == (tmp_path / "seed0" / "lasso_X.npy").read_bytes()
     assert main(["--quiet", "run", cfg]) == EXIT_OK
     assert (tmp_path / "metrics.csv").read_bytes() == (run / "metrics.csv").read_bytes()
 
