@@ -12,6 +12,7 @@ module (and the CLI), `icflow gen` and a run on `.npy` data do not pay for it.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,9 @@ def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
             f"{x_path}: a {X.shape[0]}x{X.shape[1]} design matrix; it needs "
             "at least one row and one column")
     try:
-        y = np.loadtxt(y_path, ndmin=1)
+        with warnings.catch_warnings():  # the shape check reports an empty file
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            y = np.loadtxt(y_path, ndmin=1)
     except ValueError as e:
         raise ConfigurationError(f"{y_path}: not a text vector: {e}") from None
     if y.shape != (X.shape[0],):

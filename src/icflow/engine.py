@@ -64,21 +64,12 @@ class StoppingCriterion:
         return abs(new - old) / denom < self.objective_tolerance
 
 
-def merge_payloads(payloads: Sequence[dict]) -> dict:
-    """Sum sparse payloads key by key, in the given order. Keys whose sum is
-    zero are kept, so the merge stays exact."""
-    out: dict = {}
-    for p in payloads:
-        for k, v in p.items():
-            out[k] = out.get(k, 0.0) + v
-    return out
-
-
 def apply_sparse(values: np.ndarray, payload: dict[int, float]) -> None:
-    """Add a sparse payload into `values` in place, in ascending key order
-    (a fixed order keeps results bit-identical across callers)."""
-    for j in sorted(payload):
-        values[j] += payload[j]
+    """Add a sparse payload into `values` in place. Each key occurs once, so
+    every element gets exactly one addition and the order cannot change a
+    bit."""
+    for j, v in payload.items():
+        values[j] += v
 
 
 def _check_objective(value: float, iteration: int) -> float:

@@ -6,7 +6,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -273,6 +273,9 @@ class OutgoingQueue:
         """Send `nbytes` at time `now`; returns the delivery tick."""
         start = max(now, self.free_at)
         finish = start + nbytes / self.budget
+        if not isfinite(finish):
+            raise ConfigurationError(f"a {nbytes}-byte message has no finite "
+                                     f"transmission time at {self.budget!r} bytes per tick")
         self.free_at = finish
         self.transmissions.append((start, finish, nbytes))
         self.inflight += nbytes

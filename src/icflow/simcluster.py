@@ -11,11 +11,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 import numpy as np
 
-from .engine import FixedBlockScheduler, apply_sparse, merge_payloads
+from .engine import FixedBlockScheduler, _check_objective, apply_sparse
 from .errors import ConfigurationError, StateCorruptionError
 from .fabric import OutgoingQueue, make_topology, sparse_codec_size
 from .ssp import SspCore, Trace, TraceEvent, check_staleness_invariants
@@ -170,16 +170,20 @@ class FuzzWorkload:
 # simulator
 
 
+def merge_payloads(key_sets: list[AbstractSet[int]]) -> set[int]:
+    """The keys a combined server message carries: the union of its parts'
+    keys. A key whose values cancel still counts."""
+    return set().union(*key_sets)
+
+
 @dataclass
 class _Msg:
     id: int
     seqs: list[int]
-    payload: dict[int, float]
+    keys: AbstractSet[int]  # the values stay in the store's log
+    nbytes: int
     timestamp: int
     origin: int
-
-    def nbytes(self) -> int:
-        return sparse_codec_size(len(self.payload))
 
 
 @dataclass
@@ -230,7 +234,7 @@ class SimCluster:
         # master-slave server relay state
         self._srv_pending: dict[int, list[_Msg]] = {}
         self._srv_origins: dict[int, set[int]] = {}
-        self._srv_flushed: set[int] = set()
+        self._srv_next = 0  # oldest timestamp whose round is not yet relayed
 
     # -- event plumbing -----------------------------------------------------
 
@@ -255,19 +259,19 @@ class SimCluster:
 
     # -- network ------------------------------------------------------------
 
-    def _send(self, src: int, dst: int, seqs: list[int], payload: dict,
+    def _send(self, src: int, dst: int, seqs: list[int], keys: AbstractSet[int],
               ts: int, origin: int, tick: int) -> None:
         """Put one new message (with a fresh id) on link src -> dst."""
-        msg = _Msg(self._msg_id, seqs, payload, ts, origin)
+        nbytes = sparse_codec_size(len(keys))
+        msg = _Msg(self._msg_id, seqs, keys, nbytes, ts, origin)
         self._msg_id += 1
-        nbytes = msg.nbytes()
         delivery = self._link(src, dst).transmit(nbytes, tick)
         self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
-        self._emit(tick, "msg_send", src, clock, msg.id, ts, len(payload), nbytes)
+        self._emit(tick, "msg_send", src, clock, msg.id, ts, len(keys), nbytes)
         self._push(delivery, self._deliver, (src, dst), msg)
 
-    def _broadcast(self, origin: int, seq: int, payload: dict, ts: int,
+    def _broadcast(self, origin: int, seq: int, keys: AbstractSet[int], ts: int,
                    tick: int) -> None:
         """Send one commit to every other worker. The origin sends one
         message to each node it relays to (`Topology.relays`), and each
@@ -276,7 +280,7 @@ class SimCluster:
         on full P2P. On master-slave the origin sends to the server, which
         relays batched rounds (`_server_receive`)."""
         for dst in self.topology.relays(origin, origin):
-            self._send(origin, dst, [seq], payload, ts, origin, tick)
+            self._send(origin, dst, [seq], keys, ts, origin, tick)
 
     def _server_receive(self, msg: _Msg, tick: int) -> None:
         """Batch one full round per timestamp, then relay each worker the
@@ -284,15 +288,16 @@ class SimCluster:
         an already-flushed timestamp relay immediately."""
         ts = msg.timestamp
         srv = self.topology.server
-        if ts in self._srv_flushed:
+        if ts < self._srv_next:
             self._relay(srv, [msg], ts, tick)
             return
         self._srv_pending.setdefault(ts, []).append(msg)
         self._srv_origins.setdefault(ts, set()).add(msg.origin)
         if len(self._srv_origins[ts]) == self.cfg.P:
-            batch = self._srv_pending.pop(ts)
-            self._srv_flushed.add(ts)
-            self._relay(srv, batch, ts, tick)
+            # rounds flush in ts order: links are FIFO, ts commits before ts + 1
+            del self._srv_origins[ts]
+            self._srv_next = ts + 1
+            self._relay(srv, self._srv_pending.pop(ts), ts, tick)
 
     def _relay(self, srv: int, batch: list[_Msg], ts: int, tick: int) -> None:
         for dst in range(self.cfg.P):
@@ -300,23 +305,22 @@ class SimCluster:
             if not part:
                 continue
             seqs = [s for m in part for s in m.seqs]
-            payload = merge_payloads([m.payload for m in part])
-            self._send(srv, dst, seqs, payload, ts, srv, tick)
+            keys = merge_payloads([m.keys for m in part])
+            self._send(srv, dst, seqs, keys, ts, srv, tick)
 
     def _deliver(self, link: tuple[int, int], msg: _Msg, tick: int) -> None:
         lk = self.links[link]
-        nbytes = msg.nbytes()
-        lk.inflight -= nbytes
+        lk.inflight -= msg.nbytes
         dst = link[1]
         clock = self.store.clocks[dst] if dst < self.cfg.P else 0
         self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
-                   len(msg.payload), nbytes)
+                   len(msg.keys), msg.nbytes)
         if dst == self.cfg.P:  # the master-slave server
             self._server_receive(msg, tick)
             return
         # relay down the origin's broadcast tree before taking it in
         for child in self.topology.relays(msg.origin, dst):
-            self._send(dst, child, msg.seqs, msg.payload, msg.timestamp,
+            self._send(dst, child, msg.seqs, msg.keys, msg.timestamp,
                        msg.origin, tick)
         for seq in msg.seqs:
             upd = self.store.deliver(dst, seq)
@@ -370,7 +374,7 @@ class SimCluster:
         seq = store.commit(p, payload, t)
         apply_sparse(self.global_values, payload)
         self.round_changes.setdefault(t, {}).update(payload)
-        self._broadcast(p, seq, payload, t, tick)
+        self._broadcast(p, seq, store.log[seq].payload.keys(), t, tick)
         if t + 1 >= self.cfg.max_clocks:
             store.advance_clock(p)
             self.phase[p] = "done"
@@ -400,7 +404,7 @@ class SimCluster:
             self.workload.observe(self.round_changes.pop(r, {}))
             self.trajectory.append(self.global_values.copy())
             obj = self.workload.objective(self.global_values)
-            obj_s = "nan" if obj is None else f"{obj:.12e}"
+            obj_s = "nan" if obj is None else f"{_check_objective(obj, r + 1):.12e}"
             mean_st = self.stale_sum / self.stale_cnt if self.stale_cnt else 0.0
             self.metrics.append(
                 f"{r + 1},{tick},{obj_s},{mean_st:.6f},{self.stale_max},"

@@ -167,9 +167,7 @@ class _Update:
     worker: int
     timestamp: int
     payload: dict[int, float]
-
-    def bytes(self) -> int:
-        return sparse_codec_size(len(self.payload))
+    nbytes: int  # wire size, set at commit
 
 
 class SspCore:
@@ -189,7 +187,6 @@ class SspCore:
             raise ProtocolError("staleness bound must be >= 0")
         self.P = P
         self.staleness = staleness
-        self.m = m
         self.trace = Trace()
         self.tick = 0
         self.clocks = [0] * P
@@ -233,7 +230,8 @@ class SspCore:
                 f"commit timestamp {timestamp} != worker {worker} clock "
                 f"{self.clocks[worker]}"
             )
-        upd = _Update(self._seq, worker, timestamp, dict(payload))
+        upd = _Update(self._seq, worker, timestamp, dict(payload),
+                      sparse_codec_size(len(payload)))
         self._seq += 1
         self.log.append(upd)
         for p in range(self.P):
@@ -242,7 +240,7 @@ class SspCore:
                 flight[timestamp] = flight.get(timestamp, 0) + 1
         apply_sparse(self.views[worker], upd.payload)
         self._emit("commit", worker, seq=upd.seq, timestamp=timestamp,
-                   key_count=len(upd.payload), nbytes=upd.bytes())
+                   key_count=len(upd.payload), nbytes=upd.nbytes)
         return upd.seq
 
     def advance_clock(self, worker: int) -> bool:
@@ -310,7 +308,7 @@ class SspCore:
             arrived.remove(upd.seq)
             apply_sparse(self.views[worker], upd.payload)
             self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
-                       key_count=len(upd.payload), nbytes=upd.bytes())
+                       key_count=len(upd.payload), nbytes=upd.nbytes)
         return applied
 
     def missing_required(self, worker: int) -> int:

@@ -45,15 +45,15 @@ class UnicastCluster(SimCluster):
         self.topology = _RoutesOnly(config.P)
         self.rest = {}  # message id -> the nodes it still has to reach
 
-    def _broadcast(self, origin, seq, payload, ts, tick):
+    def _broadcast(self, origin, seq, keys, ts, tick):
         for dst in range(self.cfg.P):
             if dst != origin:
-                self._hop(self.topology.route(origin, dst), [seq], payload, ts,
+                self._hop(self.topology.route(origin, dst), [seq], keys, ts,
                           origin, tick)
 
-    def _hop(self, route, seqs, payload, ts, origin, tick):
+    def _hop(self, route, seqs, keys, ts, origin, tick):
         self.rest[self._msg_id] = route[1:]
-        self._send(route[0], route[1], seqs, payload, ts, origin, tick)
+        self._send(route[0], route[1], seqs, keys, ts, origin, tick)
 
     def _deliver(self, link, msg, tick):
         rest = self.rest.pop(msg.id)
@@ -61,11 +61,11 @@ class UnicastCluster(SimCluster):
             super()._deliver(link, msg, tick)
             return
         node = link[1]
-        self.links[link].inflight -= msg.nbytes()
+        self.links[link].inflight -= msg.nbytes
         self.store.set_tick(tick)
         self._emit(tick, "msg_deliver", node, self.store.clocks[node], msg.id,
-                   msg.timestamp, len(msg.payload), msg.nbytes())
-        self._hop(rest, msg.seqs, msg.payload, msg.timestamp, msg.origin, tick)
+                   msg.timestamp, len(msg.keys), msg.nbytes)
+        self._hop(rest, msg.seqs, msg.keys, msg.timestamp, msg.origin, tick)
 
 
 def _config(P, staleness, latency, bandwidth):
@@ -176,8 +176,8 @@ def _arrivals(cls, P, bandwidth, latency, commits):
         if pending and (not sim.heap or pending[0][0] <= sim.heap[0][0]):
             tick, origin, keys = pending.pop(0)
             payload = {k: 1.0 for k in range(keys)}
-            sim._broadcast(origin, sim.store.commit(origin, payload, 0), payload,
-                           0, tick)
+            sim._broadcast(origin, sim.store.commit(origin, payload, 0),
+                           payload.keys(), 0, tick)
             continue
         tick, _, handler, (link, msg) = heapq.heappop(sim.heap)
         assert handler == sim._deliver

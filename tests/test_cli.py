@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,55 @@ def test_run_is_deterministic(tmp_path):
         main(["--out-dir", str(out), "--quiet", "run", cfg])
         outs.append((out / "metrics.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_diverging_lasso_run_exits_3(tmp_path, capsys):
+    # 16 concurrent block updates with a tiny lambda on a block-correlated
+    # design overshoot until the objective overflows; such a run once wrote
+    # `inf` rows and exited 0
+    paths = datasets.write_lasso(datasets.gen_lasso(
+        200, 50, 10, seed=1, block_size=50, block_rho=0.9), str(tmp_path))
+    cfg = write_cfg(tmp_path, f"[data]\nx = {paths['X']}\ny = {paths['y']}\n"
+                    "[algorithm]\nalgorithm = lasso\nlam = 0.001\n[runtime]\n"
+                    "p = 16\ntopology = full_p2p\nmax_clocks = 200\n")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"invariant violation: objective became non-finite "
+                        r"\((inf|nan)\) at iteration \d+\n", err), err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_a_bandwidth_no_message_can_cross_exits_2(tmp_path, capsys):
+    # a 73-byte message at 1e-320 bytes per tick once ended in an
+    # OverflowError traceback
+    cfg = write_cfg(tmp_path, MINIMAL.replace("p = 2", "p = 4\nbandwidth = 1e-320"))
+    assert main(["--out-dir", str(tmp_path / "out"), "--quiet", "run", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"configuration error: a \d+-byte message has no finite "
+                        r"transmission time at 1e-320 bytes per tick\n", err), err
+
+
+def test_an_empty_y_file_is_one_configuration_error_line(tmp_path):
+    # numpy's "input contained no data" warning once came first
+    lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    src = os.path.dirname(os.path.dirname(icflow.__file__))
+    for algorithm, key, matrix in (("lasso", "x", lasso["X"]), ("mlr", "u", mlr["U"])):
+        cfg = write_cfg(tmp_path, f"[data]\n{key} = {matrix}\ny = {empty}\n"
+                        f"[algorithm]\nalgorithm = {algorithm}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "icflow.cli", "--quiet", "--out-dir",
+             str(tmp_path / "out"), "run", cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60)
+        assert proc.returncode == EXIT_CONFIG, algorithm
+        assert proc.stderr.splitlines() == [
+            f"configuration error: {empty}: expected one value per line for the "
+            f"30 rows of {matrix}, got shape (0,)"], algorithm
 
 
 def test_gen_lasso_is_deterministic(tmp_path):

@@ -5,7 +5,6 @@ from icflow.engine import (
     FixedBlockScheduler,
     StoppingCriterion,
     UpdateDelta,
-    merge_payloads,
     run_model_parallel,
 )
 from icflow.errors import (
@@ -35,17 +34,6 @@ def test_stopping_criterion_triggers_on_flat_objective():
     assert stop.reached([10.0, 10.0 + 1e-7])
     assert not stop.reached([10.0, 5.0])
     assert stop.reached(list(range(100)))  # max iterations
-
-
-def test_merge_payloads_dict_and_array():
-    assert merge_payloads([{0: 1.0, 1: 2.0}, {1: 3.0, 4: -1.0}]) == {
-        0: 1.0,
-        1: 5.0,
-        4: -1.0,
-    }
-    # a zero sum stays, so the merge is exact
-    assert merge_payloads([{2: 1.5}, {2: -1.5}]) == {2: 0.0}
-    assert merge_payloads([]) == {}
 
 
 class SparseBlockProgram:

@@ -6,7 +6,7 @@ import pytest
 from icflow.algorithms.lasso import LassoProblem
 from icflow.datasets import gen_lasso
 from icflow.errors import ConfigurationError
-from icflow.fabric import OutgoingQueue
+from icflow.fabric import OutgoingQueue, sparse_codec_size
 from icflow.simcluster import (
     FuzzWorkload,
     LassoModelParallelWorkload,
@@ -16,6 +16,7 @@ from icflow.simcluster import (
     SimConfig,
     StragglerWindow,
     inject_straggler,
+    merge_payloads,
     replay,
     run_simulation,
 )
@@ -239,6 +240,48 @@ def test_links_are_fabric_queues_and_traffic_is_their_stats():
         # every message sent was delivered
         assert all(q.inflight == 0 for q in sim.links.values())
         assert sum(st.bytes for st in res.traffic.values()) == sim.bytes_sent
+
+
+def test_merge_payloads_is_a_key_union():
+    assert merge_payloads([{0, 1}, {1, 4}]) == {0, 1, 4}
+    # a key whose values cancel still counts
+    assert merge_payloads([{2: 1.5}.keys(), {2: -1.5}.keys()]) == {2}
+    assert merge_payloads([]) == set()
+
+
+class CancellingWorkload(FixedCostWorkload):
+    """Workers 0 and 1 add +1.5 and -1.5 to key 0 every round; worker 2
+    writes key 5."""
+
+    def delta(self, view, p, t, indices):
+        return [{0: 1.5}, {0: -1.5}, {5: 1.0}][p]
+
+
+def test_server_messages_count_keys_whose_values_cancel():
+    sim = SimCluster(CancellingWorkload(8, 3),
+                     SimConfig(P=3, staleness=0, topology="master_slave", max_clocks=3))
+    res = sim.run()
+    dst = {e.seq: e.worker for e in res.trace if e.event == "msg_deliver"}
+    server = [e for e in res.trace if e.event == "msg_send" and e.worker == 3]
+    assert len(server) == 3 * 3
+    for e in server:
+        # worker 2 gets the cancelling pair, so one key; the others get two
+        keys = 1 if dst[e.seq] == 2 else 2
+        assert (e.key_count, e.bytes) == (keys, sparse_codec_size(keys)), e
+    assert np.array_equal(res.values[[0, 5]], [0.0, 3.0])
+
+
+def test_master_slave_server_keeps_no_state_for_relayed_rounds():
+    for extras in (False, True):
+        cfg = inject_straggler(
+            SimConfig(P=5, staleness=1, topology="master_slave", bandwidth=16.0,
+                      max_clocks=8, slow_worker_extras=extras),
+            2, 4.0, (6, 60),
+        )
+        sim = SimCluster(FuzzWorkload(40, 5, seed=11), cfg)
+        assert replay(sim.run().trace, 1, 5).ok
+        assert sim._srv_pending == {} and sim._srv_origins == {}
+        assert sim._srv_next == 8
 
 
 # ---------------------------------------------------------------------------
