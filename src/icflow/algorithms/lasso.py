@@ -64,8 +64,11 @@ class LassoProblem:
 
 
 def lasso_objective(problem: LassoProblem, a: np.ndarray) -> float:
-    resid = problem.X @ a - problem.y
-    return 0.5 * float(resid @ resid) + problem.lam * float(np.sum(np.abs(a)))
+    """Non-finite on a diverged `a`, without numpy's overflow warning: the
+    caller (`engine._check_objective`) reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = problem.X @ a - problem.y
+        return 0.5 * float(resid @ resid) + problem.lam * float(np.sum(np.abs(a)))
 
 
 class LassoCDProgram:

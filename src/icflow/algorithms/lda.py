@@ -7,12 +7,15 @@ sub-epochs, and only the shared topic totals are read from a stale snapshot
 within a sub-epoch. Because the workers of a sub-epoch share no count row,
 ``sample_blocks`` runs them in lockstep, one (P, K) numpy step per token
 position, with the same draws and results as sampling block after block
-with ``gibbs_token_update``.
+with ``gibbs_token_update``. ``lda_log_likelihood`` needs no scipy: each
+log-gamma argument is an integer count plus a prior, so it sums a table of
+``math.lgamma`` values indexed by count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lgamma
 
 import numpy as np
 
@@ -134,23 +137,30 @@ def sweep_sequential(
             gibbs_token_update(state, d, w, i, rng)
 
 
+def _lgamma_sum(counts: np.ndarray, shift: float) -> float:
+    """``np.sum(gammaln(counts + shift))`` for an array of non-negative int
+    counts: lgamma is evaluated once per value 0..max, and the looked-up
+    values are summed in the same shape, hence in the same order."""
+    if counts.size == 0:
+        return 0.0
+    if counts.min() < 0:
+        raise StateCorruptionError(f"negative count {counts.min()} in the log-likelihood")
+    table = np.array([lgamma(n + shift) for n in range(int(counts.max()) + 1)])
+    return float(np.sum(table[counts]))
+
+
 def lda_log_likelihood(state: LdaState) -> float:
     """Collapsed joint log p(w, z) with topic and document simplexes
     integrated out."""
-    from scipy.special import gammaln
-
     a, b = state.alpha, state.beta
     K, V = state.K, state.V
-    ll = K * (gammaln(V * b) - V * gammaln(b))
-    t = state.word_topic + b
-    ll += float(np.sum(gammaln(t, out=t)))
-    ll -= float(np.sum(gammaln(state.topic_totals + V * b)))
-    n_d = state.doc_topic.sum(axis=1)
     N = state.doc_topic.shape[0]
-    ll += N * (gammaln(K * a) - K * gammaln(a))
-    t = state.doc_topic + a
-    ll += float(np.sum(gammaln(t, out=t)))
-    ll -= float(np.sum(gammaln(n_d + K * a)))
+    ll = K * (lgamma(V * b) - V * lgamma(b))
+    ll += _lgamma_sum(state.word_topic, b)
+    ll -= _lgamma_sum(state.topic_totals, V * b)
+    ll += N * (lgamma(K * a) - K * lgamma(a))
+    ll += _lgamma_sum(state.doc_topic, a)
+    ll -= _lgamma_sum(state.doc_topic.sum(axis=1), K * a)
     return ll
 
 
@@ -178,11 +188,16 @@ def sample_blocks(
 
     ``counts`` stacks the doc-topic rows (N), the word-topic rows (V) and one
     topic-totals row per block (P); block i reads and writes totals row
-    N + V + i. ``blocks[i]`` lists global token ids (into ``z``, ``docs`` and
-    ``words``) in sampling order, ``uniforms[i]`` one draw per token. The
-    blocks must share no document and no word, so that no step reads a row
-    another block writes in that step: each block then gets exactly the
-    counts and draws it would get alone, and ``gibbs_token_update``'s result.
+    N + V + i. ``blocks[i]`` lists distinct global token ids (into ``z``,
+    ``docs`` and ``words``) in sampling order, ``uniforms[i]`` one draw per
+    token. The blocks must share no document and no word, so that no step
+    reads a row another block writes in that step: each block then gets
+    exactly the counts and draws it would get alone, and
+    ``gibbs_token_update``'s result.
+
+    Each token is sampled once, so its old topic is read from ``z`` before
+    the first step and its new one written back after the last: a step is
+    only the dozen numpy calls whose per-call overhead sets its time.
     """
     P = len(blocks)
     V = counts.shape[0] - N - P
@@ -190,45 +205,49 @@ def sample_blocks(
     # longest first: the blocks still running at step j are a prefix
     order = sorted(range(P), key=lambda i: -len(blocks[i]))
     L = len(blocks[order[0]])
-    ids = np.zeros((L, P), dtype=np.int64)
+    old = np.zeros((L, P), dtype=np.int64)
+    new = np.zeros((L, P), dtype=np.int64)
     rows = np.zeros((L, 3, P), dtype=np.int64)  # doc, word and totals row
     u = np.zeros((L, P, 1))
     running = np.zeros(L, dtype=np.int64)
     for slot, i in enumerate(order):
         g = blocks[i]
         n = len(g)
-        ids[:n, slot] = g
+        old[:n, slot] = z[g]
         rows[:n, 0, slot] = docs[g]
         rows[:n, 1, slot] = N + words[g]
         rows[:, 2, slot] = N + V + i
         u[:n, slot, 0] = uniforms[i]
         running[:n] += 1
     row_at = rows * K  # flat index of each row's topic 0
+    old_at = row_at + old[:, None, :]
     flat = counts.reshape(-1)
     offset = np.array([alpha, beta, V * beta])[:, None, None]
     for j, m in enumerate(running.tolist()):
-        g = ids[j, :m]
-        old = z[g]
-        at = row_at[j, :, :m] + old
+        at = old_at[j, :, :m]
         c = flat[at]
         c -= 1
         flat[at] = c
-        if c.min() < 0:
+        if np.minimum.reduce(c, axis=None) < 0:
             bad = int(np.flatnonzero((c < 0).any(axis=0))[0])
             d, w = rows[j, 0, bad], rows[j, 1, bad] - N
             raise StateCorruptionError(
-                f"negative count after decrement (doc {d}, word {w}, topic {old[bad]})"
+                f"negative count after decrement (doc {d}, word {w}, topic {old[j, bad]})"
             )
-        x = counts[rows[j, :, :m]] + offset
+        x = counts.take(rows[j, :, :m], axis=0) + offset
         # conditional_topic_distribution and rng.choice's cdf, row by row
         q = x[0] * x[1]
         q /= x[2]
         q /= np.add.reduce(q, axis=1, keepdims=True)
-        q.cumsum(axis=1, out=q)
+        np.add.accumulate(q, axis=1, out=q)
         q /= q[:, -1:]
-        new = np.add.reduce(q <= u[j, :m], axis=1, dtype=np.int64)
-        z[g] = new
-        flat[row_at[j, :, :m] + new] += 1
+        # the cdf is non-decreasing and ends in 1.0 > u, so its first entry
+        # above u is at searchsorted(u, side="right")
+        k = new[j, :m]
+        (q > u[j, :m]).argmax(axis=1, out=k)
+        flat[row_at[j, :, :m] + k] += 1
+    for slot, i in enumerate(order):
+        z[blocks[i]] = new[: len(blocks[i]), slot]
 
 
 def run_rotation(

@@ -16,6 +16,9 @@ from .errors import ConfigurationError, DecodeError
 HEADER_FMT = "<BIIIqI"  # tag, K, D, S, timestamp, origin
 HEADER_BYTES = struct.calcsize(HEADER_FMT)  # 25
 
+# the last tick the trace's int64 columns hold
+_MAX_TICK = 2**63 - 1
+
 _TAG_DENSE = 1
 _TAG_SPARSE = 2
 _TAG_SF = 3
@@ -276,6 +279,11 @@ class OutgoingQueue:
         if not isfinite(finish):
             raise ConfigurationError(f"a {nbytes}-byte message has no finite "
                                      f"transmission time at {self.budget!r} bytes per tick")
+        delivery = ceil(finish) + self.latency
+        if delivery > _MAX_TICK:
+            raise ConfigurationError(f"a {nbytes}-byte message sent at tick {start:.6g} "
+                                     f"is delivered after tick {_MAX_TICK} at "
+                                     f"{self.budget!r} bytes per tick")
         self.free_at = finish
         self.transmissions.append((start, finish, nbytes))
         self.inflight += nbytes
@@ -283,7 +291,7 @@ class OutgoingQueue:
         st.messages += 1
         st.bytes += nbytes
         st.max_inflight = max(st.max_inflight, self.inflight)
-        return ceil(finish) + self.latency
+        return delivery
 
     def enqueue(self, message: Message) -> None:
         message.enqueue_seq = len(self.transmissions)

@@ -148,6 +148,16 @@ def test_a_run_on_npy_data_loads_no_scipy(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+def test_an_lda_run_loads_no_scipy(tmp_path):
+    paths = datasets.write_corpus(datasets.gen_lda(30, 40, 3, 10, seed=1), str(tmp_path))
+    cfg = write_cfg(tmp_path, f"[data]\ndocs = {paths['docs']}\n[algorithm]\n"
+                    "algorithm = lda\ntopics = 4\nepochs = 2\n[runtime]\np = 2\n")
+    out = tmp_path / "run"
+    assert _fresh_python(CLI_AND_SCIPY, "--out-dir", str(out), "--quiet",
+                         "run", cfg) == "0 False"
+    assert len(read_metrics(str(out / "metrics.csv"))) == 2
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/exp.cfg")
@@ -298,21 +308,29 @@ def test_run_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_a_diverging_lasso_run_exits_3(tmp_path, capsys):
+def _icflow(*args):
+    """`python -m icflow.cli` in a new interpreter, so that numpy's warnings
+    reach standard error as a user sees them."""
+    src = os.path.dirname(os.path.dirname(icflow.__file__))
+    return subprocess.run([sys.executable, "-m", "icflow.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
+def test_a_diverging_lasso_run_exits_3(tmp_path):
     # 16 concurrent block updates with a tiny lambda on a block-correlated
     # design overshoot until the objective overflows; such a run once wrote
-    # `inf` rows and exited 0
+    # `inf` rows and exited 0, then printed numpy's overflow warning first
     paths = datasets.write_lasso(datasets.gen_lasso(
         200, 50, 10, seed=1, block_size=50, block_rho=0.9), str(tmp_path))
     cfg = write_cfg(tmp_path, f"[data]\nx = {paths['X']}\ny = {paths['y']}\n"
                     "[algorithm]\nalgorithm = lasso\nlam = 0.001\n[runtime]\n"
                     "p = 16\ntopology = full_p2p\nmax_clocks = 200\n")
     out = tmp_path / "out"
-    assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_INVARIANT
-    err = capsys.readouterr().err
+    proc = _icflow("--out-dir", str(out), "--quiet", "run", cfg)
+    assert proc.returncode == EXIT_INVARIANT
     assert re.fullmatch(r"invariant violation: objective became non-finite "
-                        r"\((inf|nan)\) at iteration \d+\n", err), err
+                        r"\((inf|nan)\) at iteration \d+\n", proc.stderr), proc.stderr
     assert not (out / "metrics.csv").exists()
 
 
@@ -326,21 +344,34 @@ def test_a_bandwidth_no_message_can_cross_exits_2(tmp_path, capsys):
                         r"transmission time at 1e-320 bytes per tick\n", err), err
 
 
+def test_a_delivery_past_int64_ticks_exits_2(tmp_path, capsys):
+    # at 1e-300 bytes per tick a message takes about 1e302 ticks, and a
+    # 1e300-fold straggler sends at about tick 5e300: such runs once exited 0
+    # with 300-digit tick cells in metrics.csv
+    small = (MINIMAL.replace("max_clocks = 5", "max_clocks = 3")
+             .replace("n = 60\nm = 12", "n = 50\nm = 20"))
+    for runtime, sent, budget in (("bandwidth = 1e-300", r"\d+", "1e-300"),
+                                  ("straggler = 1:1e300", r"5e\+300", "4096.0")):
+        cfg = write_cfg(tmp_path, small.replace("p = 2", f"p = 4\n{runtime}"))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"configuration error: a \d+-byte message sent at tick {sent} "
+                            r"is delivered after tick 9223372036854775807 at "
+                            rf"{budget} bytes per tick\n", err), err
+        assert not (out / "metrics.csv").exists()
+
+
 def test_an_empty_y_file_is_one_configuration_error_line(tmp_path):
     # numpy's "input contained no data" warning once came first
     lasso = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
     mlr = datasets.write_mlr(datasets.gen_mlr(30, 5, 3, seed=1), str(tmp_path))
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    src = os.path.dirname(os.path.dirname(icflow.__file__))
     for algorithm, key, matrix in (("lasso", "x", lasso["X"]), ("mlr", "u", mlr["U"])):
         cfg = write_cfg(tmp_path, f"[data]\n{key} = {matrix}\ny = {empty}\n"
                         f"[algorithm]\nalgorithm = {algorithm}\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "icflow.cli", "--quiet", "--out-dir",
-             str(tmp_path / "out"), "run", cfg],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-            timeout=60)
+        proc = _icflow("--quiet", "--out-dir", str(tmp_path / "out"), "run", cfg)
         assert proc.returncode == EXIT_CONFIG, algorithm
         assert proc.stderr.splitlines() == [
             f"configuration error: {empty}: expected one value per line for the "

@@ -108,6 +108,45 @@ def test_log_likelihood_matches_direct_gammaln_sum():
     assert lda_log_likelihood(state) == pytest.approx(direct)
 
 
+def _scipy_log_likelihood(state):
+    a, b, K, V = state.alpha, state.beta, state.K, state.V
+    N = state.doc_topic.shape[0]
+    return (K * (gammaln(V * b) - V * gammaln(b))
+            + gammaln(state.word_topic + b).sum()
+            - gammaln(state.topic_totals + V * b).sum()
+            + N * (gammaln(K * a) - K * gammaln(a))
+            + gammaln(state.doc_topic + a).sum()
+            - gammaln(state.doc_topic.sum(axis=1) + K * a).sum())
+
+
+@pytest.mark.parametrize("K", [3, 100, 129])
+def test_log_likelihood_matches_scipy_gammaln(K):
+    # counts in the thousands, an empty document, and an empty corpus
+    rng = np.random.default_rng(K)
+    V, N = 40, 12
+    word_topic = rng.integers(0, 3000, size=(V, K)) * (rng.random((V, K)) < 0.3)
+    doc_topic = rng.integers(0, 2000, size=(N, K))
+    doc_topic[5] = 0
+    for docs in (doc_topic, np.zeros((0, K), dtype=np.int64)):
+        state = LdaState(docs, word_topic, word_topic.sum(axis=0), [],
+                         50.0 / K, 0.01)
+        assert lda_log_likelihood(state) == pytest.approx(
+            _scipy_log_likelihood(state), rel=1e-12, abs=0)
+
+
+def test_log_likelihood_rejects_negative_counts():
+    state = init_state(small_corpus(), V=12, K=3, rng=np.random.default_rng(7))
+    state.word_topic[0, 0] = -1
+    with pytest.raises(StateCorruptionError, match="negative count -1"):
+        lda_log_likelihood(state)
+
+
+def test_rotation_runs_on_documents_without_tokens():
+    result = run_rotation([[], []], V=5, K=3, P=2, epochs=1, seed=0)
+    assert result.log_likelihoods == [
+        pytest.approx(_scipy_log_likelihood(result.state), rel=1e-12, abs=0)]
+
+
 def test_sweeps_improve_log_likelihood():
     corpus = gen_lda(40, 20, 3, 12, seed=8).docs
     state = init_state(corpus, V=20, K=3, rng=np.random.default_rng(9))
@@ -361,3 +400,57 @@ def test_rotation_detects_corrupted_counts(monkeypatch):
     monkeypatch.setattr(lda, "init_state", corrupted)
     with pytest.raises(StateCorruptionError, match=f"word {corpus[0][0]}"):
         run_rotation(corpus, V=12, K=3, P=2, epochs=1, seed=6)
+
+
+def test_sample_blocks_matches_token_update_on_a_flat_cdf():
+    """Each block's token sits in topic 500, which holds about half of the
+    mass, and the last topic holds the rest; the topics in between add less
+    than half an ulp each, so hundreds of consecutive cdf entries are equal.
+    A uniform on that flat value draws the last topic, one just below it
+    topic 500."""
+    K, V, N, k = 1000, 2, 2, 500
+    doc_topic = np.zeros((N, K), dtype=np.int64)
+    word_topic = np.zeros((V, K), dtype=np.int64)
+    totals = np.full(K, 10**12, dtype=np.int64)
+    totals[[k, K - 1]] = 10**5
+    for d, big in enumerate((10**4, 3 * 10**4)):  # block d: doc d's token, word d
+        doc_topic[d, [k, K - 1]] = big + 1, big
+        word_topic[d, [k, K - 1]] = big + 1, 2 * big
+
+    def fresh():
+        return LdaState(doc_topic.copy(), word_topic.copy(), totals.copy(),
+                        [[k], [k]], 50.0 / K, 0.01)
+
+    flats = []
+    for d in range(N):
+        probe = fresh()
+        probe.doc_topic[d, k] -= 1
+        probe.word_topic[d, k] -= 1
+        probe.topic_totals[k] -= 1
+        cdf = np.cumsum(conditional_topic_distribution(probe, d, d))
+        cdf /= cdf[-1]
+        assert np.all(cdf[k + 1 : -1] == cdf[k]) and cdf[k] < 1.0
+        flats.append(cdf[k])
+    assert flats[0] != flats[1]
+    docs = words = np.arange(N)
+    blocks = [np.array([0]), np.array([1])]
+    below = [np.nextafter(f, 0) for f in flats]
+    for us, topics in (
+        (flats, [K - 1, K - 1]),
+        (below, [k, k]),
+        ([flats[0], below[1]], [K - 1, k]),
+        ([below[0], flats[1]], [k, K - 1]),
+    ):
+        expected = []
+        for d, u in enumerate(us):
+            ref = fresh()
+            expected.append(gibbs_token_update(
+                ref, d, d, 0, _FixedDraw(u), totals=ref.topic_totals.copy()))
+        assert expected == topics
+        state = fresh()
+        counts = np.vstack([state.doc_topic, state.word_topic,
+                            np.tile(state.topic_totals, (2, 1))])
+        z = np.array([k, k], dtype=np.int64)
+        sample_blocks(counts, N, z, docs, words, blocks,
+                      [np.array([u]) for u in us], state.alpha, state.beta)
+        assert z.tolist() == expected
