@@ -41,14 +41,38 @@ class LdaState:
         return self.word_topic.shape[0]
 
 
-def _tokens(corpus: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Document start offsets (N + 1 of them), then each token's document and
-    word id, all tokens in document order."""
-    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+def _assign(
+    corpus: list[list[int]], V: int, K: int, rng: np.random.Generator
+) -> tuple[LdaState, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``init_state``'s state, then the flat arrays it was built from: the
+    N + 1 document start offsets, and each token's document, word id and
+    topic, all tokens in document order."""
+    if K < 1 or V < 1:
+        raise ConfigurationError("K and V must be >= 1")
+    N = len(corpus)
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=N)
     starts = np.concatenate(([0], np.cumsum(lengths)))
-    n = int(starts[-1])
-    words = np.fromiter(chain.from_iterable(corpus), dtype=np.int64, count=n)
-    return starts, np.repeat(np.arange(len(corpus)), lengths), words
+    try:
+        words = np.fromiter(chain.from_iterable(corpus), dtype=np.int64,
+                            count=int(starts[-1]))
+    except OverflowError:
+        words = None
+    if words is None or not np.all((words >= 0) & (words < V)):
+        w = next(w for doc in corpus for w in doc if not 0 <= w < V)
+        raise ConfigurationError(f"word id {w} out of range for V={V}")
+    docs = np.repeat(np.arange(N), lengths)
+    z = rng.integers(K, size=words.size)
+    doc_topic = np.bincount(docs * K + z, minlength=N * K).reshape(N, K)
+    word_topic = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
+    totals = np.bincount(z, minlength=K)
+    state = LdaState(doc_topic, word_topic, totals, _per_doc(z, starts), 50.0 / K, 0.01)
+    return state, starts, docs, words, z
+
+
+def _per_doc(z: np.ndarray, starts: np.ndarray) -> list[list[int]]:
+    """The flat per-token values ``z`` as one list per document."""
+    # split at every start but the first: N + 1 pieces, the last one empty
+    return [zd.tolist() for zd in np.split(z, starts[1:])[:-1]]
 
 
 def init_state(
@@ -63,22 +87,7 @@ def init_state(
     One ``rng.integers(K, size=n)`` call draws the same topics, and leaves
     the generator in the same state, as n scalar ``rng.integers(K)`` calls.
     """
-    if K < 1 or V < 1:
-        raise ConfigurationError("K and V must be >= 1")
-    N = len(corpus)
-    try:
-        starts, docs, words = _tokens(corpus)
-    except OverflowError:
-        words = None
-    if words is None or not np.all((words >= 0) & (words < V)):
-        w = next(w for doc in corpus for w in doc if not 0 <= w < V)
-        raise ConfigurationError(f"word id {w} out of range for V={V}")
-    z = rng.integers(K, size=words.size)
-    doc_topic = np.bincount(docs * K + z, minlength=N * K).reshape(N, K)
-    word_topic = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
-    totals = np.bincount(z, minlength=K)
-    z_docs = [zd.tolist() for zd in np.split(z, starts[1:-1])]
-    return LdaState(doc_topic, word_topic, totals, z_docs, 50.0 / K, 0.01)
+    return _assign(corpus, V, K, rng)[0]
 
 
 def conditional_topic_distribution(
@@ -268,12 +277,9 @@ def run_rotation(
     snapshot and reconciled afterwards. The P workers of a sub-epoch run in
     lockstep (``sample_blocks``).
     """
-    rng = np.random.default_rng(seed)
-    state = init_state(corpus, V, K, rng)
+    state, starts, docs, words, z = _assign(corpus, V, K, np.random.default_rng(seed))
     plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
     N = len(corpus)
-    starts, docs, words = _tokens(corpus)
-    z = np.fromiter(chain.from_iterable(state.z), dtype=np.int64, count=words.size)
     bucket_of = np.empty(V, dtype=np.int64)
     for b, bucket in enumerate(plan.word_buckets):
         bucket_of[bucket] = b
@@ -305,7 +311,7 @@ def run_rotation(
                           state.alpha, state.beta)
             state.topic_totals += (local_totals - state.topic_totals).sum(axis=0)
         lls.append(lda_log_likelihood(state))
-    state.z = [zd.tolist() for zd in np.split(z, starts[1:-1])]
+    state.z = _per_doc(z, starts)
     return RotationResult(state, plan, lls, schedule_log)
 
 

@@ -563,7 +563,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             sys.stdout.write(build_report(args.metrics, args.tolerance))
             return EXIT_OK
-    except ConfigurationError as e:
+    except (ConfigurationError, MemoryError) as e:  # MemoryError: input too large to allocate
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except IcflowError as e:

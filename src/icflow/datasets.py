@@ -1,13 +1,10 @@
 """Synthetic dataset generators and on-disk formats.
 
 Formats are deliberately plain: numpy `.npy` files for design matrices
-(a 2-D array of real floating values, every one finite; a Matrix Market file
-in coordinate or array format is read too), a dense text vector for
-responses, the bag-of-words triple format `docID wordID count` (1-based,
+(a 2-D array of real floating values, every one finite), a dense text vector
+for responses, the bag-of-words triple format `docID wordID count` (1-based,
 three header lines) for corpora, and one integer class id per line for
 labels. Every generator writes a ground-truth sidecar next to the data.
-scipy is imported only when a Matrix Market file is read, so importing this
-module (and the CLI), `icflow gen` and a run on `.npy` data do not pay for it.
 """
 from __future__ import annotations
 
@@ -88,11 +85,9 @@ def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
     return paths
 
 
-def _check_finite_real(path: str, a: np.ndarray) -> np.ndarray:
-    """`a` unchanged if every entry is a finite real number; a complex or
-    non-finite entry is a configuration error that names `path`."""
-    if np.iscomplexobj(a):
-        raise ConfigurationError(f"{path}: complex entries; only real values are read")
+def _check_finite(path: str, a: np.ndarray) -> np.ndarray:
+    """`a` unchanged if every entry is finite; a non-finite entry is a
+    configuration error that names `path`."""
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         at = ", ".join(str(i + 1) for i in bad[0])
@@ -105,32 +100,20 @@ def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
     """A design matrix and a text vector with one value per row of it.
 
     The matrix is a `.npy` file, known by its magic bytes and not its name,
-    holding a 2-D array of real floating values, or else a real Matrix Market
-    file (coordinate or array format). A malformed file, a matrix with no rows
-    or no columns, a complex or non-finite entry, or a vector of any other
-    shape is a configuration error."""
-    with open(x_path, "rb") as f:
-        npy = f.read(6) == b"\x93NUMPY"
-    if npy:
-        try:
-            X = np.load(x_path, allow_pickle=False)
-        except ValueError as e:
-            raise ConfigurationError(f"{x_path}: not a readable .npy array: {e}") from None
-        if X.ndim != 2 or X.dtype.kind != "f":
-            raise ConfigurationError(f"{x_path}: a {X.ndim}-D {X.dtype} array; "
-                                     "expected a 2-D array of real floating values")
-        X = np.ascontiguousarray(X, dtype=np.float64)  # as Matrix Market is read
-    else:
-        import scipy.io
-        import scipy.sparse
-
-        try:
-            X = scipy.io.mmread(x_path)
-        except ValueError as e:
-            raise ConfigurationError(
-                f"{x_path}: not a readable Matrix Market matrix: {e}") from None
-        if scipy.sparse.issparse(X):  # coordinate format; array format is dense
-            X = np.asarray(X.todense())
+    holding a 2-D array of real floating values, read as float64. Any other
+    file, a malformed one, a matrix with no rows or no columns, a non-finite
+    entry, or a vector of any other shape is a configuration error."""
+    with open(x_path, "rb") as f:  # np.load would open an .npz archive too
+        if f.read(6) != b"\x93NUMPY":
+            raise ConfigurationError(f"{x_path}: not a .npy file")
+    try:
+        X = np.load(x_path, allow_pickle=False)
+    except ValueError as e:
+        raise ConfigurationError(f"{x_path}: not a readable .npy array: {e}") from None
+    if X.ndim != 2 or X.dtype.kind != "f":
+        raise ConfigurationError(f"{x_path}: a {X.ndim}-D {X.dtype} array; "
+                                 "expected a 2-D array of real floating values")
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if 0 in X.shape:
         raise ConfigurationError(
             f"{x_path}: a {X.shape[0]}x{X.shape[1]} design matrix; it needs "
@@ -145,7 +128,7 @@ def read_lasso(x_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(
             f"{y_path}: expected one value per line for the {X.shape[0]} rows "
             f"of {x_path}, got shape {y.shape}")
-    return _check_finite_real(x_path, X), _check_finite_real(y_path, y)
+    return _check_finite(x_path, X), _check_finite(y_path, y)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +276,9 @@ def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
 
 
 def read_mlr(u_path: str, y_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Features and integer class ids, read as `read_lasso` reads its
-    matrix and vector; a label that is not an integer is a configuration
-    error."""
+    """A `.npy` feature matrix and integer class ids, read as `read_lasso`
+    reads its matrix and vector; a label that is not an integer is a
+    configuration error."""
     U, y = read_lasso(u_path, y_path)
     bad = np.flatnonzero(y != np.floor(y))
     if len(bad):

@@ -147,6 +147,14 @@ def test_rotation_runs_on_documents_without_tokens():
         pytest.approx(_scipy_log_likelihood(result.state), rel=1e-12, abs=0)]
 
 
+def test_an_empty_corpus_has_no_documents():
+    # np.split of no tokens once gave one phantom document
+    state = init_state([], V=5, K=3, rng=np.random.default_rng(1))
+    assert state.z == [] and state.doc_topic.shape == (0, 3)
+    state, lls = run_sequential([], V=5, K=3, epochs=1)
+    assert state.z == [] and len(lls) == 1
+
+
 def test_sweeps_improve_log_likelihood():
     corpus = gen_lda(40, 20, 3, 12, seed=8).docs
     state = init_state(corpus, V=20, K=3, rng=np.random.default_rng(9))
@@ -390,14 +398,14 @@ def test_sample_blocks_matches_token_update_on_cdf_boundaries(K):
 
 def test_rotation_detects_corrupted_counts(monkeypatch):
     corpus = small_corpus(seed=5)
-    real_init = lda.init_state
+    real_assign = lda._assign
 
     def corrupted(*args, **kwargs):
-        state = real_init(*args, **kwargs)
+        state, *flat = real_assign(*args, **kwargs)
         state.word_topic[corpus[0][0], state.z[0][0]] = 0
-        return state
+        return (state, *flat)
 
-    monkeypatch.setattr(lda, "init_state", corrupted)
+    monkeypatch.setattr(lda, "_assign", corrupted)
     with pytest.raises(StateCorruptionError, match=f"word {corpus[0][0]}"):
         run_rotation(corpus, V=12, K=3, P=2, epochs=1, seed=6)
 
