@@ -14,10 +14,12 @@ from ..errors import ConfigurationError
 
 
 def soft_threshold(u: float, lam: float) -> float:
-    """sign(u) * max(|u| - lam, 0)."""
+    """sign(u) * max(|u| - lam, 0), with np.sign's cases: +0.0 for u = +-0
+    and NaN for a NaN u."""
     if lam < 0:
         raise ConfigurationError("threshold must be >= 0")
-    return np.sign(u) * max(abs(u) - lam, 0.0)
+    shrunk = max(abs(u) - lam, 0.0)
+    return shrunk if u > 0 else -shrunk if u < 0 else 0.0 * shrunk
 
 
 def normalize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +78,9 @@ class LassoCDProgram:
 
     def __init__(self, problem: LassoProblem):
         self.problem = problem
+        # block_delta's per-coordinate inputs: Python floats and Gram rows
+        self._Xty, self._col_sq = problem.Xty.tolist(), problem.col_sq.tolist()
+        self._rows = list(problem.gram)
 
     def initial_values(self) -> np.ndarray:
         return np.zeros(self.problem.m)
@@ -86,13 +91,15 @@ class LassoCDProgram:
         Returns the sparse increment new - old per touched coordinate; the
         view itself is left unmodified.
         """
-        prob = self.problem
+        Xty, col_sq, rows = self._Xty, self._col_sq, self._rows
+        lam = float(self.problem.lam)
         a = np.array(view, copy=True)
         delta: dict[int, float] = {}
         for j in indices:
-            u = prob.Xty[j] - prob.gram[j] @ a + prob.col_sq[j] * a[j]
-            new = soft_threshold(u, prob.lam)
-            d = new - a[j]
+            old = float(a[j])
+            u = Xty[j] - float(rows[j].dot(a)) + col_sq[j] * old
+            new = soft_threshold(u, lam)
+            d = new - old
             if d != 0.0:
                 delta[j] = d
             a[j] = new

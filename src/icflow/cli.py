@@ -250,7 +250,7 @@ def _make_scheduler(kind: str, problem: LassoProblem, P: int, seed: int):
     if kind == "fixed":
         return FixedBlockScheduler(problem.m, P)
     if kind == "sap":
-        return SapScheduler(problem.X, P, seed=seed)
+        return SapScheduler(problem.X, P, seed=seed, gram=problem.gram)
     if kind == "random":
         return RandomScheduler(problem.m, P, seed=seed)
     return RoundRobinScheduler(problem.m, P)
@@ -409,10 +409,23 @@ def read_metrics(path: str) -> list[dict]:
     return rows
 
 
+def _labels(paths: list[str]) -> list[str]:
+    """Each path's shortest trailing part that no other path ends with:
+    `a/metrics.csv` and `b/metrics.csv`, or the basename of a lone path."""
+    parts = [os.path.normpath(p).split(os.sep) for p in paths]
+    labels = []
+    for i, own in enumerate(parts):
+        others = parts[:i] + parts[i + 1:]
+        n = next((n for n in range(1, len(own)) if all(q[-n:] != own[-n:] for q in others)),
+                 len(own))
+        labels.append("/".join(own[-n:]))
+    return labels
+
+
 def build_report(paths: list[str], tolerance: float | None) -> str:
     series = {p: read_metrics(p) for p in paths}
     out = []
-    names = [os.path.basename(p) for p in paths]
+    names = _labels(paths)
     out.append("objective vs iteration")
     out.append("iteration," + ",".join(names))
     longest = max(len(r) for r in series.values())
@@ -425,22 +438,17 @@ def build_report(paths: list[str], tolerance: float | None) -> str:
     out.append("")
     out.append("objective vs tick")
     out.append("file,final_tick,final_objective")
-    for p in paths:
+    for p, name in zip(paths, names):
         rows = series[p]
-        out.append(
-            f"{os.path.basename(p)},{rows[-1]['tick']},{rows[-1]['objective']:.6e}"
-        )
+        out.append(f"{name},{rows[-1]['tick']},{rows[-1]['objective']:.6e}")
     if tolerance is not None:
         out.append("")
         out.append(f"ticks to objective <= {tolerance:g}")
         ttt = {}
-        for p in paths:
+        for p, name in zip(paths, names):
             t = ticks_to_tolerance(series[p], tolerance)
             ttt[p] = t
-            out.append(
-                f"{os.path.basename(p)}: "
-                + (str(t) if t is not None else "not reached")
-            )
+            out.append(f"{name}: " + (str(t) if t is not None else "not reached"))
         if len(paths) == 2 and all(ttt[p] is not None for p in paths):
             a, b = paths
             ratio = ttt[a] / ttt[b] if ttt[b] else math.inf

@@ -131,21 +131,26 @@ def decode_delta(data: bytes) -> UpdateDelta:
 class Topology:
     """The worker-to-worker graphs are circulant, so origin o's broadcast
     tree is worker 0's shifted by o. `_kids` holds worker 0's tree as
-    offsets: entry r lists the offsets that offset r relays to."""
+    offsets: entry r lists the offsets that offset r relays to. An origin's
+    own tree, node -> relays, is built from it on its first use."""
 
     def __init__(self, P: int):
         if P < 1:
             raise ConfigurationError("P must be >= 1")
         self.P = P
         self._kids: list[tuple[int, ...]] = [()] * P
+        self._trees: list[list[tuple[int, ...]] | None] = [None] * P
 
     def relays(self, origin: int, node: int) -> tuple[int, ...]:
         """The workers `node` forwards `origin`'s commits to, in increasing
         order (the send order fixes the event order). Each worker other
         than the origin has exactly one sender, so a commit costs P-1 link
         messages."""
-        P = self.P
-        return tuple(sorted((origin + c) % P for c in self._kids[(node - origin) % P]))
+        tree = self._trees[origin]
+        if tree is None:  # worker 0's tree shifted: node n is offset n - origin
+            tree = [tuple(sorted((origin + c) % self.P for c in k)) for k in self._kids]
+            tree = self._trees[origin] = tree[-origin:] + tree[:-origin]
+        return tree[node]
 
 
 class FullP2P(Topology):
@@ -274,7 +279,7 @@ class OutgoingQueue:
 
     def transmit(self, nbytes: int, now: float) -> float:
         """Send `nbytes` at time `now`; returns the delivery tick."""
-        start = max(now, self.free_at)
+        start = self.free_at if self.free_at > now else now
         finish = start + nbytes / self.budget
         if not isfinite(finish):
             raise ConfigurationError(f"a {nbytes}-byte message has no finite "
@@ -290,7 +295,8 @@ class OutgoingQueue:
         st = self.stats
         st.messages += 1
         st.bytes += nbytes
-        st.max_inflight = max(st.max_inflight, self.inflight)
+        if self.inflight > st.max_inflight:
+            st.max_inflight = self.inflight
         return delivery
 
     def enqueue(self, message: Message) -> None:

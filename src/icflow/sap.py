@@ -13,9 +13,9 @@ from .errors import ConfigurationError
 _HASH_MULT = 2654435761
 _HASH_MOD = 2**32
 
-# A blocked Gram product and a per-pair dot product may differ in the last
-# bits (under 1e-15 on unit columns); build_independent_subsets hands pairs
-# this close to kappa to dependency_check.
+# A Gram product and a per-pair dot product may differ in the last bits
+# (under 1e-15 on unit columns); build_independent_subsets hands pairs this
+# close to kappa to dependency_check.
 _KAPPA_TIE = 1e-9
 
 
@@ -27,7 +27,7 @@ def dependency_check(j: int, k: int, X: np.ndarray) -> float:
 
 
 def build_independent_subsets(
-    candidates, kappa: float, X: np.ndarray
+    candidates, kappa: float, X: np.ndarray, gram: np.ndarray
 ) -> list[list[int]]:
     """Group candidates into subsets safe for cross-worker parallel update.
 
@@ -37,17 +37,16 @@ def build_independent_subsets(
     large, since a split component would update dependent columns on
     different workers.
 
-    All pair weights of a call come from one Gram product of the candidate
-    columns. A pair whose blocked weight lies within ``_KAPPA_TIE`` of kappa
-    is decided by ``dependency_check`` itself, so every grouping equals the
-    one the pairwise checks give.
+    All pair weights of a call are read from ``gram``, the Gram matrix
+    X.T @ X. A pair whose weight there lies within ``_KAPPA_TIE`` of kappa
+    is decided by ``dependency_check`` on X itself, so every grouping
+    equals the one the pairwise checks give.
     """
     cand = sorted(set(candidates))
     if not cand:
         return []
-    Xc = X[:, cand]
-    gram = np.abs(Xc.T @ Xc)
-    rows, cols = np.nonzero(np.triu(gram >= kappa - _KAPPA_TIE, k=1))
+    block = np.abs(gram[np.ix_(cand, cand)])
+    rows, cols = np.nonzero(np.triu(block >= kappa - _KAPPA_TIE, k=1))
     parent = list(range(len(cand)))
 
     def find(a):
@@ -56,7 +55,7 @@ def build_independent_subsets(
             a = parent[a]
         return a
 
-    for a, b, w in zip(rows.tolist(), cols.tolist(), gram[rows, cols].tolist()):
+    for a, b, w in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
         if w >= kappa + _KAPPA_TIE or dependency_check(cand[a], cand[b], X) >= kappa:
             parent[find(a)] = find(b)
 
@@ -185,7 +184,10 @@ def build_rotation_plan(doc_token_counts, V: int, P: int) -> RotationPlan:
 
 class SapScheduler:
     """schedule(): prioritize a candidate pool, dependency-check it into
-    independent subsets, and balance the subsets across P workers."""
+    independent subsets, and balance the subsets across P workers.
+
+    The pair weights come from `gram`, X.T @ X (a Lasso problem has it
+    already); without one the scheduler computes it once here."""
 
     def __init__(
         self,
@@ -194,21 +196,23 @@ class SapScheduler:
         kappa: float = 0.1,
         pool_size: int | None = None,
         seed: int = 0,
+        gram: np.ndarray | None = None,
     ):
         self.X = X
+        self.gram = X.T @ X if gram is None else gram
         self.P = P
         self.kappa = kappa
         m = X.shape[1]
         self.pool_size = min(m, pool_size or max(P * 8, 32))
         self.priority = PriorityState(m=m)
         self.rng = np.random.default_rng(seed)
-        self.column_costs = [max(1, int(np.count_nonzero(X[:, j]))) for j in range(m)]
+        self.column_costs = np.maximum(np.count_nonzero(X, axis=0), 1).tolist()
         self._last_emitted: list[int] = []
 
     def rounds(self, t: int, values) -> list[list[int]]:
         candidates = prioritize_sample(self.priority, self.pool_size, self.rng)
         self._last_emitted = candidates
-        subsets = build_independent_subsets(candidates, self.kappa, self.X)
+        subsets = build_independent_subsets(candidates, self.kappa, self.X, self.gram)
         costs = [sum(self.column_costs[j] for j in s) for s in subsets]
         assignment = balance_load(costs, self.P)
         out: list[list[int]] = []

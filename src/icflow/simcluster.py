@@ -11,14 +11,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import AbstractSet, Callable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 import numpy as np
 
 from .engine import FixedBlockScheduler, _check_objective, apply_sparse
 from .errors import ConfigurationError, StateCorruptionError
 from .fabric import OutgoingQueue, make_topology, sparse_codec_size
-from .ssp import SspCore, Trace, TraceEvent, check_staleness_invariants
+from .ssp import SspCore, Trace, check_staleness_invariants
 
 METRICS_HEADER = (
     "iteration,tick,objective,mean_staleness,max_staleness,blocked_ticks,bytes_sent"
@@ -170,20 +170,10 @@ class FuzzWorkload:
 # simulator
 
 
-def merge_payloads(key_sets: list[AbstractSet[int]]) -> set[int]:
+def merge_payloads(key_sets: list[Iterable[int]]) -> set[int]:
     """The keys a combined server message carries: the union of its parts'
     keys. A key whose values cancel still counts."""
     return set().union(*key_sets)
-
-
-@dataclass
-class _Msg:
-    id: int
-    seqs: list[int]
-    keys: AbstractSet[int]  # the values stay in the store's log
-    nbytes: int
-    timestamp: int
-    origin: int
 
 
 @dataclass
@@ -205,6 +195,10 @@ class SimResult:
 
 
 class SimCluster:
+    """A message is a tuple (id, seqs, keys, nbytes, timestamp, origin); the
+    values stay in the store's log. A delivery's heap entry carries its
+    link, destination and message."""
+
     def __init__(self, workload, config: SimConfig):
         self.workload = workload
         self.cfg = config
@@ -212,6 +206,7 @@ class SimCluster:
         self.topology = make_topology(config.topology, P)
         self.store = SspCore(P, config.staleness, workload.m)
         self.trace = self.store.trace
+        self._append = self.store._append
         self.links: dict[tuple[int, int], OutgoingQueue] = {}
         self.phase = ["waiting"] * P
         self.wait_since: list[Optional[int]] = [0] * P
@@ -232,7 +227,7 @@ class SimCluster:
         # delivered staleness samples keyed by (origin worker, destination)
         self.pair_staleness: dict[tuple[int, int], list[int]] = {}
         # master-slave server relay state
-        self._srv_pending: dict[int, list[_Msg]] = {}
+        self._srv_pending: dict[int, list[tuple]] = {}
         self._srv_origins: dict[int, set[int]] = {}
         self._srv_next = 0  # oldest timestamp whose round is not yet relayed
 
@@ -243,35 +238,30 @@ class SimCluster:
         heapq.heappush(self.heap, (tick, self._heap_seq, handler, args))
         self._heap_seq += 1
 
-    def _link(self, a: int, b: int) -> OutgoingQueue:
-        link = self.links.get((a, b))
-        if link is None:
-            link = self.links[(a, b)] = OutgoingQueue(
-                self.cfg.bandwidth, self.cfg.latency
-            )
-        return link
-
     def _emit(self, tick: int, event: str, node: int, clock: int, seq: int,
               timestamp: int, key_count: int, nbytes: int) -> None:
-        self.trace.append(
-            TraceEvent(tick, event, node, clock, seq, timestamp, key_count, nbytes)
-        )
+        self._append((tick, event, node, clock, seq, timestamp, key_count, nbytes))
 
     # -- network ------------------------------------------------------------
 
-    def _send(self, src: int, dst: int, seqs: list[int], keys: AbstractSet[int],
-              ts: int, origin: int, tick: int) -> None:
-        """Put one new message (with a fresh id) on link src -> dst."""
-        nbytes = sparse_codec_size(len(keys))
-        msg = _Msg(self._msg_id, seqs, keys, nbytes, ts, origin)
-        self._msg_id += 1
-        delivery = self._link(src, dst).transmit(nbytes, tick)
+    def _send(self, src: int, dst: int, seqs: list[int], keys: Collection[int],
+              nbytes: int, ts: int, origin: int, tick: int) -> None:
+        """Put one new message (with a fresh id) of `nbytes` on link src -> dst."""
+        link = self.links.get((src, dst))
+        if link is None:
+            link = self.links[(src, dst)] = OutgoingQueue(
+                self.cfg.bandwidth, self.cfg.latency
+            )
+        mid = self._msg_id
+        self._msg_id = mid + 1
+        delivery = link.transmit(nbytes, tick)
         self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
-        self._emit(tick, "msg_send", src, clock, msg.id, ts, len(keys), nbytes)
-        self._push(delivery, self._deliver, (src, dst), msg)
+        self._append((tick, "msg_send", src, clock, mid, ts, len(keys), nbytes))
+        self._push(delivery, self._deliver, link, dst,
+                   (mid, seqs, keys, nbytes, ts, origin))
 
-    def _broadcast(self, origin: int, seq: int, keys: AbstractSet[int], ts: int,
+    def _broadcast(self, origin: int, seq: int, keys: Collection[int], ts: int,
                    tick: int) -> None:
         """Send one commit to every other worker. The origin sends one
         message to each node it relays to (`Topology.relays`), and each
@@ -279,56 +269,59 @@ class SimCluster:
         broadcast tree, P-1 link messages in all, a star of direct messages
         on full P2P. On master-slave the origin sends to the server, which
         relays batched rounds (`_server_receive`)."""
+        nbytes = sparse_codec_size(len(keys))
         for dst in self.topology.relays(origin, origin):
-            self._send(origin, dst, [seq], keys, ts, origin, tick)
+            self._send(origin, dst, [seq], keys, nbytes, ts, origin, tick)
 
-    def _server_receive(self, msg: _Msg, tick: int) -> None:
+    def _server_receive(self, msg: tuple, tick: int) -> None:
         """Batch one full round per timestamp, then relay each worker the
         other workers' updates in a single combined message. Late commits at
         an already-flushed timestamp relay immediately."""
-        ts = msg.timestamp
+        *_, ts, origin = msg
         srv = self.topology.server
         if ts < self._srv_next:
             self._relay(srv, [msg], ts, tick)
             return
         self._srv_pending.setdefault(ts, []).append(msg)
-        self._srv_origins.setdefault(ts, set()).add(msg.origin)
+        self._srv_origins.setdefault(ts, set()).add(origin)
         if len(self._srv_origins[ts]) == self.cfg.P:
             # rounds flush in ts order: links are FIFO, ts commits before ts + 1
             del self._srv_origins[ts]
             self._srv_next = ts + 1
             self._relay(srv, self._srv_pending.pop(ts), ts, tick)
 
-    def _relay(self, srv: int, batch: list[_Msg], ts: int, tick: int) -> None:
+    def _relay(self, srv: int, batch: list[tuple], ts: int, tick: int) -> None:
         for dst in range(self.cfg.P):
-            part = [m for m in batch if m.origin != dst]
+            part = [(seqs, keys) for _, seqs, keys, _, _, origin in batch if origin != dst]
             if not part:
                 continue
-            seqs = [s for m in part for s in m.seqs]
-            keys = merge_payloads([m.keys for m in part])
-            self._send(srv, dst, seqs, keys, ts, srv, tick)
+            keys = merge_payloads([k for _, k in part])
+            self._send(srv, dst, [s for seqs, _ in part for s in seqs], keys,
+                       sparse_codec_size(len(keys)), ts, srv, tick)
 
-    def _deliver(self, link: tuple[int, int], msg: _Msg, tick: int) -> None:
-        lk = self.links[link]
-        lk.inflight -= msg.nbytes
-        dst = link[1]
-        clock = self.store.clocks[dst] if dst < self.cfg.P else 0
-        self._emit(tick, "msg_deliver", dst, clock, msg.id, msg.timestamp,
-                   len(msg.keys), msg.nbytes)
+    def _deliver(self, link: OutgoingQueue, dst: int, msg: tuple, tick: int) -> None:
+        mid, seqs, keys, nbytes, ts, origin = msg
+        link.inflight -= nbytes
+        store = self.store
+        clock = store.clocks[dst] if dst < self.cfg.P else 0
+        self._append((tick, "msg_deliver", dst, clock, mid, ts, len(keys), nbytes))
         if dst == self.cfg.P:  # the master-slave server
             self._server_receive(msg, tick)
             return
         # relay down the origin's broadcast tree before taking it in
-        for child in self.topology.relays(msg.origin, dst):
-            self._send(dst, child, msg.seqs, msg.keys, msg.timestamp,
-                       msg.origin, tick)
-        for seq in msg.seqs:
-            upd = self.store.deliver(dst, seq)
+        for child in self.topology.relays(origin, dst):
+            self._send(dst, child, seqs, keys, nbytes, ts, origin, tick)
+        stats = link.stats
+        for seq in seqs:
+            upd = store.deliver(dst, seq)
             st = clock - upd.timestamp
-            lk.stats.staleness_sum += st
-            lk.stats.staleness_count += 1
+            stats.staleness_sum += st
+            stats.staleness_count += 1
             self.pair_staleness.setdefault((upd.worker, dst), []).append(st)
-        self._maybe_start(dst, tick)
+        # only a delivery that leaves nothing required in flight can open
+        # the gate of a waiting worker
+        if self.phase[dst] == "waiting" and not store.missing_required(dst):
+            self._maybe_start(dst, tick)
 
     # -- worker state machine -----------------------------------------------
 
@@ -374,7 +367,7 @@ class SimCluster:
         seq = store.commit(p, payload, t)
         apply_sparse(self.global_values, payload)
         self.round_changes.setdefault(t, {}).update(payload)
-        self._broadcast(p, seq, store.log[seq].payload.keys(), t, tick)
+        self._broadcast(p, seq, store.log[seq].keys.tolist(), t, tick)
         if t + 1 >= self.cfg.max_clocks:
             store.advance_clock(p)
             self.phase[p] = "done"

@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .engine import apply_sparse
 from .errors import ProtocolError, TraceParseError
 from .fabric import sparse_codec_size
 
@@ -40,9 +39,6 @@ class TraceEvent(NamedTuple):
     timestamp: int
     key_count: int
     bytes: int
-
-    def to_line(self) -> str:
-        return _LINE_FORMAT % self
 
     @classmethod
     def from_line(cls, line: str, line_number: int = 0) -> "TraceEvent":
@@ -101,34 +97,36 @@ def _read_table(text: str, body: list[str]) -> Optional[np.ndarray]:
 class Trace:
     """An ordered event log with CSV round-tripping.
 
-    A trace read by ``from_text`` keeps its events as a column table (see
-    ``table``) and builds ``TraceEvent`` objects only when ``events`` is
+    The store and the simulator append plain tuples in ``TraceEvent`` field
+    order to ``events``, which makes them ``TraceEvent`` objects when next
+    read. A trace read by ``from_text`` keeps its events as a column table
+    (see ``table``) and builds ``TraceEvent`` objects only when ``events`` is
     first asked for; from then on the list is the record. The table is
-    built at most once between appends."""
+    rebuilt when the list's length has changed since it was built."""
 
     def __init__(self, events: Optional[list[TraceEvent]] = None):
-        self._events: Optional[list[TraceEvent]] = events or []
+        self._events: Optional[list] = events or []
+        self._typed = len(self._events)  # rows below this index are TraceEvents
         self._table: Optional[np.ndarray] = None
 
     @property
     def events(self) -> list[TraceEvent]:
         if self._events is None:
             self._events = list(map(TraceEvent._make, self._table.tolist()))
+        elif self._typed < len(self._events):
+            self._events[self._typed:] = map(TraceEvent._make, self._events[self._typed:])
+        self._typed = len(self._events)
         return self._events
 
     def table(self) -> np.ndarray:
         """The events as a structured array with one field per TraceEvent
         field, in trace order."""
-        if self._table is None:
+        if self._table is None or len(self._table) != len(self):
             try:
                 self._table = np.array(self._events, dtype=_TABLE_DTYPE)
             except OverflowError:
                 self._table = np.array(self._events, dtype=_WIDE_TABLE_DTYPE)
         return self._table
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        self._table = None
 
     def __len__(self) -> int:
         return len(self._table) if self._events is None else len(self._events)
@@ -137,9 +135,8 @@ class Trace:
         return iter(self.events)
 
     def to_text(self) -> str:
-        lines = [TRACE_HEADER]
-        lines.extend(e.to_line() for e in self.events)
-        return "\n".join(lines) + "\n"
+        rows = self._table.tolist() if self._events is None else self._events
+        return "\n".join([TRACE_HEADER, *map(_LINE_FORMAT.__mod__, rows)]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Trace":
@@ -166,7 +163,8 @@ class _Update:
     seq: int
     worker: int
     timestamp: int
-    payload: dict[int, float]
+    keys: np.ndarray  # int64, in the payload's key order
+    vals: np.ndarray  # float64, one per key
     nbytes: int  # wire size, set at commit
 
 
@@ -178,6 +176,8 @@ class SspCore:
     updates are applied. ``catch_up`` applies those the protocol obliges a
     worker to see, ``apply_pending`` all of them (fresher-than-required reads
     are allowed); ``missing_required`` counts obligatory ones still in flight.
+    Updates are kept as key and value arrays; one ``np.add.at`` per apply
+    adds them in commit order, so each element's additions come in that order.
     """
 
     def __init__(self, P: int, staleness: int, m: int):
@@ -198,16 +198,17 @@ class SspCore:
         self.arrived: list[set[int]] = [set() for _ in range(P)]
         # per worker: timestamp -> number of foreign commits not yet arrived
         self.in_flight: list[dict[int, int]] = [{} for _ in range(P)]
+        # per worker: how many of those it is obliged to see (`_horizon`)
+        self._missing = [0] * P
         self._seq = 0
+        self._append = self.trace.events.append  # the one path for trace rows
 
     # -- event helpers ------------------------------------------------------
 
     def _emit(self, event: str, worker: int, seq: int = 0, timestamp: int = 0,
               key_count: int = 0, nbytes: int = 0) -> None:
-        self.trace.append(
-            TraceEvent(self.tick, event, worker, self.clocks[worker], seq,
-                       timestamp, key_count, nbytes)
-        )
+        self._append((self.tick, event, worker, self.clocks[worker], seq,
+                      timestamp, key_count, nbytes))
 
     def set_tick(self, tick: int) -> None:
         self.tick = tick
@@ -230,17 +231,20 @@ class SspCore:
                 f"commit timestamp {timestamp} != worker {worker} clock "
                 f"{self.clocks[worker]}"
             )
-        upd = _Update(self._seq, worker, timestamp, dict(payload),
-                      sparse_codec_size(len(payload)))
+        n = len(payload)
+        upd = _Update(self._seq, worker, timestamp, np.fromiter(payload, np.int64, n),
+                      np.fromiter(payload.values(), np.float64, n), sparse_codec_size(n))
         self._seq += 1
         self.log.append(upd)
         for p in range(self.P):
             if p != worker:
                 flight = self.in_flight[p]
                 flight[timestamp] = flight.get(timestamp, 0) + 1
-        apply_sparse(self.views[worker], upd.payload)
+                if timestamp <= self.clocks[p] - self.staleness - 1:  # _horizon(p)
+                    self._missing[p] += 1
+        np.add.at(self.views[worker], upd.keys, upd.vals)
         self._emit("commit", worker, seq=upd.seq, timestamp=timestamp,
-                   key_count=len(upd.payload), nbytes=upd.nbytes)
+                   key_count=n, nbytes=upd.nbytes)
         return upd.seq
 
     def advance_clock(self, worker: int) -> bool:
@@ -250,6 +254,7 @@ class SspCore:
         if self.finished[worker]:
             raise ProtocolError(f"worker {worker} already finished")
         self.clocks[worker] += 1
+        self._missing[worker] += self.in_flight[worker].get(self._horizon(worker), 0)
         self._emit("clock", worker)
         if self.would_block(worker):
             self.blocked[worker] = True
@@ -280,6 +285,8 @@ class SspCore:
             raise ProtocolError(f"seq {seq} is not in flight to worker {worker}")
         if left:
             flight[upd.timestamp] = left
+        if upd.timestamp <= self.clocks[worker] - self.staleness - 1:  # _horizon
+            self._missing[worker] -= 1
         self.arrived[worker].add(seq)
         return upd
 
@@ -301,21 +308,22 @@ class SspCore:
     def _apply(self, worker: int, horizon: Optional[int]) -> list[_Update]:
         """Fold into the worker's view, in commit order, each arrived seq with
         a timestamp <= `horizon` (None: no limit); newer ones stay arrived."""
-        arrived = self.arrived[worker]
-        applied = [self.log[seq] for seq in sorted(arrived)
-                   if horizon is None or self.log[seq].timestamp <= horizon]
+        arrived, log = self.arrived[worker], self.log
+        applied = [log[seq] for seq in sorted(arrived)
+                   if horizon is None or log[seq].timestamp <= horizon]
+        if not applied:
+            return applied
         for upd in applied:
             arrived.remove(upd.seq)
-            apply_sparse(self.views[worker], upd.payload)
-            self._emit("apply", worker, seq=upd.seq, timestamp=upd.timestamp,
-                       key_count=len(upd.payload), nbytes=upd.nbytes)
+            self._emit("apply", worker, upd.seq, upd.timestamp, len(upd.keys), upd.nbytes)
+        np.add.at(self.views[worker], np.concatenate([u.keys for u in applied]),
+                  np.concatenate([u.vals for u in applied]))
         return applied
 
     def missing_required(self, worker: int) -> int:
         """How many foreign commits the protocol obliges this worker to see
         are still in flight to it."""
-        horizon = self._horizon(worker)
-        return sum(n for ts, n in self.in_flight[worker].items() if ts <= horizon)
+        return self._missing[worker]
 
     def would_block_if_advanced(self, worker: int) -> bool:
         return self.clocks[worker] + 1 - self.min_clock() > self.staleness

@@ -11,7 +11,7 @@ import heapq
 
 import numpy as np
 
-from icflow.fabric import HaltonTopology, traffic_report
+from icflow.fabric import HaltonTopology, sparse_codec_size, traffic_report
 from icflow.simcluster import (
     FuzzWorkload,
     SimCluster,
@@ -53,19 +53,20 @@ class UnicastCluster(SimCluster):
 
     def _hop(self, route, seqs, keys, ts, origin, tick):
         self.rest[self._msg_id] = route[1:]
-        self._send(route[0], route[1], seqs, keys, ts, origin, tick)
+        self._send(route[0], route[1], seqs, keys, sparse_codec_size(len(keys)), ts,
+                   origin, tick)
 
-    def _deliver(self, link, msg, tick):
-        rest = self.rest.pop(msg.id)
+    def _deliver(self, link, node, msg, tick):
+        mid, seqs, keys, nbytes, ts, origin = msg
+        rest = self.rest.pop(mid)
         if len(rest) == 1:
-            super()._deliver(link, msg, tick)
+            super()._deliver(link, node, msg, tick)
             return
-        node = link[1]
-        self.links[link].inflight -= msg.nbytes
+        link.inflight -= nbytes
         self.store.set_tick(tick)
-        self._emit(tick, "msg_deliver", node, self.store.clocks[node], msg.id,
-                   msg.timestamp, len(msg.keys), msg.nbytes)
-        self._hop(rest, msg.seqs, msg.keys, msg.timestamp, msg.origin, tick)
+        self._emit(tick, "msg_deliver", node, self.store.clocks[node], mid,
+                   ts, len(keys), nbytes)
+        self._hop(rest, seqs, keys, ts, origin, tick)
 
 
 def _config(P, staleness, latency, bandwidth):
@@ -179,12 +180,13 @@ def _arrivals(cls, P, bandwidth, latency, commits):
             sim._broadcast(origin, sim.store.commit(origin, payload, 0),
                            payload.keys(), 0, tick)
             continue
-        tick, _, handler, (link, msg) = heapq.heappop(sim.heap)
+        tick, _, handler, (link, dst, msg) = heapq.heappop(sim.heap)
         assert handler == sim._deliver
-        sim._deliver(link, msg, tick)
-        for seq in msg.seqs:
-            if seq in sim.store.arrived[link[1]]:
-                arrived.setdefault((seq, link[1]), tick)
+        sim._deliver(link, dst, msg, tick)
+        _, seqs, *_ = msg
+        for seq in seqs:
+            if seq in sim.store.arrived[dst]:
+                arrived.setdefault((seq, dst), tick)
     assert all(q.inflight == 0 for q in sim.links.values())
     return arrived
 

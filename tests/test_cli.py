@@ -641,6 +641,26 @@ def test_replay_malformed_trace_is_exit_2(tmp_path, capsys):
                  "--staleness", "0", "--workers", "1"]) == EXIT_CONFIG
     assert "cannot read trace" in capsys.readouterr().err
 
+def test_report_labels_same_named_files_by_their_directories(tmp_path, capsys):
+    # `icflow run` always writes metrics.csv, so two runs share a basename
+    header = ("iteration,tick,objective,mean_staleness,max_staleness,"
+              "blocked_ticks,bytes_sent")
+    paths = []
+    for run, rows in (("a", "1,10,5.0,0,0,0,0\n"), ("b", "1,30,4.0,0,0,0,0\n")):
+        (tmp_path / run).mkdir()
+        paths.append(tmp_path / run / "metrics.csv")
+        paths[-1].write_text(header + "\n" + rows)
+    assert main(["report", *map(str, paths), "--tolerance", "1e9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "iteration,a/metrics.csv,b/metrics.csv" in lines
+    assert "a/metrics.csv,10,5.000000e+00" in lines
+    assert "b/metrics.csv: 30" in lines
+    assert "ratio ticks_to_tol(a/metrics.csv)/ticks_to_tol(b/metrics.csv) = 0.333" in lines
+    # a lone file keeps its basename
+    assert main(["report", str(paths[0])]) == 0
+    assert "iteration,metrics.csv" in capsys.readouterr().out.splitlines()
+
+
 def test_report_ratio_and_not_reached(tmp_path, capsys):
     header = ("iteration,tick,objective,mean_staleness,max_staleness,"
               "blocked_ticks,bytes_sent")

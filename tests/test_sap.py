@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from icflow import sap
-from icflow.algorithms.lasso import normalize_columns
+from icflow.algorithms.lasso import LassoProblem, normalize_columns
+from icflow.cli import _make_scheduler
 from icflow.datasets import gen_lasso
 from icflow.errors import ConfigurationError
+from icflow.simcluster import LassoModelParallelWorkload, SimCluster, SimConfig
 from icflow.sap import (
     PriorityState,
     RandomScheduler,
@@ -44,7 +46,7 @@ def test_independent_subsets_separate_weak_pairs():
     X = unit_cols(
         np.column_stack([base[:, 0], base[:, 0], base[:, 1], base[:, 1], base[:, 2]])
     )
-    subsets = build_independent_subsets(range(5), 0.5, X)
+    subsets = build_independent_subsets(range(5), 0.5, X, X.T @ X)
     assert [0, 1] in subsets and [2, 3] in subsets and [4] in subsets
     # every cross-subset pair is below the threshold
     for a, sa in enumerate(subsets):
@@ -56,9 +58,9 @@ def test_independent_subsets_separate_weak_pairs():
                     assert dependency_check(j, k, X) < 0.5
 
 
-def _pairwise_subsets(candidates, kappa, X):
+def _pairwise_subsets(candidates, kappa, X, gram=None):
     """Reference grouping: one dependency_check per candidate pair, union-find,
-    then the same ordering as build_independent_subsets."""
+    then the same ordering as build_independent_subsets (`gram` is unused)."""
     cand = sorted(set(candidates))
     if not cand:
         return []
@@ -98,7 +100,7 @@ def test_blocked_grouping_matches_pairwise_reference():
         # kappa = 0 joins every pair into one component
         kappa = 0.0 if i == 0 else float(rng.uniform(0.02, 0.6))
         args = (candidates.tolist(), kappa, X)
-        assert build_independent_subsets(*args) == _pairwise_subsets(*args)
+        assert build_independent_subsets(*args, X.T @ X) == _pairwise_subsets(*args)
 
 
 def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
@@ -113,7 +115,7 @@ def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
         return dependency_check(a, b, X)
 
     monkeypatch.setattr(sap, "dependency_check", counting_check)
-    subsets = build_independent_subsets(range(40), kappa, X)
+    subsets = build_independent_subsets(range(40), kappa, X, X.T @ X)
     assert (j, k) in oracle_calls
     assert [j, k] in subsets
     assert subsets == _pairwise_subsets(range(40), kappa, X)
@@ -137,6 +139,34 @@ def test_sap_scheduler_rounds_match_pairwise_reference(monkeypatch):
         mp.setattr(sap, "build_independent_subsets", _pairwise_subsets)
         reference = ten_rounds()
     assert blocked == reference
+
+
+def test_sap_run_is_the_same_with_pairwise_subsets(monkeypatch):
+    # the scheduler reads the problem's Gram matrix, as `icflow run` builds it
+    ds = gen_lasso(200, 90, 8, seed=4, block_size=6, block_rho=0.8)
+    problem = LassoProblem.from_raw(ds.X, ds.y)
+
+    def run():
+        sched = _make_scheduler("sap", problem, 4, 5)
+        assert sched.gram is problem.gram
+        workload = LassoModelParallelWorkload(problem, 4, sched)
+        res = SimCluster(workload, SimConfig(P=4, topology="master_slave",
+                                             max_clocks=6)).run()
+        return res.trace.to_text(), res.metrics_text()
+
+    from_gram = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(sap, "build_independent_subsets", _pairwise_subsets)
+        reference = run()
+    assert from_gram == reference
+
+
+def test_a_scheduler_built_from_x_alone_computes_its_gram():
+    X = unit_cols(gen_lasso(100, 30, 4, seed=2).X)
+    sched = SapScheduler(X, P=2)
+    assert np.array_equal(sched.gram, X.T @ X)
+    assert sched.column_costs == [max(1, int(np.count_nonzero(X[:, j])))
+                                  for j in range(30)]
 
 
 def test_priority_state_observe_and_floor():

@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from icflow.fabric import traffic_report
-from icflow.simcluster import FuzzWorkload, SimConfig, inject_straggler, run_simulation
+from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig, inject_straggler
 
 # (topology, staleness, slow_worker_extras) -> sha256 of trace + metrics +
 # traffic, first 16 hex digits. The links are slow enough that on
@@ -39,16 +39,36 @@ GOLDEN = {
 }
 
 
-def _digest(topology, staleness, extras):
+# (topology, staleness) -> the same digest for FuzzWorkload(60, 5,
+# keys_per_update=40): each update touches most of its worker's 12-key
+# stripe, so a worker that folds in several updates at once adds to one
+# element many times in one apply. These digests also hash the final views.
+GOLDEN_OVERLAPPING = {
+    ("master_slave", 0): "50c8bce2625b4429",
+    ("master_slave", 2): "3f310d83b1331302",
+    ("full_p2p", 0): "2d37bf864516b896",
+    ("full_p2p", 2): "56c0e6b3bfcf1cbf",
+    ("halton", 0): "8e61d23b8cae577a",
+    ("halton", 2): "456b6653f8917975",
+}
+
+
+def _digest(topology, staleness, extras, m=40, keys_per_update=3, views=False):
+    """The digest of one run; with `views`, the bytes of every worker's final
+    view and of the global values are hashed too."""
     P = 5
     cfg = inject_straggler(
         SimConfig(P=P, staleness=staleness, topology=topology, bandwidth=16.0,
                   latency=1, max_clocks=8, seed=3, slow_worker_extras=extras),
         2, 4.0, (6, 60),
     )
-    res = run_simulation(FuzzWorkload(40, P, seed=11, keys_per_update=3), cfg)
+    sim = SimCluster(FuzzWorkload(m, P, seed=11, keys_per_update=keys_per_update), cfg)
+    res = sim.run()
     text = res.trace.to_text() + res.metrics_text() + traffic_report(res.traffic)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    data = text.encode()
+    if views:
+        data += b"".join(v.tobytes() for v in sim.store.views) + res.values.tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 CASES = [
@@ -62,3 +82,10 @@ CASES = [
 @pytest.mark.parametrize("topology,staleness,extras", CASES)
 def test_fuzz_runs_match_recorded_digests(topology, staleness, extras):
     assert _digest(topology, staleness, extras) == GOLDEN[(topology, staleness, extras)]
+
+
+@pytest.mark.parametrize("topology,staleness", sorted(GOLDEN_OVERLAPPING))
+def test_overlapping_applies_match_recorded_digests(topology, staleness):
+    assert _digest(topology, staleness, False, m=60, keys_per_update=40,
+                   views=True) == \
+        GOLDEN_OVERLAPPING[(topology, staleness)]

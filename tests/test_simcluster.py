@@ -5,6 +5,7 @@ import pytest
 
 from icflow.algorithms.lasso import LassoProblem
 from icflow.datasets import gen_lasso
+from icflow.engine import apply_sparse
 from icflow.errors import ConfigurationError
 from icflow.fabric import OutgoingQueue, sparse_codec_size
 from icflow.simcluster import (
@@ -546,3 +547,69 @@ def test_checkers_match_reference_beyond_int64():
     trace = Trace.from_text(text)
     rep, inv = _assert_checks_match_reference(trace, 0, 2, "beyond int64")
     assert not rep.ok and not inv.ok
+
+
+def _checked_run(sim, check):
+    """Run `sim`, calling check(row) after each trace row is appended."""
+    append = sim._append
+
+    def checked(row):
+        append(row)
+        check(row)
+
+    sim._append = sim.store._append = checked
+    return sim.run()
+
+
+def _fuzz_clusters(m=40, keys_per_update=3):
+    for topology in ("master_slave", "full_p2p", "halton"):
+        for staleness in range(4):
+            for extras in (False, True) if staleness else (False,):
+                cfg = inject_straggler(
+                    SimConfig(P=5, staleness=staleness, topology=topology,
+                              bandwidth=16.0, max_clocks=8, seed=3,
+                              slow_worker_extras=extras),
+                    2, 4.0, (6, 60))
+                yield SimCluster(FuzzWorkload(m, 5, seed=11,
+                                              keys_per_update=keys_per_update), cfg)
+
+
+def test_missing_required_counter_equals_a_scan_of_in_flight():
+    for sim in _fuzz_clusters():
+        store = sim.store
+        seen = []
+
+        def check(row):
+            seen.append(row)
+            for p in range(store.P):
+                horizon = store.clocks[p] - store.staleness - 1
+                scan = sum(n for ts, n in store.in_flight[p].items() if ts <= horizon)
+                assert store.missing_required(p) == scan, (sim.cfg, len(seen), p)
+
+        _checked_run(sim, check)
+        assert len(seen) == len(sim.trace) > 0
+
+
+def _replayed(upd, values):
+    apply_sparse(values, dict(zip(upd.keys.tolist(), upd.vals.tolist())))
+
+
+def test_every_read_sees_a_per_key_replay_of_the_log_bit_for_bit():
+    for m, keys in ((40, 3), (60, 40)):
+        for sim in _fuzz_clusters(m, keys):
+            store = sim.store
+            reference = [np.zeros(m) for _ in range(store.P)]
+            reads = []
+
+            def check(row):
+                _, event, worker, _, seq, *_ = row
+                if event in ("commit", "apply"):
+                    _replayed(store.log[seq], reference[worker])
+                elif event == "read":
+                    reads.append(worker)
+                    got, want = store.views[worker], reference[worker]
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                        (sim.cfg, len(reads))
+
+            _checked_run(sim, check)
+            assert len(reads) >= 5 * 8

@@ -16,7 +16,8 @@ from icflow.ssp import (
 
 def test_trace_event_round_trip():
     e = TraceEvent(5, "commit", 2, 3, 7, 3, 4, 73)
-    assert TraceEvent.from_line(e.to_line()) == e
+    line = Trace([e]).to_text().splitlines()[1]
+    assert TraceEvent.from_line(line) == e
 
 
 def test_trace_text_round_trip():
@@ -130,7 +131,7 @@ def test_parsed_trace_builds_events_once_and_stays_appendable():
     assert len(trace) == 1
     events = trace.events
     assert trace.events is events
-    trace.append(TraceEvent(1, "finish", 0, 1, 0, 0, 0, 0))
+    trace.events.append(TraceEvent(1, "finish", 0, 1, 0, 0, 0, 0))
     assert len(trace) == 2
     assert trace.table()["event"].tolist() == ["clock", "finish"]
     assert Trace.from_text(trace.to_text()).events == events
@@ -151,7 +152,7 @@ def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
     first = trace.table()
     assert trace.table() is first
     # an append drops the cached table
-    trace.append(TraceEvent(99, "finish", 0, 4, 0, 0, 0, 0))
+    trace.events.append(TraceEvent(99, "finish", 0, 4, 0, 0, 0, 0))
     assert trace.table() is not first and len(trace.table()) == len(first) + 1
 
 
@@ -256,7 +257,7 @@ def test_snapshot_includes_all_commits():
     store.commit(1, {0: 2.0, 2: -1.0}, 0)
     state = np.zeros(3)
     for upd in store.log:
-        apply_sparse(state, upd.payload)
+        apply_sparse(state, dict(zip(upd.keys.tolist(), upd.vals.tolist())))
     assert np.array_equal(state, np.array([3.0, 0.0, -1.0]))
 
 
@@ -318,9 +319,9 @@ def test_checker_flags_forged_clock_gap():
     # forge: extra clock events push worker 0 beyond the bound, then a commit
     # (with the finish events stripped so both workers still gate the minimum)
     forged = Trace([e for e in trace.events if e.event != "finish"])
-    forged.append(TraceEvent(99, "clock", 0, 5, 0, 0, 0, 0))
-    forged.append(TraceEvent(99, "clock", 0, 6, 0, 0, 0, 0))
-    forged.append(TraceEvent(99, "commit", 0, 6, 50, 6, 1, 37))
+    forged.events.append(TraceEvent(99, "clock", 0, 5, 0, 0, 0, 0))
+    forged.events.append(TraceEvent(99, "clock", 0, 6, 0, 0, 0, 0))
+    forged.events.append(TraceEvent(99, "commit", 0, 6, 50, 6, 1, 37))
     report = check_staleness_invariants(forged, 1, 2)
     assert not report.ok
     assert any("while min clock" in v for v in report.violations)
@@ -343,15 +344,15 @@ def test_checker_flags_self_apply_and_double_apply():
     base = run_two_workers(1, 3)
     commit = next(e for e in base if e.event == "commit")
     selfish = Trace(list(base.events))
-    selfish.append(TraceEvent(99, "apply", commit.worker, 3, commit.seq,
-                              commit.timestamp, 1, 37))
+    selfish.events.append(TraceEvent(99, "apply", commit.worker, 3, commit.seq,
+                                     commit.timestamp, 1, 37))
     report = check_staleness_invariants(selfish, 1, 2)
     assert any("its own seq" in v for v in report.violations)
 
     other = 1 - commit.worker
     doubled = Trace(list(base.events))
-    doubled.append(TraceEvent(99, "apply", other, 3, commit.seq,
-                              commit.timestamp, 1, 37))
+    doubled.events.append(TraceEvent(99, "apply", other, 3, commit.seq,
+                                     commit.timestamp, 1, 37))
     report = check_staleness_invariants(doubled, 1, 2)
     assert any("double-applied" in v for v in report.violations)
 
