@@ -11,13 +11,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import FixedBlockScheduler, _check_objective, apply_sparse
+from .engine import FixedBlockScheduler, _check_objective
 from .errors import ConfigurationError, StateCorruptionError
-from .fabric import OutgoingQueue, make_topology, sparse_codec_size
+from .fabric import _MAX_TICK, OutgoingQueue, make_topology, sparse_codec_size
 from .ssp import SspCore, Trace, check_staleness_invariants
 
 METRICS_HEADER = (
@@ -170,10 +170,12 @@ class FuzzWorkload:
 # simulator
 
 
-def merge_payloads(key_sets: list[Iterable[int]]) -> set[int]:
-    """The keys a combined server message carries: the union of its parts'
-    keys. A key whose values cancel still counts."""
-    return set().union(*key_sets)
+def merge_payloads(key_arrays: list[np.ndarray]) -> np.ndarray:
+    """The keys a combined server message carries: the sorted union of its
+    parts' key arrays. A key whose values cancel still counts. (Not
+    `np.unique`, whose first call imports `numpy.ma`.)"""
+    keys = np.sort(np.concatenate(key_arrays or [np.empty(0, np.int64)]))
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
 @dataclass
@@ -195,9 +197,10 @@ class SimResult:
 
 
 class SimCluster:
-    """A message is a tuple (id, seqs, keys, nbytes, timestamp, origin); the
-    values stay in the store's log. A delivery's heap entry carries its
-    link, destination and message."""
+    """A message is a tuple (id, seqs, key_count, nbytes, timestamp,
+    origin): it names commits by id, and their keys, values and wire sizes
+    live only in the store's log. A delivery's heap entry carries its link,
+    destination and message."""
 
     def __init__(self, workload, config: SimConfig):
         self.workload = workload
@@ -227,7 +230,7 @@ class SimCluster:
         # delivered staleness samples keyed by (origin worker, destination)
         self.pair_staleness: dict[tuple[int, int], list[int]] = {}
         # master-slave server relay state
-        self._srv_pending: dict[int, list[tuple]] = {}
+        self._srv_pending: dict[int, list[int]] = {}  # timestamp -> seqs
         self._srv_origins: dict[int, set[int]] = {}
         self._srv_next = 0  # oldest timestamp whose round is not yet relayed
 
@@ -238,13 +241,9 @@ class SimCluster:
         heapq.heappush(self.heap, (tick, self._heap_seq, handler, args))
         self._heap_seq += 1
 
-    def _emit(self, tick: int, event: str, node: int, clock: int, seq: int,
-              timestamp: int, key_count: int, nbytes: int) -> None:
-        self._append((tick, event, node, clock, seq, timestamp, key_count, nbytes))
-
     # -- network ------------------------------------------------------------
 
-    def _send(self, src: int, dst: int, seqs: list[int], keys: Collection[int],
+    def _send(self, src: int, dst: int, seqs: list[int], key_count: int,
               nbytes: int, ts: int, origin: int, tick: int) -> None:
         """Put one new message (with a fresh id) of `nbytes` on link src -> dst."""
         link = self.links.get((src, dst))
@@ -257,32 +256,32 @@ class SimCluster:
         delivery = link.transmit(nbytes, tick)
         self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
-        self._append((tick, "msg_send", src, clock, mid, ts, len(keys), nbytes))
+        self._append((tick, "msg_send", src, clock, mid, ts, key_count, nbytes))
         self._push(delivery, self._deliver, link, dst,
-                   (mid, seqs, keys, nbytes, ts, origin))
+                   (mid, seqs, key_count, nbytes, ts, origin))
 
-    def _broadcast(self, origin: int, seq: int, keys: Collection[int], ts: int,
-                   tick: int) -> None:
+    def _broadcast(self, origin: int, seq: int, tick: int) -> None:
         """Send one commit to every other worker. The origin sends one
         message to each node it relays to (`Topology.relays`), and each
         receiving worker relays it on (`_deliver`): down the origin's
         broadcast tree, P-1 link messages in all, a star of direct messages
         on full P2P. On master-slave the origin sends to the server, which
         relays batched rounds (`_server_receive`)."""
-        nbytes = sparse_codec_size(len(keys))
+        upd = self.store.log[seq]
         for dst in self.topology.relays(origin, origin):
-            self._send(origin, dst, [seq], keys, nbytes, ts, origin, tick)
+            self._send(origin, dst, [seq], len(upd.keys), upd.nbytes, upd.timestamp,
+                       origin, tick)
 
     def _server_receive(self, msg: tuple, tick: int) -> None:
         """Batch one full round per timestamp, then relay each worker the
         other workers' updates in a single combined message. Late commits at
         an already-flushed timestamp relay immediately."""
-        *_, ts, origin = msg
+        _, seqs, _, _, ts, origin = msg
         srv = self.topology.server
         if ts < self._srv_next:
-            self._relay(srv, [msg], ts, tick)
+            self._relay(srv, seqs, ts, tick)
             return
-        self._srv_pending.setdefault(ts, []).append(msg)
+        self._srv_pending.setdefault(ts, []).extend(seqs)
         self._srv_origins.setdefault(ts, set()).add(origin)
         if len(self._srv_origins[ts]) == self.cfg.P:
             # rounds flush in ts order: links are FIFO, ts commits before ts + 1
@@ -290,27 +289,27 @@ class SimCluster:
             self._srv_next = ts + 1
             self._relay(srv, self._srv_pending.pop(ts), ts, tick)
 
-    def _relay(self, srv: int, batch: list[tuple], ts: int, tick: int) -> None:
+    def _relay(self, srv: int, seqs: list[int], ts: int, tick: int) -> None:
+        log = self.store.log
         for dst in range(self.cfg.P):
-            part = [(seqs, keys) for _, seqs, keys, _, _, origin in batch if origin != dst]
+            part = [s for s in seqs if log[s].worker != dst]
             if not part:
                 continue
-            keys = merge_payloads([k for _, k in part])
-            self._send(srv, dst, [s for seqs, _ in part for s in seqs], keys,
-                       sparse_codec_size(len(keys)), ts, srv, tick)
+            n = len(merge_payloads([log[s].keys for s in part]))
+            self._send(srv, dst, part, n, sparse_codec_size(n), ts, srv, tick)
 
     def _deliver(self, link: OutgoingQueue, dst: int, msg: tuple, tick: int) -> None:
-        mid, seqs, keys, nbytes, ts, origin = msg
+        mid, seqs, key_count, nbytes, ts, origin = msg
         link.inflight -= nbytes
         store = self.store
         clock = store.clocks[dst] if dst < self.cfg.P else 0
-        self._append((tick, "msg_deliver", dst, clock, mid, ts, len(keys), nbytes))
+        self._append((tick, "msg_deliver", dst, clock, mid, ts, key_count, nbytes))
         if dst == self.cfg.P:  # the master-slave server
             self._server_receive(msg, tick)
             return
         # relay down the origin's broadcast tree before taking it in
         for child in self.topology.relays(origin, dst):
-            self._send(dst, child, seqs, keys, nbytes, ts, origin, tick)
+            self._send(dst, child, seqs, key_count, nbytes, ts, origin, tick)
         stats = link.stats
         for seq in seqs:
             upd = store.deliver(dst, seq)
@@ -352,22 +351,25 @@ class SimCluster:
         t = store.clocks[p]
         indices = self.workload.block(p, t, view)
         payload = self.workload.delta(view, p, t, indices)
-        units = self.workload.cost_units(p, t, indices)
-        cost = max(1, int(math.ceil(
-            units * self.cfg.compute_factor(p, tick)
-        )))
-        self._emit(tick, "compute_start", p, t, 0, t, len(indices), 0)
+        factor = self.cfg.compute_factor(p, tick)
+        span = self.workload.cost_units(p, t, indices) * factor
+        if span > _MAX_TICK - tick:
+            raise ConfigurationError(f"straggler factor {factor:g} makes worker {p}'s "
+                                     f"pass at tick {tick} end after tick {_MAX_TICK}")
+        cost = max(1, math.ceil(span))
+        self._append((tick, "compute_start", p, t, 0, t, len(indices), 0))
         self._push(tick + cost, self._finish_pass, p, payload)
 
     def _finish_pass(self, p: int, payload: dict, tick: int) -> None:
         store = self.store
         store.set_tick(tick)
         t = store.clocks[p]
-        self._emit(tick, "compute_end", p, t, 0, t, len(payload), 0)
+        self._append((tick, "compute_end", p, t, 0, t, len(payload), 0))
         seq = store.commit(p, payload, t)
-        apply_sparse(self.global_values, payload)
+        upd = store.log[seq]
+        np.add.at(self.global_values, upd.keys, upd.vals)
         self.round_changes.setdefault(t, {}).update(payload)
-        self._broadcast(p, seq, store.log[seq].keys.tolist(), t, tick)
+        self._broadcast(p, seq, tick)
         if t + 1 >= self.cfg.max_clocks:
             store.advance_clock(p)
             self.phase[p] = "done"

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ProtocolError, TraceParseError
+from .errors import ProtocolError, StateCorruptionError, TraceParseError
 from .fabric import sparse_codec_size
 
 _EVENTS = {
@@ -286,6 +286,9 @@ class SspCore:
         if left:
             flight[upd.timestamp] = left
         if upd.timestamp <= self.clocks[worker] - self.staleness - 1:  # _horizon
+            if not self._missing[worker]:
+                raise StateCorruptionError(f"seq {seq} arrived at worker {worker}, "
+                                           "whose count of required commits in flight is 0")
             self._missing[worker] -= 1
         self.arrived[worker].add(seq)
         return upd
@@ -355,8 +358,6 @@ class SspCore:
 class InvariantReport:
     ok: bool
     violations: list[str]
-    max_clock_gap: int
-    mean_read_staleness: float
 
 
 def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> InvariantReport:
@@ -382,9 +383,6 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
     # per worker, committed foreign seqs not yet applied there (small, since
     # workers catch up every clock; avoids rescanning all commits per read)
     outstanding: list[dict[int, int]] = [dict() for _ in range(P)]  # seq -> ts
-    max_gap = 0
-    read_staleness_sum = 0.0
-    read_count = 0
 
     def active_min() -> int:
         active = [clocks[p] for p in range(P) if not finished[p]]
@@ -405,7 +403,6 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
                     f"event {i}: worker {w} clock field {ev.clock} != "
                     f"replayed clock {clocks[w]}"
                 )
-            max_gap = max(max_gap, clocks[w] - active_min())
         elif ev.event == "block":
             blocked[w] = True
         elif ev.event == "unblock":
@@ -450,8 +447,6 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
                 violations.append(f"event {i}: worker {w} double-applied seq {ev.seq}")
             applied[w].add(ev.seq)
             outstanding[w].pop(ev.seq, None)
-            read_staleness_sum += clocks[w] - src.timestamp
-            read_count += 1
         elif ev.event == "read":
             if blocked[w]:
                 violations.append(f"event {i}: worker {w} read while blocked")
@@ -463,9 +458,4 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
                         f"missing required update seq {seq} (timestamp {ts})"
                     )
 
-    return InvariantReport(
-        ok=not violations,
-        violations=violations,
-        max_clock_gap=max_gap,
-        mean_read_staleness=read_staleness_sum / read_count if read_count else 0.0,
-    )
+    return InvariantReport(ok=not violations, violations=violations)

@@ -45,28 +45,29 @@ class UnicastCluster(SimCluster):
         self.topology = _RoutesOnly(config.P)
         self.rest = {}  # message id -> the nodes it still has to reach
 
-    def _broadcast(self, origin, seq, keys, ts, tick):
+    def _broadcast(self, origin, seq, tick):
+        upd = self.store.log[seq]
         for dst in range(self.cfg.P):
             if dst != origin:
-                self._hop(self.topology.route(origin, dst), [seq], keys, ts,
-                          origin, tick)
+                self._hop(self.topology.route(origin, dst), [seq], len(upd.keys),
+                          upd.timestamp, origin, tick)
 
-    def _hop(self, route, seqs, keys, ts, origin, tick):
+    def _hop(self, route, seqs, key_count, ts, origin, tick):
         self.rest[self._msg_id] = route[1:]
-        self._send(route[0], route[1], seqs, keys, sparse_codec_size(len(keys)), ts,
-                   origin, tick)
+        self._send(route[0], route[1], seqs, key_count, sparse_codec_size(key_count),
+                   ts, origin, tick)
 
     def _deliver(self, link, node, msg, tick):
-        mid, seqs, keys, nbytes, ts, origin = msg
+        mid, seqs, key_count, nbytes, ts, origin = msg
         rest = self.rest.pop(mid)
         if len(rest) == 1:
             super()._deliver(link, node, msg, tick)
             return
         link.inflight -= nbytes
         self.store.set_tick(tick)
-        self._emit(tick, "msg_deliver", node, self.store.clocks[node], mid,
-                   ts, len(keys), nbytes)
-        self._hop(rest, seqs, keys, ts, origin, tick)
+        self._append((tick, "msg_deliver", node, self.store.clocks[node], mid,
+                      ts, key_count, nbytes))
+        self._hop(rest, seqs, key_count, ts, origin, tick)
 
 
 def _config(P, staleness, latency, bandwidth):
@@ -177,8 +178,7 @@ def _arrivals(cls, P, bandwidth, latency, commits):
         if pending and (not sim.heap or pending[0][0] <= sim.heap[0][0]):
             tick, origin, keys = pending.pop(0)
             payload = {k: 1.0 for k in range(keys)}
-            sim._broadcast(origin, sim.store.commit(origin, payload, 0),
-                           payload.keys(), 0, tick)
+            sim._broadcast(origin, sim.store.commit(origin, payload, 0), tick)
             continue
         tick, _, handler, (link, dst, msg) = heapq.heappop(sim.heap)
         assert handler == sim._deliver

@@ -382,21 +382,39 @@ def test_a_bandwidth_no_message_can_cross_exits_2(tmp_path, capsys):
                         r"transmission time at 1e-320 bytes per tick\n", err), err
 
 
+SMALL = (MINIMAL.replace("max_clocks = 5", "max_clocks = 3")
+         .replace("n = 60\nm = 12", "n = 50\nm = 20"))
+
+
 def test_a_delivery_past_int64_ticks_exits_2(tmp_path, capsys):
-    # at 1e-300 bytes per tick a message takes about 1e302 ticks, and a
-    # 1e300-fold straggler sends at about tick 5e300: such runs once exited 0
-    # with 300-digit tick cells in metrics.csv
-    small = (MINIMAL.replace("max_clocks = 5", "max_clocks = 3")
-             .replace("n = 60\nm = 12", "n = 50\nm = 20"))
-    for runtime, sent, budget in (("bandwidth = 1e-300", r"\d+", "1e-300"),
-                                  ("straggler = 1:1e300", r"5e\+300", "4096.0")):
-        cfg = write_cfg(tmp_path, small.replace("p = 2", f"p = 4\n{runtime}"))
+    # at 1e-300 bytes per tick a message takes about 1e302 ticks: such a run
+    # once exited 0 with 300-digit tick cells in metrics.csv
+    cfg = write_cfg(tmp_path, SMALL.replace("p = 2", "p = 4\nbandwidth = 1e-300"))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"configuration error: a \d+-byte message sent at tick \d+ "
+                        r"is delivered after tick 9223372036854775807 at "
+                        r"1e-300 bytes per tick\n", err), err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_a_compute_pass_past_int64_ticks_exits_2(tmp_path, capsys):
+    # a 1e308-fold straggler once ended in an OverflowError traceback (exit
+    # 1); a 1e300-fold one sent its first commit at about tick 5e300; and one
+    # worker on full P2P, which sends nothing, exited 0 with ticks near
+    # 3.6e31 in metrics.csv and trace.txt
+    for runtime, worker, factor in (
+        ("p = 4\nstraggler = 1:1e308", 1, "1e+308"),
+        ("p = 4\nstraggler = 1:1e300", 1, "1e+300"),
+        ("p = 1\ntopology = full_p2p\nstraggler = 0:1e30", 0, "1e+30"),
+    ):
+        cfg = write_cfg(tmp_path, SMALL.replace("p = 2", runtime))
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), "--quiet", "run", cfg]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"configuration error: a \d+-byte message sent at tick {sent} "
-                            r"is delivered after tick 9223372036854775807 at "
-                            rf"{budget} bytes per tick\n", err), err
+        assert capsys.readouterr().err == (
+            f"configuration error: straggler factor {factor} makes worker {worker}'s "
+            "pass at tick 0 end after tick 9223372036854775807\n")
         assert not (out / "metrics.csv").exists()
 
 

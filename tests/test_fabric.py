@@ -360,7 +360,7 @@ def test_broadcast_counts():
         ("halton", 6, {(0, c) for c in halton_children}),
     ):
         sim = SimCluster(FuzzWorkload(12, P), SimConfig(P=P, topology=topology))
-        sim._broadcast(0, 0, {0: 1.0, 3: 2.0}, 0, 0)
+        sim._broadcast(0, sim.store.commit(0, {0: 1.0, 3: 2.0}, 0), 0)
         sends = [e for e in sim.trace if e.event == "msg_send"]
         assert len(sends) == len(first_hops)
         assert all(e.bytes == sparse_codec_size(2) for e in sends)

@@ -3,16 +3,20 @@
 Each case runs `FuzzWorkload` with a windowed straggler and hashes the three
 texts a run writes: the trace, the metrics and the traffic report. A change
 to the simulator that moves a tick, a byte count or an event order fails
-here; one that means to change them records new digests and says why.
+here; one that means to change them records new digests and says why. The
+four shipped configs are pinned the same way, through `icflow run`, with the
+report `icflow replay` prints for each trace.
 
 `FuzzWorkload` draws from numpy's `default_rng` and uses no BLAS, so the
 digests do not depend on the BLAS build; a numpy release that changes the
 `default_rng` streams (`integers`, `choice`, `normal`) would change them.
 """
 import hashlib
+import pathlib
 
 import pytest
 
+from icflow.cli import main, parse_config
 from icflow.fabric import traffic_report
 from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig, inject_straggler
 
@@ -89,3 +93,44 @@ def test_overlapping_applies_match_recorded_digests(topology, staleness):
     assert _digest(topology, staleness, False, m=60, keys_per_update=40,
                    views=True) == \
         GOLDEN_OVERLAPPING[(topology, staleness)]
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+OUTPUTS = ("metrics.csv", "trace.txt", "traffic.csv", "summary.txt")
+
+# config -> sha256 of each of OUTPUTS, first 16 hex digits. LDA and MLR do
+# not run on the simulator yet: their trace is a header and their traffic
+# file is empty.
+SHIPPED = {
+    "lasso_ssp.cfg": ("5add9abed4ed516c", "fb1c5a5450502373", "ac6bb34251c86690",
+                      "f0e325c3feef652f"),
+    "lasso_straggler.cfg": ("1fecb28640422033", "66ef1c04443f12b3", "688ae42d899210c4",
+                            "ddf576260d7f93c0"),
+    "lda_rotation.cfg": ("aed98c32f930e1c6", "a7cd6d508c4888ff", "bda4b4c3f2cb5d08",
+                         "b26239b6d72c9b14"),
+    "mlr_sfb.cfg": ("0b97508a541f5f50", "a7cd6d508c4888ff", "bda4b4c3f2cb5d08",
+                    "1f47d580dfac122d"),
+}
+REPLAY_REPORT = (
+    "PASS ticks_non_decreasing: ok\n"
+    "PASS block_unblock_matched: ok\n"
+    "PASS messages_delivered: ok\n"
+    "PASS staleness_protocol: ok\n"
+)
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(SHIPPED) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_configs_match_recorded_digests(name, tmp_path, capsys):
+    config = str(CONFIGS / name)
+    assert main(["--quiet", "--out-dir", str(tmp_path), "run", config]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16]
+                    for f in OUTPUTS)
+    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, SHIPPED[name]))
+    runtime = parse_config(config).runtime
+    assert main(["replay", str(tmp_path / "trace.txt"), "--staleness",
+                 str(runtime.get("staleness", 0)), "--workers", str(runtime["p"])]) == 0
+    assert capsys.readouterr().out == REPLAY_REPORT

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from icflow.algorithms.lasso import LassoProblem
 from icflow.datasets import gen_lasso
 from icflow.engine import apply_sparse
-from icflow.errors import ConfigurationError
+from icflow.errors import ConfigurationError, StateCorruptionError
 from icflow.fabric import OutgoingQueue, sparse_codec_size
 from icflow.simcluster import (
     FuzzWorkload,
@@ -24,6 +25,7 @@ from icflow.simcluster import (
 from icflow.ssp import (
     _PROTOCOL_EVENTS,
     InvariantReport,
+    SspCore,
     Trace,
     TraceEvent,
     check_staleness_invariants,
@@ -244,10 +246,12 @@ def test_links_are_fabric_queues_and_traffic_is_their_stats():
 
 
 def test_merge_payloads_is_a_key_union():
-    assert merge_payloads([{0, 1}, {1, 4}]) == {0, 1, 4}
+    assert merge_payloads([np.array([0, 1]), np.array([1, 4])]).tolist() == [0, 1, 4]
     # a key whose values cancel still counts
-    assert merge_payloads([{2: 1.5}.keys(), {2: -1.5}.keys()]) == {2}
-    assert merge_payloads([]) == set()
+    store = SspCore(2, 0, 4)
+    seqs = [store.commit(0, {2: 1.5}, 0), store.commit(1, {2: -1.5}, 0)]
+    assert merge_payloads([store.log[s].keys for s in seqs]).tolist() == [2]
+    assert merge_payloads([]).tolist() == []
 
 
 class CancellingWorkload(FixedCostWorkload):
@@ -300,9 +304,6 @@ def _reference_check_staleness_invariants(trace, staleness, P):
     # per worker, committed foreign seqs not yet applied there (small, since
     # workers catch up every clock; avoids rescanning all commits per read)
     outstanding: list[dict[int, int]] = [dict() for _ in range(P)]  # seq -> ts
-    max_gap = 0
-    read_staleness_sum = 0.0
-    read_count = 0
 
     def active_min() -> int:
         active = [clocks[p] for p in range(P) if not finished[p]]
@@ -322,7 +323,6 @@ def _reference_check_staleness_invariants(trace, staleness, P):
                     f"event {i}: worker {w} clock field {ev.clock} != "
                     f"replayed clock {clocks[w]}"
                 )
-            max_gap = max(max_gap, clocks[w] - active_min())
         elif ev.event == "block":
             blocked[w] = True
         elif ev.event == "unblock":
@@ -367,8 +367,6 @@ def _reference_check_staleness_invariants(trace, staleness, P):
                 violations.append(f"event {i}: worker {w} double-applied seq {ev.seq}")
             applied[w].add(ev.seq)
             outstanding[w].pop(ev.seq, None)
-            read_staleness_sum += clocks[w] - src.timestamp
-            read_count += 1
         elif ev.event == "read":
             if blocked[w]:
                 violations.append(f"event {i}: worker {w} read while blocked")
@@ -380,12 +378,7 @@ def _reference_check_staleness_invariants(trace, staleness, P):
                         f"missing required update seq {seq} (timestamp {ts})"
                     )
 
-    return InvariantReport(
-        ok=not violations,
-        violations=violations,
-        max_clock_gap=max_gap,
-        mean_read_staleness=read_staleness_sum / read_count if read_count else 0.0,
-    )
+    return InvariantReport(ok=not violations, violations=violations)
 
 
 def _reference_replay(trace, staleness, P):
@@ -588,6 +581,37 @@ def test_missing_required_counter_equals_a_scan_of_in_flight():
 
         _checked_run(sim, check)
         assert len(seen) == len(sim.trace) > 0
+
+
+def test_a_counter_fault_ends_in_an_error_not_a_hang(monkeypatch):
+    # With advance_clock not counting the commits a new clock makes
+    # required, the counter drops below 0 on their arrival. Unguarded, a
+    # negative count kept a waiting worker from starting while its peers
+    # took extra passes for ever.
+    advance_clock = SspCore.advance_clock
+
+    def uncounted(store, worker):
+        missing = store._missing[worker]
+        blocked = advance_clock(store, worker)
+        store._missing[worker] = missing
+        return blocked
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not end within 10 s")
+
+    monkeypatch.setattr(SspCore, "advance_clock", uncounted)
+    old = signal.signal(signal.SIGALRM, hung)
+    try:
+        for topology in ("master_slave", "full_p2p", "halton"):
+            cfg = inject_straggler(
+                SimConfig(P=4, staleness=1, topology=topology, max_clocks=10,
+                          slow_worker_extras=True), 1, 3.0)
+            signal.alarm(10)
+            with pytest.raises(StateCorruptionError, match="required commits in flight is 0"):
+                SimCluster(FuzzWorkload(24, 4), cfg).run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _replayed(upd, values):
