@@ -2,8 +2,9 @@
 configs, trace replay, and metrics reporting.
 
 Exit codes: 0 success, 2 configuration error (also bad `replay` arguments, an
-unreadable or malformed trace or metrics file, and a global option that the
-command does not read), 3 runtime invariant violation.
+unreadable or malformed trace or metrics file, a global option that the
+command does not read, and an output path that cannot be created or
+written), 3 runtime invariant violation.
 """
 from __future__ import annotations
 
@@ -167,16 +168,19 @@ def _fill(name: str, raw: dict, schema: dict) -> dict:
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read an INI config and check every value; nothing is read or
-    generated before the whole config has passed."""
+    generated before the whole config has passed. Values are read as
+    written: no `%` interpolation, and no `[DEFAULT]` keys."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as e:
         raise ConfigurationError(f"cannot parse {path}: {e}") from None
     sections = ("data", "algorithm", "runtime")
     unknown = [name for name in parser.sections() if name not in sections]
+    if parser.defaults():  # [DEFAULT] keys would reach every section
+        unknown.insert(0, parser.default_section)
     if unknown:
         raise ConfigurationError(
             f"unknown section [{unknown[0]}]; expected [data], [algorithm] or [runtime]"
@@ -257,8 +261,8 @@ def _make_scheduler(kind: str, problem: LassoProblem, P: int, seed: int):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, quiet: bool = False) -> None:
-    """Run `cfg` and write metrics.csv, trace.txt, traffic.csv and
-    summary.txt into `out_dir`."""
+    """Create `out_dir` before any data is read, run `cfg` and write
+    metrics.csv, trace.txt, traffic.csv and summary.txt into it."""
     os.makedirs(out_dir, exist_ok=True)
     run = {"lasso": _run_lasso, "lda": _run_lda, "mlr": _run_mlr}[cfg.algorithm]
     metrics, trace, traffic, summary = run(cfg)
@@ -571,7 +575,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             sys.stdout.write(build_report(args.metrics, args.tolerance))
             return EXIT_OK
-    except (ConfigurationError, MemoryError) as e:  # MemoryError: input too large to allocate
+    # MemoryError: an input too large to allocate; OSError: a path that cannot
+    # be opened, created or written, such as an output directory under a file
+    except (ConfigurationError, MemoryError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except IcflowError as e:

@@ -240,28 +240,18 @@ class Message:
     enqueue_seq: int = 0
 
 
-@dataclass
-class LinkStats:
-    messages: int = 0
-    bytes: int = 0
-    max_inflight: int = 0
-    staleness_sum: float = 0.0
-    staleness_count: int = 0
-
-    def mean_staleness(self) -> float:
-        if self.staleness_count == 0:
-            return 0.0
-        return self.staleness_sum / self.staleness_count
-
-
 class OutgoingQueue:
     """Rate-limited FIFO link: fluid-flow transmission at `budget` bytes per
     tick, plus fixed latency. A message starts once the link is free and it
     has arrived, so its schedule is fixed the moment it is sent.
 
-    `transmit` is the link model; the owner decrements `inflight` when the
-    message is delivered. `enqueue`/`drain` wrap it for callers that step
-    time: `drain` releases every message whose transmission has finished."""
+    `transmit` is the link model, and the queue is its own traffic record:
+    it counts `messages`, `bytes` and `max_inflight`; the owner decrements
+    `inflight` when a message is delivered and adds the delivered staleness
+    to `staleness_sum` and `staleness_count`. `enqueue`/`drain` wrap it for
+    callers that step time: `enqueue` records each send's (start, finish,
+    bytes) in `transmissions` for audits, and `drain` releases every message
+    whose transmission has finished."""
 
     def __init__(self, budget: float, latency: float = 0.0):
         if budget <= 0:
@@ -269,10 +259,12 @@ class OutgoingQueue:
         self.budget = budget
         self.latency = latency
         self.free_at = 0.0
+        self.last_start = 0.0  # when the latest transmission started
         self.now = 0.0
-        self.inflight = 0
-        self.stats = LinkStats()
-        # (start, finish, bytes) per transmission, for audits
+        self.inflight = self.max_inflight = 0
+        self.messages = self.bytes = 0
+        self.staleness_sum = 0.0
+        self.staleness_count = 0
         self.transmissions: list[tuple[float, float, int]] = []
         # (finish, delivery, message) sent by enqueue, not yet drained
         self.pending: deque = deque()
@@ -289,19 +281,18 @@ class OutgoingQueue:
             raise ConfigurationError(f"a {nbytes}-byte message sent at tick {start:.6g} "
                                      f"is delivered after tick {_MAX_TICK} at "
                                      f"{self.budget!r} bytes per tick")
-        self.free_at = finish
-        self.transmissions.append((start, finish, nbytes))
+        self.last_start, self.free_at = start, finish
         self.inflight += nbytes
-        st = self.stats
-        st.messages += 1
-        st.bytes += nbytes
-        if self.inflight > st.max_inflight:
-            st.max_inflight = self.inflight
+        self.messages += 1
+        self.bytes += nbytes
+        if self.inflight > self.max_inflight:
+            self.max_inflight = self.inflight
         return delivery
 
     def enqueue(self, message: Message) -> None:
         message.enqueue_seq = len(self.transmissions)
         delivery = self.transmit(message.bytes, self.now)
+        self.transmissions.append((self.last_start, self.free_at, message.bytes))
         self.pending.append((self.free_at, delivery, message))
 
     def drain(self, elapsed: float) -> list[tuple[Message, float]]:
@@ -319,13 +310,11 @@ class OutgoingQueue:
         return out
 
 
-def traffic_report(stats: dict[tuple[int, int], LinkStats]) -> str:
+def traffic_report(links: dict[tuple[int, int], OutgoingQueue]) -> str:
     """CSV: link,messages,bytes,max_inflight,mean_delivered_staleness."""
     lines = ["link,messages,bytes,max_inflight,mean_delivered_staleness"]
-    for (a, b) in sorted(stats):
-        st = stats[(a, b)]
-        lines.append(
-            f"{a}->{b},{st.messages},{st.bytes},{st.max_inflight},"
-            f"{st.mean_staleness():.6f}"
-        )
+    for (a, b) in sorted(links):
+        q = links[(a, b)]
+        mean = q.staleness_sum / q.staleness_count if q.staleness_count else 0.0
+        lines.append(f"{a}->{b},{q.messages},{q.bytes},{q.max_inflight},{mean:.6f}")
     return "\n".join(lines) + "\n"

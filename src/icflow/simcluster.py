@@ -200,7 +200,10 @@ class SimCluster:
     """A message is a tuple (id, seqs, key_count, nbytes, timestamp,
     origin): it names commits by id, and their keys, values and wire sizes
     live only in the store's log. A delivery's heap entry carries its link,
-    destination and message."""
+    destination and message. Each link queue (`links`) is that link's
+    traffic record. A worker waits for its gate exactly when `wait_since[p]`
+    is set; it is done once the store has finished it, and computing
+    otherwise."""
 
     def __init__(self, workload, config: SimConfig):
         self.workload = workload
@@ -211,7 +214,6 @@ class SimCluster:
         self.trace = self.store.trace
         self._append = self.store._append
         self.links: dict[tuple[int, int], OutgoingQueue] = {}
-        self.phase = ["waiting"] * P
         self.wait_since: list[Optional[int]] = [0] * P
         self.blocked_ticks = [0] * P
         self.extra_passes = [0] * P
@@ -221,7 +223,6 @@ class SimCluster:
         self.trajectory: list[np.ndarray] = []
         self.metrics: list[str] = []
         self.round_changes: dict[int, dict[int, float]] = {}
-        self.bytes_sent = 0
         self.stale_sum = 0
         self.stale_cnt = 0
         self.stale_max = 0
@@ -230,8 +231,7 @@ class SimCluster:
         # delivered staleness samples keyed by (origin worker, destination)
         self.pair_staleness: dict[tuple[int, int], list[int]] = {}
         # master-slave server relay state
-        self._srv_pending: dict[int, list[int]] = {}  # timestamp -> seqs
-        self._srv_origins: dict[int, set[int]] = {}
+        self._srv_pending: dict[int, dict[int, list[int]]] = {}  # ts -> origin -> seqs
         self._srv_next = 0  # oldest timestamp whose round is not yet relayed
 
     # -- event plumbing -----------------------------------------------------
@@ -254,7 +254,6 @@ class SimCluster:
         mid = self._msg_id
         self._msg_id = mid + 1
         delivery = link.transmit(nbytes, tick)
-        self.bytes_sent += nbytes
         clock = self.store.clocks[src] if src < self.cfg.P else 0
         self._append((tick, "msg_send", src, clock, mid, ts, key_count, nbytes))
         self._push(delivery, self._deliver, link, dst,
@@ -273,26 +272,25 @@ class SimCluster:
                        origin, tick)
 
     def _server_receive(self, msg: tuple, tick: int) -> None:
-        """Batch one full round per timestamp, then relay each worker the
-        other workers' updates in a single combined message. Late commits at
-        an already-flushed timestamp relay immediately."""
+        """Batch one full round per timestamp, kept as origin -> seqs, then
+        relay each worker the other workers' updates in a single combined
+        message. Late commits at an already-flushed timestamp relay
+        immediately."""
         _, seqs, _, _, ts, origin = msg
-        srv = self.topology.server
         if ts < self._srv_next:
-            self._relay(srv, seqs, ts, tick)
+            self._relay({origin: seqs}, ts, tick)
             return
-        self._srv_pending.setdefault(ts, []).extend(seqs)
-        self._srv_origins.setdefault(ts, set()).add(origin)
-        if len(self._srv_origins[ts]) == self.cfg.P:
+        round_ = self._srv_pending.setdefault(ts, {})
+        round_.setdefault(origin, []).extend(seqs)
+        if len(round_) == self.cfg.P:
             # rounds flush in ts order: links are FIFO, ts commits before ts + 1
-            del self._srv_origins[ts]
             self._srv_next = ts + 1
-            self._relay(srv, self._srv_pending.pop(ts), ts, tick)
+            self._relay(self._srv_pending.pop(ts), ts, tick)
 
-    def _relay(self, srv: int, seqs: list[int], ts: int, tick: int) -> None:
-        log = self.store.log
+    def _relay(self, round_: dict[int, list[int]], ts: int, tick: int) -> None:
+        log, srv = self.store.log, self.topology.server
         for dst in range(self.cfg.P):
-            part = [s for s in seqs if log[s].worker != dst]
+            part = [s for origin, seqs in round_.items() if origin != dst for s in seqs]
             if not part:
                 continue
             n = len(merge_payloads([log[s].keys for s in part]))
@@ -310,32 +308,28 @@ class SimCluster:
         # relay down the origin's broadcast tree before taking it in
         for child in self.topology.relays(origin, dst):
             self._send(dst, child, seqs, key_count, nbytes, ts, origin, tick)
-        stats = link.stats
+        # every commit in a message carries its timestamp
+        st = clock - ts
+        link.staleness_sum += st * len(seqs)
+        link.staleness_count += len(seqs)
         for seq in seqs:
-            upd = store.deliver(dst, seq)
-            st = clock - upd.timestamp
-            stats.staleness_sum += st
-            stats.staleness_count += 1
-            self.pair_staleness.setdefault((upd.worker, dst), []).append(st)
+            worker = store.deliver(dst, seq).worker
+            self.pair_staleness.setdefault((worker, dst), []).append(st)
         # only a delivery that leaves nothing required in flight can open
         # the gate of a waiting worker
-        if self.phase[dst] == "waiting" and not store.missing_required(dst):
+        if self.wait_since[dst] is not None and not store.missing_required(dst):
             self._maybe_start(dst, tick)
 
     # -- worker state machine -----------------------------------------------
 
     def _maybe_start(self, p: int, tick: int) -> None:
-        if self.phase[p] != "waiting":
+        if self.wait_since[p] is None:
             return
         self.store.set_tick(tick)
-        if self.store.blocked[p]:
+        if self.store.blocked[p] or self.store.missing_required(p):
             return
-        if self.store.missing_required(p):
-            return
-        if self.wait_since[p] is not None:
-            self.blocked_ticks[p] += tick - self.wait_since[p]
-            self.wait_since[p] = None
-        self.phase[p] = "computing"
+        self.blocked_ticks[p] += tick - self.wait_since[p]
+        self.wait_since[p] = None
         self._push(tick, self._start_pass, p)
 
     def _start_pass(self, p: int, tick: int) -> None:
@@ -372,7 +366,6 @@ class SimCluster:
         self._broadcast(p, seq, tick)
         if t + 1 >= self.cfg.max_clocks:
             store.advance_clock(p)
-            self.phase[p] = "done"
             store.finish(p)
             self._after_clock_change(tick)
             return
@@ -382,7 +375,6 @@ class SimCluster:
             self._push(tick, self._start_pass, p)
             return
         blocked = store.advance_clock(p)
-        self.phase[p] = "waiting"
         self.wait_since[p] = tick
         self._after_clock_change(tick)
         if not blocked:
@@ -403,7 +395,7 @@ class SimCluster:
             mean_st = self.stale_sum / self.stale_cnt if self.stale_cnt else 0.0
             self.metrics.append(
                 f"{r + 1},{tick},{obj_s},{mean_st:.6f},{self.stale_max},"
-                f"{sum(self.blocked_ticks)},{self.bytes_sent}"
+                f"{sum(self.blocked_ticks)},{sum(q.bytes for q in self.links.values())}"
             )
 
     # -- main loop ------------------------------------------------------------
@@ -418,17 +410,18 @@ class SimCluster:
                 raise StateCorruptionError("event ticks went backwards")
             last_tick = tick
             handler(*args, tick)
-        if any(ph != "done" for ph in self.phase):
+        stuck = [p for p, done in enumerate(self.store.finished) if not done]
+        if stuck:
             dump = ", ".join(
-                f"worker {p}: phase={self.phase[p]} clock={self.store.clocks[p]}"
-                for p in range(self.cfg.P)
+                f"worker {p}: {'computing' if self.wait_since[p] is None else 'waiting'} "
+                f"clock={self.store.clocks[p]}" for p in stuck
             )
             raise StateCorruptionError(f"event queue drained with workers stuck: {dump}")
         return SimResult(
             values=self.global_values.copy(),
             trace=self.trace,
             metrics=self.metrics,
-            traffic={k: v.stats for k, v in self.links.items()},
+            traffic=self.links,
             blocked_ticks=list(self.blocked_ticks),
             extra_passes=list(self.extra_passes),
             trajectory=self.trajectory,

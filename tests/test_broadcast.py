@@ -171,7 +171,7 @@ def _arrivals(cls, P, bandwidth, latency, commits):
     sim = cls(FuzzWorkload(64, P),
               SimConfig(P=P, topology="halton", bandwidth=bandwidth,
                         latency=latency))
-    sim.phase = ["done"] * P  # nobody computes; only the network runs
+    sim.wait_since = [None] * P  # nobody waits for a pass; only the network runs
     arrived = {}
     pending = list(commits)
     while pending or sim.heap:

@@ -128,9 +128,12 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_no_module_imports_scipy():
-    """numpy is the only runtime dependency: no module under src/icflow
-    imports scipy, at module level or inside a function."""
+    """numpy is the only runtime dependency (pyproject.toml's `dependencies`):
+    every absolute import under src/icflow, at module level or inside a
+    function, is of the standard library, numpy or icflow itself, so scipy
+    is never imported."""
     src = Path(icflow.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "icflow"}
     found = []
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -141,7 +144,7 @@ def test_no_module_imports_scipy():
             else:
                 continue
             found += [f"{path.relative_to(src)}:{node.lineno}: {name}"
-                      for name in names if name.split(".")[0] == "scipy"]
+                      for name in names if name.split(".")[0] not in allowed]
     assert not found, found
 
 
@@ -175,6 +178,50 @@ def test_an_lda_run_loads_no_scipy(tmp_path):
     assert _fresh_python(CLI_AND_SCIPY, "--out-dir", str(out), "--quiet",
                          "run", cfg) == "0 False"
     assert len(read_metrics(str(out / "metrics.csv"))) == 2
+
+
+def test_config_values_are_read_as_written(tmp_path, capsys):
+    # no % interpolation, and no [DEFAULT] keys copied into every section
+    for body, line in (
+        ("[algorithm]\nalgorithm = lasso\nlam = 5%\n",
+         "[algorithm] lam = '5%' is not a number"),
+        ("[algorithm]\nalgorithm = lasso\n[runtime]\np = 2\nseed = %(p)s\n",
+         "[runtime] seed = '%(p)s' is not an integer"),
+        ("[DEFAULT]\np = 3\n[algorithm]\nalgorithm = lasso\n",
+         "unknown section [DEFAULT]; expected [data], [algorithm] or [runtime]"),
+    ):
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "--quiet", "run",
+                     write_cfg(tmp_path, body)]) == EXIT_CONFIG, body
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {line}"]
+        assert not out.exists()
+    # an empty [DEFAULT] section changes nothing
+    assert parse_config(write_cfg(tmp_path, "[DEFAULT]\n" + MINIMAL)) \
+        == parse_config(write_cfg(tmp_path, MINIMAL, "plain.cfg"))
+
+
+def test_outputs_that_cannot_be_written_exit_2(tmp_path, capsys):
+    # a file as the output directory or in its path, and a directory where an
+    # output file goes; `run` checks its directory before it reads the data
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    unreadable = write_cfg(tmp_path, f"[data]\nx = {afile}\ny = {afile}\n"
+                           "[algorithm]\nalgorithm = lasso\n", "unreadable.cfg")
+    taken = tmp_path / "taken"
+    (taken / "metrics.csv").mkdir(parents=True)
+    (taken / "lasso_X.npy").mkdir()
+    for argv, path in (
+        (["--out-dir", str(afile), "run", unreadable], afile),
+        (["--out-dir", str(afile / "sub"), "gen", "lasso"], afile / "sub"),
+        (["--out-dir", str(taken), "run", write_cfg(tmp_path, MINIMAL)],
+         taken / "metrics.csv"),
+        (["--out-dir", str(taken), "gen", "lasso"], taken / "lasso_X.npy"),
+    ):
+        assert main([*argv[:2], "--quiet", *argv[2:]]) == EXIT_CONFIG, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, (argv, err)
+        assert err[0].startswith("configuration error: [Errno "), (argv, err)
+        assert err[0].endswith(f": {str(path)!r}"), (argv, err)
 
 
 def test_parse_config_missing_file():

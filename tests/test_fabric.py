@@ -23,7 +23,6 @@ from icflow.fabric import (
     sparse_codec_size,
     traffic_report,
 )
-from icflow.fabric import LinkStats
 from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig
 
 
@@ -338,14 +337,14 @@ def test_enqueue_drain_agrees_with_transmit():
         m = msg(int(rng.integers(1, 400)))
         q.enqueue(m)
         sent.append((m, ref.transmit(m.bytes, q.now)))
+        assert q.free_at == ref.free_at
     released += q.drain(1e6)
     assert [(id(m), t) for m, t in released] == [(id(m), t) for m, t in sent]
     assert [m.enqueue_seq for m, _ in released] == list(range(len(sent)))
-    assert q.transmissions == ref.transmissions
     assert q.inflight == 0
     total = sum(m.bytes for m, _ in sent)
-    assert (q.stats.messages, q.stats.bytes) == (len(sent), total)
-    assert (ref.stats.messages, ref.stats.bytes) == (len(sent), total)
+    assert (q.messages, q.bytes) == (len(sent), total)
+    assert (ref.messages, ref.bytes) == (len(sent), total)
 
 
 def test_broadcast_counts():
@@ -368,8 +367,9 @@ def test_broadcast_counts():
 
 
 def test_traffic_report_format():
-    stats = {(0, 1): LinkStats(messages=3, bytes=120, max_inflight=60)}
-    text = traffic_report(stats)
+    q = OutgoingQueue(budget=1.0)
+    q.messages, q.bytes, q.max_inflight = 3, 120, 60
+    text = traffic_report({(0, 1): q})
     lines = text.splitlines()
     assert lines[0] == "link,messages,bytes,max_inflight,mean_delivered_staleness"
     assert lines[1].startswith("0->1,3,120,60,")
