@@ -29,9 +29,8 @@ from .simcluster import (
     SimConfig,
     LassoModelParallelWorkload,
     StragglerWindow,
-    replay,
 )
-from .ssp import TRACE_HEADER, Trace
+from .ssp import TRACE_HEADER, Trace, replay
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -18,7 +18,7 @@ import numpy as np
 from .engine import FixedBlockScheduler, _check_objective
 from .errors import ConfigurationError, StateCorruptionError
 from .fabric import _MAX_TICK, OutgoingQueue, make_topology, sparse_codec_size
-from .ssp import SspCore, Trace, check_staleness_invariants
+from .ssp import SspCore, Trace, sorted_union
 
 METRICS_HEADER = (
     "iteration,tick,objective,mean_staleness,max_staleness,blocked_ticks,bytes_sent"
@@ -170,12 +170,10 @@ class FuzzWorkload:
 # simulator
 
 
-def merge_payloads(key_arrays: list[np.ndarray]) -> np.ndarray:
-    """The keys a combined server message carries: the sorted union of its
-    parts' key arrays. A key whose values cancel still counts. (Not
-    `np.unique`, whose first call imports `numpy.ma`.)"""
-    keys = np.sort(np.concatenate(key_arrays or [np.empty(0, np.int64)]))
-    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+# the keys a combined server message carries: the sorted union of its parts'
+# key arrays, where a key whose values cancel still counts; a global of this
+# module that `_relay` calls, so a wrapper put here sees every merge
+merge_payloads = sorted_union
 
 
 @dataclass
@@ -434,97 +432,3 @@ class SimCluster:
 
 def run_simulation(workload, config: SimConfig) -> SimResult:
     return SimCluster(workload, config).run()
-
-
-# ---------------------------------------------------------------------------
-# replay: independent re-checking of a recorded trace
-
-
-@dataclass
-class ReplayCheck:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass
-class ReplayReport:
-    checks: list[ReplayCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.ok else "FAIL"
-            lines.append(f"{status} {c.name}: {c.detail}")
-        return "\n".join(lines) + "\n"
-
-
-def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
-    """Re-verify a recorded trace without consulting any simulator state."""
-    checks: list[ReplayCheck] = []
-    table = trace.table()
-    event = table["event"]
-
-    # well-formedness: ticks non-decreasing
-    tick = table["tick"]
-    back = np.flatnonzero(tick[1:] < tick[:-1])
-    bad = int(back[0]) + 1 if len(back) else None
-    checks.append(ReplayCheck(
-        "ticks_non_decreasing", bad is None,
-        "ok" if bad is None else f"first violation at event {bad}",
-    ))
-
-    # every block is matched by an unblock or the worker finishes
-    blocked: dict[int, int] = {}
-    finished: set[int] = set()
-    pair_bad = None
-    rows = np.flatnonzero(np.isin(event, ["block", "unblock", "finish"]))
-    for i, name, worker in zip(rows.tolist(), event[rows].tolist(),
-                               table["worker"][rows].tolist()):
-        if name == "block":
-            if worker in blocked:
-                pair_bad = i
-                break
-            blocked[worker] = i
-        elif name == "unblock":
-            if worker not in blocked:
-                pair_bad = i
-                break
-            del blocked[worker]
-        else:
-            finished.add(worker)
-            blocked.pop(worker, None)
-    dangling = [w for w in blocked if w not in finished]
-    ok = pair_bad is None and not dangling
-    checks.append(ReplayCheck(
-        "block_unblock_matched", ok,
-        "ok" if ok else (
-            f"first violation at event {pair_bad}" if pair_bad is not None
-            else f"workers left blocked: {sorted(dangling)}"
-        ),
-    ))
-
-    # every message send has a matching delivery: equal counts per id
-    seq = table["seq"]
-    sent, n_sent = np.unique(seq[event == "msg_send"], return_counts=True)
-    got, n_got = np.unique(seq[event == "msg_deliver"], return_counts=True)
-    ids = np.union1d(sent, got)
-    counts = np.zeros((2, len(ids)), dtype=np.int64)
-    counts[0, np.searchsorted(ids, sent)] = n_sent
-    counts[1, np.searchsorted(ids, got)] = n_got
-    unmatched = ids[counts[0] != counts[1]].tolist()
-    checks.append(ReplayCheck(
-        "messages_delivered", not unmatched,
-        "ok" if not unmatched else f"unmatched message ids: {unmatched[:5]}",
-    ))
-
-    report = check_staleness_invariants(trace, staleness, P)
-    checks.append(ReplayCheck(
-        "staleness_protocol", report.ok,
-        "ok" if report.ok else report.violations[0],
-    ))
-    return ReplayReport(checks)

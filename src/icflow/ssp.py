@@ -9,7 +9,9 @@ runs more than s clocks ahead of the slowest one blocks until the gap closes.
 With s = 0 the protocol degenerates to fully synchronous lock-step execution.
 
 All store activity can be recorded as a trace (one CSV line per event) that an
-independent checker replays to verify the protocol guarantees.
+independent checker replays to verify the protocol guarantees. The whole
+checker lives here (`check_staleness_invariants`, and `replay`, which `icflow
+replay` runs), and it imports no simulator.
 """
 from __future__ import annotations
 
@@ -378,7 +380,7 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
     clocks = [0] * P
     finished = [False] * P
     blocked = [False] * P
-    committed: dict[int, TraceEvent] = {}
+    committed: dict[int, int] = {}  # seq -> writer
     applied: list[set[int]] = [set() for _ in range(P)]
     # per worker, committed foreign seqs not yet applied there (small, since
     # workers catch up every clock; avoids rescanning all commits per read)
@@ -391,35 +393,36 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
     table = trace.table()
     # only protocol rows are replayed; each keeps its index in the whole trace
     rows = np.flatnonzero(np.isin(table["event"], list(_PROTOCOL_EVENTS)))
-    for i, ev in zip(rows.tolist(), map(TraceEvent._make, table[rows].tolist())):
-        w = ev.worker
+    columns = [table[name][rows].tolist()
+               for name in ("event", "worker", "clock", "seq", "timestamp")]
+    for i, event, w, clock, seq, ts in zip(rows.tolist(), *columns):
         if not (0 <= w < P):
             violations.append(f"event {i}: worker {w} out of range")
             continue
-        if ev.event == "clock":
+        if event == "clock":
             clocks[w] += 1
-            if ev.clock != clocks[w]:
+            if clock != clocks[w]:
                 violations.append(
-                    f"event {i}: worker {w} clock field {ev.clock} != "
+                    f"event {i}: worker {w} clock field {clock} != "
                     f"replayed clock {clocks[w]}"
                 )
-        elif ev.event == "block":
+        elif event == "block":
             blocked[w] = True
-        elif ev.event == "unblock":
+        elif event == "unblock":
             if clocks[w] - active_min() > staleness:
                 violations.append(
                     f"event {i}: worker {w} unblocked at clock {clocks[w]} "
                     f"while min clock is {active_min()}"
                 )
             blocked[w] = False
-        elif ev.event == "finish":
+        elif event == "finish":
             finished[w] = True
-        elif ev.event == "commit":
+        elif event == "commit":
             if blocked[w]:
                 violations.append(f"event {i}: worker {w} committed while blocked")
-            if ev.timestamp != clocks[w]:
+            if ts != clocks[w]:
                 violations.append(
-                    f"event {i}: commit timestamp {ev.timestamp} != worker "
+                    f"event {i}: commit timestamp {ts} != worker "
                     f"{w} clock {clocks[w]}"
                 )
             if clocks[w] - active_min() > staleness:
@@ -427,35 +430,132 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
                     f"event {i}: worker {w} computing at clock {clocks[w]} "
                     f"while min clock is {active_min()} (bound {staleness})"
                 )
-            if ev.seq in committed:
-                violations.append(f"event {i}: duplicate commit seq {ev.seq}")
-            committed[ev.seq] = ev
+            if seq in committed:
+                violations.append(f"event {i}: duplicate commit seq {seq}")
+            committed[seq] = w
             for p in range(P):
                 if p != w:
-                    outstanding[p][ev.seq] = ev.timestamp
-        elif ev.event == "apply":
-            if ev.seq not in committed:
-                violations.append(f"event {i}: applied unknown seq {ev.seq}")
+                    outstanding[p][seq] = ts
+        elif event == "apply":
+            if seq not in committed:
+                violations.append(f"event {i}: applied unknown seq {seq}")
                 continue
-            src = committed[ev.seq]
-            if src.worker == w:
+            if committed[seq] == w:
                 violations.append(
-                    f"event {i}: worker {w} re-applied its own seq {ev.seq} "
+                    f"event {i}: worker {w} re-applied its own seq {seq} "
                     "(own writes must already be visible)"
                 )
-            if ev.seq in applied[w]:
-                violations.append(f"event {i}: worker {w} double-applied seq {ev.seq}")
-            applied[w].add(ev.seq)
-            outstanding[w].pop(ev.seq, None)
-        elif ev.event == "read":
+            if seq in applied[w]:
+                violations.append(f"event {i}: worker {w} double-applied seq {seq}")
+            applied[w].add(seq)
+            outstanding[w].pop(seq, None)
+        elif event == "read":
             if blocked[w]:
                 violations.append(f"event {i}: worker {w} read while blocked")
             horizon = clocks[w] - staleness - 1
-            for seq, ts in outstanding[w].items():
-                if ts <= horizon:
+            for pending, pending_ts in outstanding[w].items():
+                if pending_ts <= horizon:
                     violations.append(
                         f"event {i}: worker {w} read at clock {clocks[w]} "
-                        f"missing required update seq {seq} (timestamp {ts})"
+                        f"missing required update seq {pending} (timestamp {pending_ts})"
                     )
 
     return InvariantReport(ok=not violations, violations=violations)
+
+
+def sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
+    """The sorted union of int arrays, by sort and neighbour compare. (Not
+    plain `np.unique` or `np.union1d`, whose first call imports `numpy.ma`;
+    `np.unique(..., return_counts=True)` does not, on numpy 2.4.6.)"""
+    keys = np.sort(np.concatenate(arrays or [np.empty(0, np.int64)]))
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+
+
+@dataclass
+class ReplayCheck:
+    name: str
+    ok: bool
+    detail: str
+
+
+@dataclass
+class ReplayReport:
+    checks: list[ReplayCheck]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def to_text(self) -> str:
+        lines = []
+        for c in self.checks:
+            status = "PASS" if c.ok else "FAIL"
+            lines.append(f"{status} {c.name}: {c.detail}")
+        return "\n".join(lines) + "\n"
+
+
+def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
+    """Re-verify a recorded trace without consulting any simulator state."""
+    checks: list[ReplayCheck] = []
+    table = trace.table()
+    event = table["event"]
+
+    # well-formedness: ticks non-decreasing
+    tick = table["tick"]
+    back = np.flatnonzero(tick[1:] < tick[:-1])
+    bad = int(back[0]) + 1 if len(back) else None
+    checks.append(ReplayCheck(
+        "ticks_non_decreasing", bad is None,
+        "ok" if bad is None else f"first violation at event {bad}",
+    ))
+
+    # every block is matched by an unblock or the worker finishes
+    blocked: dict[int, int] = {}
+    finished: set[int] = set()
+    pair_bad = None
+    rows = np.flatnonzero(np.isin(event, ["block", "unblock", "finish"]))
+    for i, name, worker in zip(rows.tolist(), event[rows].tolist(),
+                               table["worker"][rows].tolist()):
+        if name == "block":
+            if worker in blocked:
+                pair_bad = i
+                break
+            blocked[worker] = i
+        elif name == "unblock":
+            if worker not in blocked:
+                pair_bad = i
+                break
+            del blocked[worker]
+        else:
+            finished.add(worker)
+            blocked.pop(worker, None)
+    dangling = [w for w in blocked if w not in finished]
+    ok = pair_bad is None and not dangling
+    checks.append(ReplayCheck(
+        "block_unblock_matched", ok,
+        "ok" if ok else (
+            f"first violation at event {pair_bad}" if pair_bad is not None
+            else f"workers left blocked: {sorted(dangling)}"
+        ),
+    ))
+
+    # every message send has a matching delivery: equal counts per id
+    seq = table["seq"]
+    sent, n_sent = np.unique(seq[event == "msg_send"], return_counts=True)
+    got, n_got = np.unique(seq[event == "msg_deliver"], return_counts=True)
+    ids = sorted_union([sent, got])
+    counts = np.zeros((2, len(ids)), dtype=np.int64)
+    counts[0, np.searchsorted(ids, sent)] = n_sent
+    counts[1, np.searchsorted(ids, got)] = n_got
+    unmatched = ids[counts[0] != counts[1]].tolist()
+    checks.append(ReplayCheck(
+        "messages_delivered", not unmatched,
+        "ok" if not unmatched else f"unmatched message ids: {unmatched[:5]}",
+    ))
+
+    report = check_staleness_invariants(trace, staleness, P)
+    checks.append(ReplayCheck(
+        "staleness_protocol", report.ok,
+        "ok" if report.ok else report.violations[0],
+    ))
+    return ReplayReport(checks)

@@ -17,8 +17,8 @@ from icflow.simcluster import (
     SimCluster,
     SimConfig,
     inject_straggler,
-    replay,
 )
+from icflow.ssp import replay
 
 
 class _RoutesOnly:

@@ -180,6 +180,30 @@ def test_an_lda_run_loads_no_scipy(tmp_path):
     assert len(read_metrics(str(out / "metrics.csv"))) == 2
 
 
+# runs `icflow` in a fresh interpreter and prints its exit code and whether
+# `numpy.ma` got loaded: the first plain `np.unique` or `np.union1d` call
+# imports it, about 15 ms and 1 MB that neither command needs
+CLI_AND_NUMPY_MA = ("import sys; from icflow.cli import main; "
+                    "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+
+
+def test_run_and_replay_load_no_numpy_ma(tmp_path):
+    out = tmp_path / "run"
+    assert _fresh_python(CLI_AND_NUMPY_MA, "--quiet", "--out-dir", str(out), "run",
+                         write_cfg(tmp_path, MINIMAL)) == "0 False"
+    assert _fresh_python(CLI_AND_NUMPY_MA, "--quiet", "replay", str(out / "trace.txt"),
+                         "--staleness", "1", "--workers", "2") == "0 False"
+
+
+def test_the_checker_imports_no_simulator():
+    """`icflow.ssp` holds the whole trace checker; it must not load the
+    simulator, scheduler, dataset or algorithm code whose runs it checks."""
+    assert _fresh_python(
+        "import sys, icflow.ssp; print(*(m for m in sorted(sys.modules) if m in "
+        "('icflow.cli', 'icflow.datasets', 'icflow.sap', 'icflow.simcluster') "
+        "or m.startswith('icflow.algorithms')))") == ""
+
+
 def test_config_values_are_read_as_written(tmp_path, capsys):
     # no % interpolation, and no [DEFAULT] keys copied into every section
     for body, line in (

@@ -1,8 +1,9 @@
 """The benchmark's tracing probe still finds every name it patches.
 
 `perfbench/probe.py` wraps icflow functions and methods from outside, by
-name; a rename or deletion in the program breaks it. This runs it once on a
-small Lasso config that reaches the store, the simulator and SAP.
+name; a rename or deletion in the program breaks it. This runs it on a small
+Lasso config that reaches the store, the simulator and SAP, and on the
+replay of that config's trace.
 """
 import json
 import os
@@ -11,25 +12,50 @@ import subprocess
 import sys
 
 import icflow
+from icflow.cli import EXIT_OK, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBE = ROOT / "perfbench" / "probe.py"
+CONFIG = ("[data]\nn = 60\nm = 40\nk_true = 3\n[algorithm]\nalgorithm = lasso\n"
+          "[runtime]\np = 4\ntopology = halton\nscheduler = sap\nmax_clocks = 4\n")
 
 
-def test_probe_traces_every_layer(tmp_path):
-    cfg = tmp_path / "probe.cfg"
-    cfg.write_text("[data]\nn = 60\nm = 40\nk_true = 3\n[algorithm]\nalgorithm = lasso\n"
-                   "[runtime]\np = 4\ntopology = halton\nscheduler = sap\nmax_clocks = 4\n")
-    report = tmp_path / "report.json"
+def _probe(tmp_path, mode, *icflow_args):
+    """The probe's report on one `icflow` command, which must exit 0."""
+    report = tmp_path / f"{mode}.json"
     src = os.path.dirname(os.path.dirname(icflow.__file__))
     proc = subprocess.run(
-        [sys.executable, str(PROBE), "--mode", "trace", "--report", str(report), "--",
-         "--quiet", "--out-dir", str(tmp_path / "out"), "run", str(cfg)],
+        [sys.executable, str(PROBE), "--mode", mode, "--report", str(report), "--",
+         *icflow_args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {row[0] for row in json.loads(report.read_text())["agg"]}
+    return json.loads(report.read_text())
+
+
+def _run_args(tmp_path):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(CONFIG)
+    return ["--quiet", "--out-dir", str(tmp_path / "out"), "run", str(cfg)]
+
+
+def test_probe_traces_every_layer(tmp_path):
+    names = {row[0] for row in _probe(tmp_path, "trace", *_run_args(tmp_path))["agg"]}
     want = {"ssp.apply", "ssp.gate", "ssp.read", "ssp.commit", "simcluster.run",
             "sap.rounds"}
     assert want <= names, want - names
+
+
+def test_probe_traces_the_replay(tmp_path):
+    assert main(_run_args(tmp_path)) == EXIT_OK
+    report = _probe(tmp_path, "trace", "--quiet", "replay",
+                    str(tmp_path / "out" / "trace.txt"), "--staleness", "0",
+                    "--workers", "4")
+    names = {row[0] for row in report["agg"]}
+    assert {"ssp.parse", "ssp.replay"} <= names, names
+
+
+def test_probe_stamps_the_run_loop(tmp_path):
+    loop = _probe(tmp_path, "stamp", *_run_args(tmp_path))["loop"]
+    assert loop["t0"] < loop["t1"], loop

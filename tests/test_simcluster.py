@@ -12,23 +12,23 @@ from icflow.fabric import OutgoingQueue, sparse_codec_size
 from icflow.simcluster import (
     FuzzWorkload,
     LassoModelParallelWorkload,
-    ReplayCheck,
-    ReplayReport,
     SimCluster,
     SimConfig,
     StragglerWindow,
     inject_straggler,
     merge_payloads,
-    replay,
     run_simulation,
 )
 from icflow.ssp import (
     _PROTOCOL_EVENTS,
     InvariantReport,
+    ReplayCheck,
+    ReplayReport,
     SspCore,
     Trace,
     TraceEvent,
     check_staleness_invariants,
+    replay,
 )
 
 

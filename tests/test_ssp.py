@@ -4,13 +4,14 @@ import pytest
 from icflow import ssp
 from icflow.engine import apply_sparse
 from icflow.errors import ProtocolError, TraceParseError
-from icflow.simcluster import FuzzWorkload, SimConfig, replay, run_simulation
+from icflow.simcluster import FuzzWorkload, SimConfig, run_simulation
 from icflow.ssp import (
     TRACE_HEADER,
     SspCore,
     Trace,
     TraceEvent,
     check_staleness_invariants,
+    replay,
 )
 
 
