@@ -22,12 +22,14 @@ def soft_threshold(u: float, lam: float) -> float:
     return shrunk if u > 0 else -shrunk if u < 0 else 0.0 * shrunk
 
 
-def normalize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale columns to unit l2 norm; returns (X_normalized, scales)."""
-    scales = np.linalg.norm(X, axis=0)
+def normalize_columns(X: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Scale columns to unit l2 norm, into `out` if given (X itself may be);
+    returns (X_normalized, scales)."""
+    # the bits of np.linalg.norm(X, axis=0), without its n x m temporary
+    scales = np.sqrt(np.einsum("ij,ij->j", X, X))
     if np.any(scales == 0):
         raise ConfigurationError("zero column in design matrix")
-    return X / scales, scales
+    return np.divide(X, scales, out=out), scales
 
 
 @dataclass
@@ -44,21 +46,22 @@ class LassoProblem:
     def __post_init__(self):
         if self.lam <= 0:
             raise ConfigurationError("lambda must be > 0")
-        norms = np.linalg.norm(self.X, axis=0)
-        if not np.allclose(norms, 1.0, atol=1e-9):
+        self.gram = self.X.T @ self.X
+        if not np.allclose(np.sqrt(np.diag(self.gram)), 1.0, atol=1e-9):
             raise ConfigurationError(
                 "design matrix columns must be unit-normalized at load"
             )
-        self.gram = self.X.T @ self.X
         self.Xty = self.X.T @ self.y
         self.col_sq = np.diag(self.gram).copy()
 
     @classmethod
     def from_raw(cls, X: np.ndarray, y: np.ndarray, lam: float | None = None):
-        Xn, _ = normalize_columns(X)
+        """The problem on X (float64) scaled to unit columns. X is scaled in
+        place and owned by the problem: pass a copy to keep the raw matrix."""
+        normalize_columns(X, out=X)
         if lam is None:
-            lam = 0.1 * np.max(np.abs(Xn.T @ y))
-        return cls(X=Xn, y=y, lam=lam)
+            lam = 0.1 * np.max(np.abs(X.T @ y))
+        return cls(X=X, y=y, lam=lam)
 
     @property
     def m(self) -> int:

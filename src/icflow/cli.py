@@ -30,7 +30,7 @@ from .simcluster import (
     LassoModelParallelWorkload,
     StragglerWindow,
 )
-from .ssp import TRACE_HEADER, Trace, replay
+from .ssp import Trace, replay
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -245,7 +245,7 @@ def parse_straggler(raw: str, P: int):
 
 
 # ---------------------------------------------------------------------------
-# experiment execution; each run returns (metrics text, trace text, traffic
+# experiment execution; each run returns (metrics text, trace, traffic
 # stats, summary lines) and run_experiment writes them
 
 
@@ -266,9 +266,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, quiet: bool = False) -> 
     run = {"lasso": _run_lasso, "lda": _run_lda, "mlr": _run_mlr}[cfg.algorithm]
     metrics, trace, traffic, summary = run(cfg)
     summary = "\n".join(summary) + "\n"
+    with open(os.path.join(out_dir, "trace.txt"), "w") as f:
+        trace.to_text(f)
     for name, text in (
         ("metrics.csv", metrics),
-        ("trace.txt", trace),
         ("traffic.csv", traffic_report(traffic)),
         ("summary.txt", summary),
     ):
@@ -306,7 +307,7 @@ def _run_lasso(cfg: ExperimentConfig):
     result = SimCluster(workload, sim_config).run()
     final_obj = workload.objective(result.values)
     total = result.final_tick * P or 1
-    return result.metrics_text(), result.trace.to_text(), result.traffic, [
+    return result.metrics_text(), result.trace, result.traffic, [
         "algorithm: lasso (block coordinate descent)",
         f"workers: {P}  staleness: {rt['staleness']}  "
         f"topology: {rt['topology']}  scheduler: {rt['scheduler']}",
@@ -336,7 +337,7 @@ def _run_lda(cfg: ExperimentConfig):
         f"{i + 1},{(i + 1) * rt['p']},{ll:.12e},0.000000,0,0,0"
         for i, ll in enumerate(result.log_likelihoods)
     ]
-    return "\n".join(rows) + "\n", TRACE_HEADER + "\n", {}, [
+    return "\n".join(rows) + "\n", Trace(), {}, [
         "algorithm: lda (rotation-scheduled collapsed Gibbs)",
         f"workers: {rt['p']}  topics: {params['topics']}  epochs: {params['epochs']}",
         f"documents: {len(docs)}  vocabulary: {V}",
@@ -369,7 +370,7 @@ def _run_mlr(cfg: ExperimentConfig):
         f"{t},{t},{obj:.12e},0.000000,0,0,{t * step_bytes}"
         for t, obj in enumerate(objectives, 1)
     ]
-    return "\n".join(rows) + "\n", TRACE_HEADER + "\n", {}, [
+    return "\n".join(rows) + "\n", Trace(), {}, [
         "algorithm: mlr (minibatch SGD with factored gradients)",
         f"classes: {K}  steps: {steps}  batch: {batch}  codec: {codec}",
         f"final objective: {objectives[-1]:.10e}",

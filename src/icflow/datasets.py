@@ -87,7 +87,11 @@ def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
 
 def _check_finite(path: str, a: np.ndarray) -> np.ndarray:
     """`a` unchanged if every entry is finite; a non-finite entry is a
-    configuration error that names `path`."""
+    configuration error that names `path`. Only a sum that is not finite
+    sends it to the search; `np.isfinite(a)` would be a temporary as big."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return a
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         at = ", ".join(str(i + 1) for i in bad[0])

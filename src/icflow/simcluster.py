@@ -20,6 +20,9 @@ from .errors import ConfigurationError, StateCorruptionError
 from .fabric import _MAX_TICK, OutgoingQueue, make_topology, sparse_codec_size
 from .ssp import SspCore, Trace, sorted_union
 
+# extra passes a worker may take at one clock: a run's work stays bounded
+MAX_EXTRA_PASSES = 6
+
 METRICS_HEADER = (
     "iteration,tick,objective,mean_staleness,max_staleness,blocked_ticks,bytes_sent"
 )
@@ -215,6 +218,7 @@ class SimCluster:
         self.wait_since: list[Optional[int]] = [0] * P
         self.blocked_ticks = [0] * P
         self.extra_passes = [0] * P
+        self._extras_now = [0] * P  # extra passes at the worker's current clock
         self.heap: list = []
         self._heap_seq = 0
         self.global_values = np.zeros(workload.m)
@@ -367,11 +371,14 @@ class SimCluster:
             store.finish(p)
             self._after_clock_change(tick)
             return
-        if self.cfg.slow_worker_extras and store.would_block_if_advanced(p):
+        if (self.cfg.slow_worker_extras and self._extras_now[p] < MAX_EXTRA_PASSES
+                and store.would_block_if_advanced(p)):
             # use the wait productively: another pass over the same block
             self.extra_passes[p] += 1
+            self._extras_now[p] += 1
             self._push(tick, self._start_pass, p)
             return
+        self._extras_now[p] = 0
         blocked = store.advance_clock(p)
         self.wait_since[p] = tick
         self._after_clock_change(tick)

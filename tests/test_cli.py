@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from icflow.cli import (
     read_metrics,
 )
 from icflow.errors import ConfigurationError
-from icflow.simcluster import METRICS_HEADER
+from icflow.simcluster import MAX_EXTRA_PASSES, METRICS_HEADER
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -398,13 +400,13 @@ def test_run_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _icflow(*args):
+def _icflow(*args, timeout=60):
     """`python -m icflow.cli` in a new interpreter, so that numpy's warnings
     reach standard error as a user sees them."""
     src = os.path.dirname(os.path.dirname(icflow.__file__))
     return subprocess.run([sys.executable, "-m", "icflow.cli", *args],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": src}, timeout=timeout)
 
 
 def test_an_input_too_large_to_allocate_exits_2(tmp_path):
@@ -487,6 +489,26 @@ def test_a_compute_pass_past_int64_ticks_exits_2(tmp_path, capsys):
             f"configuration error: straggler factor {factor} makes worker {worker}'s "
             "pass at tick 0 end after tick 9223372036854775807\n")
         assert not (out / "metrics.csv").exists()
+
+
+def test_extra_passes_behind_a_huge_straggler_end_in_bounded_work(tmp_path):
+    # with no cap on the extra passes at one clock this run took 83 s and
+    # wrote a 586 MB trace: a 1e5-fold straggler's pass lasts 1e5+ ticks,
+    # and the others took a pass at every tick of it
+    P, clocks = 7, 7
+    cfg = write_cfg(tmp_path, "[data]\nn = 200\nm = 17\n[algorithm]\n"
+                    f"algorithm = lasso\n[runtime]\np = {P}\ntopology = halton\n"
+                    f"staleness = 3\nmax_clocks = {clocks}\n"
+                    "straggler = 0:1e5:0:10\nslow_worker_extras = true\n")
+    out = tmp_path / "out"
+    proc = _icflow("--out-dir", str(out), "--quiet", "run", cfg, timeout=20)
+    assert proc.returncode == EXIT_OK and not proc.stderr, proc.stderr
+    rows = [line.split(",") for line in (out / "trace.txt").read_text().splitlines()[1:]]
+    passes = Counter((r[2], r[3]) for r in rows if r[1] == "compute_start")
+    assert max(passes.values()) == 1 + MAX_EXTRA_PASSES
+    # README's bound: at most 3p + 3 events a pass, 3 a clock advance and 1
+    # a finish, per worker
+    assert len(rows) <= P * clocks * ((1 + MAX_EXTRA_PASSES) * (3 * P + 3) + 3) + P
 
 
 def test_an_empty_y_file_is_one_configuration_error_line(tmp_path):
@@ -853,6 +875,19 @@ def test_complex_or_non_finite_data_files_exit_2(tmp_path, capsys):
             (algorithm, name)
         err = capsys.readouterr().err
         assert str(named) in err and "unit-normalized" not in err, (algorithm, name)
+
+
+def test_a_finite_matrix_whose_sum_overflows_is_read_without_a_warning(tmp_path):
+    # the finiteness check sums the entries first; an overflowing sum sends
+    # it to the entry-by-entry search, which finds nothing to reject
+    paths = datasets.write_lasso(datasets.gen_lasso(30, 8, 3, seed=1), str(tmp_path))
+    big = np.full((30, 8), 1e308)
+    big[0, 0] = -1e308
+    np.save(tmp_path / "big.npy", big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, _ = datasets.read_lasso(str(tmp_path / "big.npy"), paths["y"])
+    assert np.array_equal(X, big)
 
 
 def _exits_2_naming(tmp_path, capsys, algorithm, matrix, y):

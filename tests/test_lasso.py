@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,9 +61,31 @@ def test_default_lambda_rule():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 6))
     y = rng.normal(size=30)
-    prob = LassoProblem.from_raw(X, y)
+    prob = LassoProblem.from_raw(X.copy(), y)  # from_raw scales its matrix in place
     Xn, _ = normalize_columns(X)
     assert prob.lam == pytest.approx(0.1 * np.max(np.abs(Xn.T @ y)))
+
+
+def test_from_raw_scales_its_matrix_in_place_to_the_bits_of_the_norm():
+    rng = np.random.default_rng(3)
+    for shape in ((60, 12), (1000, 30), (7, 40)):
+        X = rng.normal(size=shape) * rng.uniform(0.1, 100, size=shape[1])
+        raw = X.copy()
+        prob = LassoProblem.from_raw(X, np.ones(shape[0]))
+        assert prob.X is X
+        assert np.array_equal(X, raw / np.linalg.norm(raw, axis=0))
+        assert np.array_equal(normalize_columns(raw)[0], X)
+
+
+def test_from_raw_allocates_no_second_design_matrix():
+    ds = gen_lasso(4000, 50, 5, seed=1)
+    tracemalloc.start()
+    try:
+        LassoProblem.from_raw(ds.X, ds.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.X.nbytes / 2, (peak, ds.X.nbytes)
 
 
 def test_lasso_delta_matches_naive_sum():

@@ -59,3 +59,14 @@ def test_probe_traces_the_replay(tmp_path):
 def test_probe_stamps_the_run_loop(tmp_path):
     loop = _probe(tmp_path, "stamp", *_run_args(tmp_path))["loop"]
     assert loop["t0"] < loop["t1"], loop
+
+
+def test_probe_times_the_trace_write_and_the_problem_build(tmp_path):
+    # `icflow run` writes trace.txt inside `Trace.to_text` and builds the
+    # problem in `LassoProblem.from_raw`, the names the probe times as
+    # ssp.serialize and lasso.problem; moved elsewhere, they would read 0
+    agg = _probe(tmp_path, "trace", *_run_args(tmp_path))["agg"]
+    for name in ("ssp.serialize", "lasso.problem"):
+        rows = [row for row in agg if row[0] == name]
+        assert sum(row[2] for row in rows) >= 1, name
+        assert sum(row[4] for row in rows) > 0, name

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,46 @@ def test_parsed_trace_builds_events_once_and_stays_appendable():
     assert len(trace) == 2
     assert trace.table()["event"].tolist() == ["clock", "finish"]
     assert Trace.from_text(trace.to_text()).events == events
+
+
+def _halton_fuzz_run(max_clocks):
+    return run_simulation(FuzzWorkload(48, 8, seed=3),
+                          SimConfig(P=8, staleness=2, topology="halton",
+                                    max_clocks=max_clocks))
+
+
+def test_a_run_trace_holds_under_90_bytes_per_event():
+    # a row of 8 fields in one flat list costs 64 bytes and the list's
+    # slack; a tuple per event costs about 120 bytes
+    _halton_fuzz_run(2)  # the first run's imports are not the trace's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = _halton_fuzz_run(60).trace
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace) >= 10_000
+    assert held / len(trace) < 90, held / len(trace)
+
+
+def test_a_trace_written_to_a_file_is_never_held_whole(tmp_path):
+    trace = _halton_fuzz_run(60).trace
+    assert len(trace) > 2 * ssp._CHUNK_ROWS
+    text = trace.to_text()
+    path = tmp_path / "trace.txt"
+    with open(path, "w") as f:
+        tracemalloc.start()
+        try:
+            assert trace.to_text(f) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < len(text) / 2, (peak, len(text))
+    assert path.read_text() == text
+
 
 def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
     trace = run_simulation(FuzzWorkload(24, 4, seed=1),
