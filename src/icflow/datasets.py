@@ -68,14 +68,14 @@ def gen_lasso(
     return LassoDataset(X=X, y=y, true_support=support, true_coef=coef)
 
 
-def write_lasso(ds: LassoDataset, out_dir: str, stem: str = "lasso") -> dict:
-    """The design matrix as `<stem>_X.npy`, the response as a text vector and
-    the planted support with its coefficients as `<stem>_truth.txt`."""
+def write_lasso(ds: LassoDataset, out_dir: str) -> dict:
+    """The design matrix as `lasso_X.npy`, the response as a text vector and
+    the planted support with its coefficients as `lasso_truth.txt`."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "X": os.path.join(out_dir, f"{stem}_X.npy"),
-        "y": os.path.join(out_dir, f"{stem}_y.txt"),
-        "truth": os.path.join(out_dir, f"{stem}_truth.txt"),
+        "X": os.path.join(out_dir, "lasso_X.npy"),
+        "y": os.path.join(out_dir, "lasso_y.txt"),
+        "truth": os.path.join(out_dir, "lasso_truth.txt"),
     }
     np.save(paths["X"], ds.X)
     np.savetxt(paths["y"], ds.y, fmt="%.17g")
@@ -183,13 +183,13 @@ def gen_lda(
     return LdaCorpus(docs=docs, V=V, K=K, true_topic_words=topic_words)
 
 
-def write_corpus(corpus: LdaCorpus, out_dir: str, stem: str = "lda") -> dict:
+def write_corpus(corpus: LdaCorpus, out_dir: str) -> dict:
     """Bag-of-words triples: three header lines (D, W, NNZ), then
     `docID wordID count` with 1-based ids."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "docs": os.path.join(out_dir, f"{stem}_docs.txt"),
-        "truth": os.path.join(out_dir, f"{stem}_truth.txt"),
+        "docs": os.path.join(out_dir, "lda_docs.txt"),
+        "truth": os.path.join(out_dir, "lda_truth.txt"),
     }
     triples = []
     for d, doc in enumerate(corpus.docs):
@@ -264,14 +264,14 @@ def gen_mlr(n: int, D: int, K: int, seed: int = 0) -> MlrDataset:
     return MlrDataset(U=U, y=y, K=K, true_centers=centers)
 
 
-def write_mlr(ds: MlrDataset, out_dir: str, stem: str = "mlr") -> dict:
-    """The features as `<stem>_U.npy`, one class id per line and the class
-    centers as `<stem>_truth.txt`."""
+def write_mlr(ds: MlrDataset, out_dir: str) -> dict:
+    """The features as `mlr_U.npy`, one class id per line and the class
+    centers as `mlr_truth.txt`."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "U": os.path.join(out_dir, f"{stem}_U.npy"),
-        "y": os.path.join(out_dir, f"{stem}_y.txt"),
-        "truth": os.path.join(out_dir, f"{stem}_truth.txt"),
+        "U": os.path.join(out_dir, "mlr_U.npy"),
+        "y": os.path.join(out_dir, "mlr_y.txt"),
+        "truth": os.path.join(out_dir, "mlr_truth.txt"),
     }
     np.save(paths["U"], ds.U)
     np.savetxt(paths["y"], ds.y, fmt="%d")

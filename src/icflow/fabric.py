@@ -90,38 +90,34 @@ def decode_delta(data: bytes) -> UpdateDelta:
         raise DecodeError(len(data), "truncated header")
     tag, k, d, s, ts, origin = struct.unpack(HEADER_FMT, data[:HEADER_BYTES])
     body = data[HEADER_BYTES:]
+    kinds = {_TAG_DENSE: ("dense", full_codec_size(k, d)),
+             _TAG_SPARSE: ("sparse", sparse_codec_size(s)),
+             _TAG_SF: ("sufficient-factor", sf_codec_size(k, d, s))}
+    if tag not in kinds:
+        raise DecodeError(0, f"unknown codec tag {tag}")
+    kind, size = kinds[tag]
+    expected = size - HEADER_BYTES
+    if len(body) != expected:
+        raise DecodeError(HEADER_BYTES + min(len(body), expected),
+                          f"{kind} body length {len(body)} != {expected}")
     if tag == _TAG_DENSE:
-        expected = 8 * k * d
-        if len(body) != expected:
-            raise DecodeError(HEADER_BYTES + min(len(body), expected),
-                              f"dense body length {len(body)} != {expected}")
         arr = np.frombuffer(body, dtype="<f8").copy()
         payload = arr if k == 1 else arr.reshape(k, d)
         return UpdateDelta(payload=payload, timestamp=ts, origin=origin)
     if tag == _TAG_SPARSE:
-        expected = 12 * s
-        if len(body) != expected:
-            raise DecodeError(HEADER_BYTES + min(len(body), expected),
-                              f"sparse body length {len(body)} != {expected}")
         payload = {}
         for i in range(s):
             key, val = struct.unpack_from("<Id", body, 12 * i)
             payload[key] = val
         return UpdateDelta(payload=payload, timestamp=ts, origin=origin)
-    if tag == _TAG_SF:
-        expected = 8 * s * (k + d)
-        if len(body) != expected:
-            raise DecodeError(HEADER_BYTES + min(len(body), expected),
-                              f"sufficient-factor body length {len(body)} != {expected}")
-        factors = []
-        stride = 8 * (k + d)
-        for i in range(s):
-            chunk = body[i * stride : (i + 1) * stride]
-            b = np.frombuffer(chunk[: 8 * k], dtype="<f8").copy()
-            c = np.frombuffer(chunk[8 * k :], dtype="<f8").copy()
-            factors.append((b, c))
-        return UpdateDelta(payload=factors, timestamp=ts, origin=origin)
-    raise DecodeError(0, f"unknown codec tag {tag}")
+    factors = []
+    stride = 8 * (k + d)
+    for i in range(s):
+        chunk = body[i * stride : (i + 1) * stride]
+        b = np.frombuffer(chunk[: 8 * k], dtype="<f8").copy()
+        c = np.frombuffer(chunk[8 * k :], dtype="<f8").copy()
+        factors.append((b, c))
+    return UpdateDelta(payload=factors, timestamp=ts, origin=origin)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import NamedTuple, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -100,34 +100,29 @@ def _read_table(text: str, body: list[str]) -> Optional[np.ndarray]:
 
 
 class Trace:
-    """An ordered event log with CSV round-tripping.
+    """An ordered event log with CSV round-tripping, held as one record.
 
-    The store and the simulator extend one flat list by each event's 8
-    fields in ``TraceEvent`` order (70-85 bytes an event, against 115-130
-    for a tuple), which ``events`` makes ``TraceEvent`` objects when next
-    read. A trace read by ``from_text`` keeps its events as a column table
-    (see ``table``) and builds ``TraceEvent`` objects only when ``events`` is
-    first asked for; from then on the list is the record. The table is
-    rebuilt when the trace's length has changed since it was built."""
+    A trace that the store and the simulator build is one flat list, which
+    they extend by each event's 8 fields in ``TraceEvent`` order (70-85
+    bytes an event, against 115-130 for a tuple). A trace read by
+    ``from_text`` is a column table (see ``table``) and has no flat list, so
+    nothing appends to it. ``events`` builds new ``TraceEvent`` objects on
+    each read. The table of a built trace is rebuilt when the trace's length
+    has changed since it was built."""
 
-    def __init__(self, events: Optional[list[TraceEvent]] = None):
-        self._events: Optional[list] = events or []
-        self._flat: list = []  # pending events, 8 fields each
+    def __init__(self, events: Iterable[TraceEvent] = ()):
+        self._flat: Optional[list] = list(chain.from_iterable(events))
         self._table: Optional[np.ndarray] = None
 
     @property
     def events(self) -> list[TraceEvent]:
-        if self._events is None:
-            self._events = list(map(TraceEvent._make, self._table.tolist()))
-        if self._flat:
-            self._events.extend(map(TraceEvent._make, zip(*[iter(self._flat)] * 8)))
-            self._flat.clear()
-        return self._events
+        return list(map(TraceEvent._make, zip(*[self._fields()] * 8)))
 
     def _fields(self):
         """The fields of every event, in trace order, as one iterator."""
-        head = self._table.tolist() if self._events is None else self._events
-        return chain(chain.from_iterable(head), self._flat)
+        if self._flat is None:
+            return chain.from_iterable(self._table.tolist())
+        return iter(self._flat)
 
     def table(self) -> np.ndarray:
         """The events as a structured array with one field per TraceEvent
@@ -141,8 +136,7 @@ class Trace:
         return self._table
 
     def __len__(self) -> int:
-        head = self._table if self._events is None else self._events
-        return len(head) + len(self._flat) // 8
+        return len(self._table) if self._flat is None else len(self._flat) // 8
 
     def __iter__(self):
         return iter(self.events)
@@ -167,7 +161,7 @@ class Trace:
         table = _read_table(text, lines[1:])
         if table is not None:
             trace = cls()
-            trace._events, trace._table = None, table
+            trace._flat, trace._table = None, table
             return trace
         events = []
         for i, line in enumerate(lines[1:], start=2):
@@ -297,6 +291,10 @@ class SspCore:
 
     def deliver(self, worker: int, seq: int) -> _Update:
         """Record that foreign commit `seq` has arrived at `worker`."""
+        if not 0 <= worker < self.P:
+            raise ProtocolError(f"invalid worker id {worker}")
+        if not 0 <= seq < len(self.log):
+            raise ProtocolError(f"invalid seq {seq}")
         upd = self.log[seq]
         flight = self.in_flight[worker]
         left = flight.pop(upd.timestamp, 0) - 1

@@ -1,6 +1,8 @@
 import ast
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -509,6 +511,91 @@ def test_extra_passes_behind_a_huge_straggler_end_in_bounded_work(tmp_path):
     # README's bound: at most 3p + 3 events a pass, 3 a clock advance and 1
     # a finish, per worker
     assert len(rows) <= P * clocks * ((1 + MAX_EXTRA_PASSES) * (3 * P + 3) + 3) + P
+
+
+# The config fuzzer: tiny seeded configs over every algorithm and every key,
+# with extreme valid values. The data keys, max_clocks, epochs and steps are
+# always given and tiny, so the per-run time limit catches only work without
+# a bound; a large straggler behind extra passes is the case above.
+FUZZ_RUNTIME = {
+    "p": ["1", "2", "3", "7", "40"],
+    "staleness": ["0", "1", "2", "5"],
+    "seed": ["0", "7", "123456789"],
+    "max_clocks": ["1", "2", "3"],
+    "topology": ["master_slave", "full_p2p", "halton"],
+    "codec": ["full", "sufficient_factor"],
+    "scheduler": ["fixed", "sap", "random", "round_robin"],
+    "bandwidth": ["1e-300", "1e-9", "1", "4096", "1e300"],
+    "latency": ["0", "1", "1000", str(10**17)],
+    "straggler": ["", "{w}:3", "{w}:1e15", "{w}:1e15:0:10", "{w}:1e3:5:1e300"],
+    "slow_worker_extras": ["false", "true"],
+}
+FUZZ_SIZES = {"max_clocks", "epochs", "steps"}
+FUZZ_KEYS = {
+    "lasso": ({"n": ["1", "5", "30"], "m": ["1", "4", "20"], "k_true": ["0", "1"],
+               "seed": ["0", "9"]},
+              {"lam": ["1e-300", "0.01", "1", "1e300"]}),
+    "lda": ({"n_docs": ["6", "45"], "v": ["12", "45"], "k": ["1", "3"],
+             "doc_len": ["1", "8"], "seed": ["0", "9"]},
+            {"topics": ["1", "4"], "epochs": ["1", "2"]}),
+    "mlr": ({"n": ["1", "20"], "d": ["1", "6"], "k": ["2", "4"], "seed": ["0", "9"]},
+            {"steps": ["1", "3"], "batch": ["1", "64"], "eta0": ["1e-300", "0.1", "1e300"]}),
+}
+
+
+def _fuzz_config(seed):
+    """(algorithm, p, staleness, INI text); each key other than a size is
+    left out or given one of its values."""
+    rng = random.Random(seed)
+    algorithm = sorted(FUZZ_KEYS)[seed % 3]
+    data, params = FUZZ_KEYS[algorithm]
+    runtime = {key: FUZZ_RUNTIME[key] for key in _ALGORITHMS[algorithm][3]}
+
+    def pick(keys, always=FUZZ_SIZES):
+        return {k: rng.choice(v) for k, v in keys.items()
+                if k in always or rng.random() < 0.7}
+
+    chosen = {"data": pick(data, set(data)), "algorithm": pick(params),
+              "runtime": pick(runtime)}
+    p = int(chosen["runtime"].get("p", _RUNTIME["p"][1]))
+    if "straggler" in chosen["runtime"]:
+        chosen["runtime"]["straggler"] = chosen["runtime"]["straggler"].format(
+            w=rng.randrange(p))
+    chosen["algorithm"]["algorithm"] = algorithm
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in chosen.items())
+    return algorithm, p, chosen["runtime"].get("staleness", "0"), text
+
+
+def test_fuzzed_configs_exit_cleanly_in_bounded_time(tmp_path, capsys):
+    def hung(signum, frame):
+        raise TimeoutError("the run did not end within 10 s")
+
+    codes = Counter()
+    old = signal.signal(signal.SIGALRM, hung)
+    try:
+        for seed in range(60):
+            algorithm, p, staleness, text = _fuzz_config(seed)
+            cfg = write_cfg(tmp_path, text, f"fuzz{seed}.cfg")
+            out = tmp_path / f"fuzz{seed}"
+            signal.alarm(10)
+            code = main(["--out-dir", str(out), "--quiet", "run", cfg])
+            signal.alarm(0)
+            err = capsys.readouterr().err
+            codes[algorithm, code] += 1
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT), (seed, text, err)
+            if code != EXIT_OK:
+                assert err.count("\n") == 1 and err.endswith("\n"), (seed, text, err)
+                continue
+            assert err == "", (seed, text, err)
+            assert main(["--quiet", "replay", str(out / "trace.txt"), "--staleness",
+                         staleness, "--workers", str(p)]) == EXIT_OK, (seed, text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    # every algorithm both finishes and fails somewhere in the list
+    assert {algorithm for algorithm, code in codes if code == EXIT_OK} == set(FUZZ_KEYS)
+    assert {code for _, code in codes} >= {EXIT_OK, EXIT_CONFIG}, codes
 
 
 def test_an_empty_y_file_is_one_configuration_error_line(tmp_path):

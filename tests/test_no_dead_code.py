@@ -1,5 +1,5 @@
 """Every module-level function and class, and every method, under src/icflow
-is reached.
+is reached, and every optional parameter of one is passed by some call.
 
 A module-level definition counts as reached when some code in src/ names it
 (as a bare name or an attribute) outside its own body, or when the acceptance
@@ -68,3 +68,58 @@ def test_every_definition_is_reached():
                     continue
                 dead.append(f"{path.relative_to(SRC)}: {cls.name}.{node.name}")
     assert not dead, "unreached definitions:\n" + "\n".join(dead)
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _defaulted(fn: ast.FunctionDef, in_class: bool):
+    """(name, position as a caller counts it, or None for keyword-only) for
+    each parameter of `fn` with a default; a method's self or cls is not
+    counted."""
+    positional = fn.args.posonlyargs + fn.args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if in_class and not static else 0
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    """A parameter with a default that no call in src/, tests/ or perfbench/
+    passes, by keyword or by position, always takes its default. Calls match
+    a definition by name (a constructor's by its class's name); a call with
+    *args or **kwargs passes every parameter it could reach."""
+    passed = {}  # callee name -> [(positional count, keyword names)]
+    for path in [*SRC.rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call) or _callee(call) is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            passed.setdefault(_callee(call), []).append(
+                (float("inf") if starred else len(call.args),
+                 None if None in keywords else keywords))
+    dead = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {fn: cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owners.get(fn)
+            names = [fn.name] + ([cls.name] if cls and fn.name == "__init__" else [])
+            calls = [c for name in names for c in passed.get(name, [])]
+            for arg, position in _defaulted(fn, cls is not None):
+                if not any(keywords is None or arg in keywords
+                           or (position is not None and count > position)
+                           for count, keywords in calls):
+                    dead.append(f"{path.relative_to(SRC)}: {fn.name}({arg}=...)")
+    assert not dead, "optional parameters no call passes:\n" + "\n".join(dead)

@@ -404,9 +404,9 @@ def _reference_replay(trace, staleness, P):
     checks: list[ReplayCheck] = []
 
     # well-formedness: ticks non-decreasing
+    events = trace.events  # built afresh on each read
     bad = next(
-        (i for i in range(1, len(trace.events))
-         if trace.events[i].tick < trace.events[i - 1].tick),
+        (i for i in range(1, len(events)) if events[i].tick < events[i - 1].tick),
         None,
     )
     checks.append(ReplayCheck(
@@ -418,7 +418,7 @@ def _reference_replay(trace, staleness, P):
     blocked: dict[int, int] = {}
     finished: set[int] = set()
     pair_bad = None
-    for i, ev in enumerate(trace):
+    for i, ev in enumerate(events):
         if ev.event == "block":
             if ev.worker in blocked:
                 pair_bad = i
@@ -445,7 +445,7 @@ def _reference_replay(trace, staleness, P):
     # every message send has a matching delivery
     sends: dict[int, int] = {}
     delivers: dict[int, int] = {}
-    for ev in trace:
+    for ev in events:
         if ev.event == "msg_send":
             sends[ev.seq] = sends.get(ev.seq, 0) + 1
         elif ev.event == "msg_deliver":
@@ -466,7 +466,6 @@ def _reference_replay(trace, staleness, P):
 
 
 def _assert_checks_match_reference(trace, staleness, P, label):
-    # the reference runs last: it builds the events of a parsed trace
     got = (replay(trace, staleness, P), check_staleness_invariants(trace, staleness, P))
     want = (_reference_replay(trace, staleness, P),
             _reference_check_staleness_invariants(trace, staleness, P))

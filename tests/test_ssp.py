@@ -7,7 +7,7 @@ import pytest
 from icflow import ssp
 from icflow.engine import apply_sparse
 from icflow.errors import ProtocolError, TraceParseError
-from icflow.simcluster import FuzzWorkload, SimConfig, run_simulation
+from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig, run_simulation
 from icflow.ssp import (
     TRACE_HEADER,
     SspCore,
@@ -31,6 +31,8 @@ def test_trace_text_round_trip():
     ])
     back = Trace.from_text(tr.to_text())
     assert back.events == tr.events
+    # events is a view built afresh on each read, never the trace's record
+    assert tr.events is not tr.events and back.events is not back.events
 
 
 def test_trace_parse_errors_carry_line_numbers():
@@ -129,18 +131,6 @@ def test_table_parse_round_trips_a_simulator_trace():
     assert parsed.to_text() == text
 
 
-def test_parsed_trace_builds_events_once_and_stays_appendable():
-    text = Trace([TraceEvent(0, "clock", 0, 1, 0, 0, 0, 0)]).to_text()
-    trace = Trace.from_text(text)
-    assert len(trace) == 1
-    events = trace.events
-    assert trace.events is events
-    trace.events.append(TraceEvent(1, "finish", 0, 1, 0, 0, 0, 0))
-    assert len(trace) == 2
-    assert trace.table()["event"].tolist() == ["clock", "finish"]
-    assert Trace.from_text(trace.to_text()).events == events
-
-
 def _halton_fuzz_run(max_clocks):
     return run_simulation(FuzzWorkload(48, 8, seed=3),
                           SimConfig(P=8, staleness=2, topology="halton",
@@ -181,8 +171,8 @@ def test_a_trace_written_to_a_file_is_never_held_whole(tmp_path):
 
 
 def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
-    trace = run_simulation(FuzzWorkload(24, 4, seed=1),
-                           SimConfig(P=4, staleness=1, max_clocks=4)).trace
+    sim = SimCluster(FuzzWorkload(24, 4, seed=1), SimConfig(P=4, staleness=1, max_clocks=4))
+    trace = sim.run().trace
     built = []
     table = Trace.table
 
@@ -195,9 +185,10 @@ def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
     assert len(built) >= 2 and built.count(True) == 1
     first = trace.table()
     assert trace.table() is first
-    # an append drops the cached table
-    trace.events.append(TraceEvent(99, "finish", 0, 4, 0, 0, 0, 0))
+    # an append through the store drops the cached table
+    sim.store.finish(0)
     assert trace.table() is not first and len(trace.table()) == len(first) + 1
+    assert trace.table()["event"][-1] == "finish"
 
 
 def test_commit_requires_current_clock_timestamp():
@@ -337,6 +328,21 @@ def test_deliver_rejects_what_is_not_in_flight():
         store.deliver(1, seq)
 
 
+def test_deliver_rejects_an_invalid_worker_or_seq_before_any_change():
+    store = SspCore(P=3, staleness=0, m=2)
+    seq = store.commit(0, {0: 1.0}, 0)
+    arrived = [set(a) for a in store.arrived]
+    in_flight = [dict(f) for f in store.in_flight]
+    # -1 once recorded an arrival at worker 2, and seq -1 a KeyError at the
+    # next apply; worker 3 and seq 1 ended in an IndexError
+    for worker, bad in ((-1, seq), (3, seq), (1, -1), (1, 1)):
+        with pytest.raises(ProtocolError, match="invalid"):
+            store.deliver(worker, bad)
+        assert store.arrived == arrived and store.in_flight == in_flight
+    store.deliver(2, seq)
+    assert [u.seq for u in store.apply_pending(2)] == [seq]
+
+
 def run_two_workers(staleness, rounds):
     store = SspCore(P=2, staleness=staleness, m=4)
     # interleave worker passes; worker 1 runs two clocks behind when allowed
@@ -362,11 +368,12 @@ def test_checker_flags_forged_clock_gap():
     trace = run_two_workers(1, 4)
     # forge: extra clock events push worker 0 beyond the bound, then a commit
     # (with the finish events stripped so both workers still gate the minimum)
-    forged = Trace([e for e in trace.events if e.event != "finish"])
-    forged.events.append(TraceEvent(99, "clock", 0, 5, 0, 0, 0, 0))
-    forged.events.append(TraceEvent(99, "clock", 0, 6, 0, 0, 0, 0))
-    forged.events.append(TraceEvent(99, "commit", 0, 6, 50, 6, 1, 37))
-    report = check_staleness_invariants(forged, 1, 2)
+    forged = [e for e in trace if e.event != "finish"] + [
+        TraceEvent(99, "clock", 0, 5, 0, 0, 0, 0),
+        TraceEvent(99, "clock", 0, 6, 0, 0, 0, 0),
+        TraceEvent(99, "commit", 0, 6, 50, 6, 1, 37),
+    ]
+    report = check_staleness_invariants(Trace(forged), 1, 2)
     assert not report.ok
     assert any("while min clock" in v for v in report.violations)
 
@@ -387,17 +394,15 @@ def test_checker_flags_missing_required_update():
 def test_checker_flags_self_apply_and_double_apply():
     base = run_two_workers(1, 3)
     commit = next(e for e in base if e.event == "commit")
-    selfish = Trace(list(base.events))
-    selfish.events.append(TraceEvent(99, "apply", commit.worker, 3, commit.seq,
-                                     commit.timestamp, 1, 37))
-    report = check_staleness_invariants(selfish, 1, 2)
+    selfish = base.events + [TraceEvent(99, "apply", commit.worker, 3, commit.seq,
+                                        commit.timestamp, 1, 37)]
+    report = check_staleness_invariants(Trace(selfish), 1, 2)
     assert any("its own seq" in v for v in report.violations)
 
     other = 1 - commit.worker
-    doubled = Trace(list(base.events))
-    doubled.events.append(TraceEvent(99, "apply", other, 3, commit.seq,
-                                     commit.timestamp, 1, 37))
-    report = check_staleness_invariants(doubled, 1, 2)
+    doubled = base.events + [TraceEvent(99, "apply", other, 3, commit.seq,
+                                        commit.timestamp, 1, 37)]
+    report = check_staleness_invariants(Trace(doubled), 1, 2)
     assert any("double-applied" in v for v in report.violations)
 
 
