@@ -105,7 +105,9 @@ def inject_straggler(
 
 class LassoModelParallelWorkload:
     """Block coordinate descent over a shared coefficient vector; each worker
-    updates the index block the scheduler hands it for the current round."""
+    updates the index block the scheduler hands it for the current round.
+    Round t is kept as (assignment, changes), the changes merging its passes'
+    payloads in pass order, until `observe(t)` hands them on and drops it."""
 
     def __init__(self, problem, P: int, scheduler=None):
         from .algorithms.lasso import LassoCDProgram
@@ -115,18 +117,17 @@ class LassoModelParallelWorkload:
         self.scheduler = scheduler if scheduler is not None else FixedBlockScheduler(
             problem.m, P
         )
-        self._assignments: dict[int, list[list[int]]] = {}
-
-    def _assignment(self, t: int, values) -> list[list[int]]:
-        if t not in self._assignments:
-            self._assignments[t] = self.scheduler.rounds(t, values)
-        return self._assignments[t]
+        self._rounds: dict[int, tuple[list[list[int]], dict[int, float]]] = {}
 
     def block(self, p: int, t: int, view) -> list[int]:
-        return self._assignment(t, view)[p]
+        if t not in self._rounds:
+            self._rounds[t] = (self.scheduler.rounds(t, view), {})
+        return self._rounds[t][0][p]
 
     def delta(self, view, p: int, t: int, indices) -> dict[int, float]:
-        return self.program.block_delta(view, None, indices)
+        payload = self.program.block_delta(view, None, indices)
+        self._rounds[t][1].update(payload)
+        return payload
 
     def cost_units(self, p: int, t: int, indices) -> float:
         return float(max(len(indices), 1))
@@ -134,8 +135,9 @@ class LassoModelParallelWorkload:
     def objective(self, values) -> float:
         return self.program.objective(values)
 
-    def observe(self, changes: dict[int, float]) -> None:
-        self.scheduler.observe(changes)
+    def observe(self, t: int) -> None:
+        """Round t has closed: every worker has finished its passes at t."""
+        self.scheduler.observe(self._rounds.pop(t)[1])
 
 
 class FuzzWorkload:
@@ -165,7 +167,7 @@ class FuzzWorkload:
     def objective(self, values):
         return None
 
-    def observe(self, changes: dict[int, float]) -> None:
+    def observe(self, t: int) -> None:
         pass
 
 
@@ -224,7 +226,6 @@ class SimCluster:
         self.global_values = np.zeros(workload.m)
         self.trajectory: list[np.ndarray] = []
         self.metrics: list[str] = []
-        self.round_changes: dict[int, dict[int, float]] = {}
         self.stale_sum = 0
         self.stale_cnt = 0
         self.stale_max = 0
@@ -364,7 +365,6 @@ class SimCluster:
         seq = store.commit(p, payload, t)
         upd = store.log[seq]
         np.add.at(self.global_values, upd.keys, upd.vals)
-        self.round_changes.setdefault(t, {}).update(payload)
         self._broadcast(p, seq, tick)
         if t + 1 >= self.cfg.max_clocks:
             store.advance_clock(p)
@@ -393,7 +393,7 @@ class SimCluster:
         while self.last_min < new_min and self.last_min < self.cfg.max_clocks:
             r = self.last_min
             self.last_min += 1
-            self.workload.observe(self.round_changes.pop(r, {}))
+            self.workload.observe(r)
             self.trajectory.append(self.global_values.copy())
             obj = self.workload.objective(self.global_values)
             obj_s = "nan" if obj is None else f"{_check_objective(obj, r + 1):.12e}"

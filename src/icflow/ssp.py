@@ -186,9 +186,9 @@ class SspCore:
 
     The caller owns the notion of time (``tick``) and the network: ``deliver``
     records that a foreign update has arrived at a worker, and only arrived
-    updates are applied. ``catch_up`` applies those the protocol obliges a
-    worker to see, ``apply_pending`` all of them (fresher-than-required reads
-    are allowed); ``missing_required`` counts obligatory ones still in flight.
+    updates are applied. ``catch_up`` applies every arrived one (a read may
+    be fresher than required); ``missing_required`` counts the ones the
+    protocol obliges a worker to see that are still in flight.
     Updates are kept as key and value arrays; one ``np.add.at`` per apply
     adds them in commit order, so each element's additions come in that order.
     """
@@ -211,9 +211,9 @@ class SspCore:
         self.arrived: list[set[int]] = [set() for _ in range(P)]
         # per worker: timestamp -> number of foreign commits not yet arrived
         self.in_flight: list[dict[int, int]] = [{} for _ in range(P)]
-        # per worker: how many of those it is obliged to see (`_horizon`)
+        # per worker: how many of those it is obliged to see, the ones with a
+        # timestamp at or before its horizon, clock - staleness - 1
         self._missing = [0] * P
-        self._seq = 0
         self._append = self.trace._flat.extend  # the one path for trace rows
 
     # -- event helpers ------------------------------------------------------
@@ -245,15 +245,14 @@ class SspCore:
                 f"{self.clocks[worker]}"
             )
         n = len(payload)
-        upd = _Update(self._seq, worker, timestamp, np.fromiter(payload, np.int64, n),
+        upd = _Update(len(self.log), worker, timestamp, np.fromiter(payload, np.int64, n),
                       np.fromiter(payload.values(), np.float64, n), sparse_codec_size(n))
-        self._seq += 1
         self.log.append(upd)
         for p in range(self.P):
             if p != worker:
                 flight = self.in_flight[p]
                 flight[timestamp] = flight.get(timestamp, 0) + 1
-                if timestamp <= self.clocks[p] - self.staleness - 1:  # _horizon(p)
+                if timestamp <= self.clocks[p] - self.staleness - 1:  # p's horizon
                     self._missing[p] += 1
         np.add.at(self.views[worker], upd.keys, upd.vals)
         self._emit("commit", worker, seq=upd.seq, timestamp=timestamp,
@@ -267,7 +266,8 @@ class SspCore:
         if self.finished[worker]:
             raise ProtocolError(f"worker {worker} already finished")
         self.clocks[worker] += 1
-        self._missing[worker] += self.in_flight[worker].get(self._horizon(worker), 0)
+        horizon = self.clocks[worker] - self.staleness - 1
+        self._missing[worker] += self.in_flight[worker].get(horizon, 0)
         self._emit("clock", worker)
         if self.would_block(worker):
             self.blocked[worker] = True
@@ -302,7 +302,7 @@ class SspCore:
             raise ProtocolError(f"seq {seq} is not in flight to worker {worker}")
         if left:
             flight[upd.timestamp] = left
-        if upd.timestamp <= self.clocks[worker] - self.staleness - 1:  # _horizon
+        if upd.timestamp <= self.clocks[worker] - self.staleness - 1:  # horizon
             if not self._missing[worker]:
                 raise StateCorruptionError(f"seq {seq} arrived at worker {worker}, "
                                            "whose count of required commits in flight is 0")
@@ -311,41 +311,35 @@ class SspCore:
         return upd
 
     def catch_up(self, worker: int) -> list[_Update]:
-        """Apply the arrived foreign updates the protocol requires this worker
-        to see (timestamp <= t_p - staleness - 1) and return them."""
-        return self._apply(worker, self._horizon(worker))
-
-    def apply_pending(self, worker: int) -> list[_Update]:
-        """Apply every arrived foreign update, however fresh, and return them."""
+        """Fold every arrived foreign update into the worker's view, in commit
+        order, and return them: those the protocol obliges it to see
+        (timestamp <= t_p - staleness - 1) and any fresher ones."""
         self._check_worker(worker)
-        return self._apply(worker, None)
-
-    def _horizon(self, worker: int) -> int:
-        """Newest timestamp the protocol obliges this worker to see."""
-        self._check_worker(worker)
-        return self.clocks[worker] - self.staleness - 1
-
-    def _apply(self, worker: int, horizon: Optional[int]) -> list[_Update]:
-        """Fold into the worker's view, in commit order, each arrived seq with
-        a timestamp <= `horizon` (None: no limit); newer ones stay arrived."""
         arrived, log = self.arrived[worker], self.log
-        applied = [log[seq] for seq in sorted(arrived)
-                   if horizon is None or log[seq].timestamp <= horizon]
-        if not applied:
-            return applied
+        if not arrived:
+            return []
+        applied = [log[seq] for seq in sorted(arrived)]
+        arrived.clear()
         for upd in applied:
-            arrived.remove(upd.seq)
             self._emit("apply", worker, upd.seq, upd.timestamp, len(upd.keys), upd.nbytes)
         np.add.at(self.views[worker], np.concatenate([u.keys for u in applied]),
                   np.concatenate([u.vals for u in applied]))
         return applied
 
+    # One body under two names. perfbench/probe.py patches both names, so a
+    # call through either is timed once as `ssp.apply`; a method that called
+    # the other would be timed and counted twice.
+    apply_pending = catch_up
+
     def missing_required(self, worker: int) -> int:
         """How many foreign commits the protocol obliges this worker to see
         are still in flight to it."""
+        if not 0 <= worker < self.P:  # not `_check_worker`: runs per delivery
+            raise ProtocolError(f"invalid worker id {worker}")
         return self._missing[worker]
 
     def would_block_if_advanced(self, worker: int) -> bool:
+        self._check_worker(worker)
         return self.clocks[worker] + 1 - self.min_clock() > self.staleness
 
     def read(self, worker: int) -> np.ndarray:

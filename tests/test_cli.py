@@ -513,6 +513,17 @@ def test_extra_passes_behind_a_huge_straggler_end_in_bounded_work(tmp_path):
     assert len(rows) <= P * clocks * ((1 + MAX_EXTRA_PASSES) * (3 * P + 3) + 3) + P
 
 
+
+def test_readme_states_the_runtime_keys_and_the_extra_pass_cap():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("| algorithm | `[runtime]` keys |\n")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| (\w+) \| (.*) \|$", section, re.MULTILINE)
+    table = {algo: re.findall(r"`(\w+)`", keys) for algo, keys in rows}
+    assert table == {algo: list(spec[3]) for algo, spec in _ALGORITHMS.items()}
+    caps = re.findall(r"at most (\d+) times", " ".join(readme.split()))
+    assert caps == [str(MAX_EXTRA_PASSES)]
+
+
 # The config fuzzer: tiny seeded configs over every algorithm and every key,
 # with extreme valid values. The data keys, max_clocks, epochs and steps are
 # always given and tiny, so the per-run time limit catches only work without

@@ -10,15 +10,26 @@ report `icflow replay` prints for each trace.
 `FuzzWorkload` draws from numpy's `default_rng` and uses no BLAS, so the
 digests do not depend on the BLAS build; a numpy release that changes the
 `default_rng` streams (`integers`, `choice`, `normal`) would change them.
+The SAP cases run Lasso, whose floating-point results, like those of the
+shipped Lasso configs, may depend on the BLAS build.
 """
 import hashlib
 import pathlib
 
 import pytest
 
+from icflow.algorithms.lasso import LassoProblem
 from icflow.cli import main, parse_config
+from icflow.datasets import gen_lasso
 from icflow.fabric import traffic_report
-from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig, inject_straggler
+from icflow.sap import SapScheduler
+from icflow.simcluster import (
+    FuzzWorkload,
+    LassoModelParallelWorkload,
+    SimCluster,
+    SimConfig,
+    inject_straggler,
+)
 
 # (topology, staleness, slow_worker_extras) -> sha256 of trace + metrics +
 # traffic, first 16 hex digits. The links are slow enough that on
@@ -93,6 +104,34 @@ def test_overlapping_applies_match_recorded_digests(topology, staleness):
     assert _digest(topology, staleness, False, m=60, keys_per_update=40,
                    views=True) == \
         GOLDEN_OVERLAPPING[(topology, staleness)]
+
+
+# (topology, staleness) -> the same digest, with the final values, for a
+# SAP-scheduled Lasso run with extras and a windowed straggler. At staleness
+# above 0 a round's scheduler feedback comes after later rounds were
+# scheduled, so these pin the order of `rounds` and `observe` calls.
+GOLDEN_SAP = {
+    ("halton", 2): "dacb91718bbf267d",
+    ("master_slave", 1): "02c484eea29a9ee0",
+}
+
+
+@pytest.mark.parametrize("topology,staleness", sorted(GOLDEN_SAP))
+def test_sap_runs_under_staleness_match_recorded_digests(topology, staleness):
+    P = 4
+    ds = gen_lasso(60, 24, 4, seed=5, block_size=4, block_rho=0.5)
+    problem = LassoProblem.from_raw(ds.X, ds.y)
+    scheduler = SapScheduler(problem.X, P, pool_size=12, seed=1, gram=problem.gram)
+    cfg = inject_straggler(
+        SimConfig(P=P, staleness=staleness, topology=topology, bandwidth=64.0,
+                  latency=1, max_clocks=8, seed=1, slow_worker_extras=True),
+        1, 4.0, (4, 40),
+    )
+    res = SimCluster(LassoModelParallelWorkload(problem, P, scheduler), cfg).run()
+    assert min(res.extra_passes[1:]) > 0 and sum(res.blocked_ticks) > 0
+    text = res.trace.to_text() + res.metrics_text() + traffic_report(res.traffic)
+    digest = hashlib.sha256(text.encode() + res.values.tobytes()).hexdigest()[:16]
+    assert digest == GOLDEN_SAP[(topology, staleness)]
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"

@@ -9,6 +9,7 @@ from icflow.datasets import gen_lasso
 from icflow.engine import apply_sparse
 from icflow.errors import ConfigurationError, StateCorruptionError
 from icflow.fabric import OutgoingQueue, sparse_codec_size
+from icflow.sap import SapScheduler
 from icflow.simcluster import (
     FuzzWorkload,
     LassoModelParallelWorkload,
@@ -305,6 +306,39 @@ def test_master_slave_server_keeps_no_state_for_relayed_rounds():
         assert replay(sim.run().trace, 1, 5).ok
         assert sim._srv_pending == {}
         assert sim._srv_next == 8
+
+
+class _SpyScheduler(SapScheduler):
+    """A SAP scheduler that records the changes of every round it observes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def observe(self, changes):
+        self.seen.append(dict(changes))
+        super().observe(changes)
+
+
+def test_each_round_is_observed_once_in_order_and_then_dropped():
+    P, clocks = 4, 8
+    ds = gen_lasso(60, 24, 4, seed=5, block_size=4, block_rho=0.5)
+    problem = LassoProblem.from_raw(ds.X, ds.y)
+    spy = _SpyScheduler(problem.X, P, pool_size=12, seed=1, gram=problem.gram)
+    workload = LassoModelParallelWorkload(problem, P, spy)
+    cfg = inject_straggler(
+        SimConfig(P=P, staleness=2, topology="halton", bandwidth=64.0,
+                  max_clocks=clocks, slow_worker_extras=True),
+        1, 4.0, (4, 40),
+    )
+    sim = SimCluster(workload, cfg)
+    assert sum(sim.run().extra_passes) > 0
+    # each round's changes are its committed payloads merged in commit order
+    expected = [{} for _ in range(clocks)]
+    for upd in sim.store.log:
+        expected[upd.timestamp].update(zip(upd.keys.tolist(), upd.vals.tolist()))
+    assert spy.seen == expected
+    assert workload._rounds == {}
 
 
 # ---------------------------------------------------------------------------

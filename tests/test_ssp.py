@@ -208,23 +208,25 @@ def test_read_my_writes_is_immediate():
     assert store.read(1)[1] == 0.0
 
 
-def test_catch_up_applies_exactly_the_required_horizon():
+def test_catch_up_applies_the_required_horizon_and_fresher_arrivals():
     store = SspCore(P=2, staleness=1, m=4)
     store.deliver(1, store.commit(0, {0: 1.0}, timestamp=0))
     store.advance_clock(0)
     store.deliver(1, store.commit(0, {0: 10.0}, timestamp=1))
-    # reader at clock 2 with s=1 must see timestamps <= 0 only
+    # reader at clock 2 with s=1 must see timestamps <= 0 and may see more:
+    # both arrived commits are folded in, in commit order
     store.advance_clock(1)
     store.advance_clock(1)
+    assert store.missing_required(1) == 0
     applied = store.catch_up(1)
-    assert [u.timestamp for u in applied] == [0]
-    assert store.views[1][0] == 1.0
-    # apply_pending folds in the rest
-    store.apply_pending(1)
+    assert [u.timestamp for u in applied] == [0, 1]
     assert store.views[1][0] == 11.0
+    # one apply body under both names, and nothing is left for it
+    assert SspCore.apply_pending is SspCore.catch_up
+    assert store.apply_pending(1) == [] and store.arrived[1] == set()
 
 
-def test_catch_up_applies_only_allowed_seqs_within_the_horizon():
+def test_catch_up_applies_what_arrived_and_leaves_the_rest_in_flight():
     store = SspCore(P=3, staleness=1, m=4)
     old = [store.commit(p, {p: 1.0}, 0) for p in (0, 1)]
     for p in (0, 1):
@@ -232,17 +234,28 @@ def test_catch_up_applies_only_allowed_seqs_within_the_horizon():
     new = [store.commit(p, {p: 10.0}, 1) for p in (0, 1)]
     store.advance_clock(2)
     store.advance_clock(2)
-    # worker 2 at clock 2 may take timestamps <= 0; of those only seq old[1]
-    # has arrived, and the arrived new[0] is too fresh
-    for seq in (old[1], new[0]):
+    # worker 2 at clock 2 must see timestamps <= 0; of those only old[1] has
+    # arrived, and the fresher new[0] has arrived too
+    for seq in (new[0], old[1]):
         store.deliver(2, seq)
     applied = store.catch_up(2)
-    assert [u.seq for u in applied] == [old[1]]
-    assert store.arrived[2] == {new[0]}
+    assert [u.seq for u in applied] == [old[1], new[0]]
+    assert store.arrived[2] == set()
     assert store.missing_required(2) == 1  # old[0]
     assert store.in_flight[2] == {0: 1, 1: 1}  # old[0] and new[1]
-    assert list(store.views[2]) == [0.0, 1.0, 0.0, 0.0]
-    assert [e.seq for e in store.trace if e.event == "apply"] == [old[1]]
+    assert list(store.views[2]) == [10.0, 1.0, 0.0, 0.0]
+    assert [e.seq for e in store.trace if e.event == "apply"] == [old[1], new[0]]
+
+
+def test_gate_queries_reject_an_invalid_worker():
+    store = SspCore(P=3, staleness=0, m=2)
+    store.commit(0, {0: 1.0}, 0)
+    # worker -1 once answered for worker 2, and worker 3 raised an IndexError
+    for query in (store.missing_required, store.would_block_if_advanced):
+        for worker in (-1, 3):
+            with pytest.raises(ProtocolError, match="invalid worker id"):
+                query(worker)
+    assert store.missing_required(2) == 0 and store.would_block_if_advanced(2)
 
 
 def test_release_unblocked_takes_the_clock_minimum_once(monkeypatch):
