@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,7 +195,21 @@ class SimResult:
     final_tick: int
     stale_mean: float
     stale_max: int
-    pair_staleness: dict = field(default_factory=dict)
+    # per delivered worker message, flat: destination, staleness, commit ids
+    deliveries: list
+    commit_workers: list  # the worker of each commit id
+
+    @cached_property
+    def pair_staleness(self) -> dict[tuple[int, int], list[int]]:
+        """Delivered staleness samples keyed by (origin worker, destination),
+        each list in delivery order."""
+        pairs: dict[tuple[int, int], list[int]] = {}
+        it = iter(self.deliveries)
+        for dst, st, seqs in zip(it, it, it):
+            # a server message holds its commits grouped by origin
+            for origin, group in groupby(map(self.commit_workers.__getitem__, seqs)):
+                pairs.setdefault((origin, dst), []).extend([st] * len(list(group)))
+        return pairs
 
     def metrics_text(self) -> str:
         return "\n".join([METRICS_HEADER] + self.metrics) + "\n"
@@ -231,8 +247,7 @@ class SimCluster:
         self.stale_max = 0
         self.last_min = 0
         self._msg_id = 0
-        # delivered staleness samples keyed by (origin worker, destination)
-        self.pair_staleness: dict[tuple[int, int], list[int]] = {}
+        self.deliveries: list = []  # see SimResult.deliveries
         # master-slave server relay state
         self._srv_pending: dict[int, dict[int, list[int]]] = {}  # ts -> origin -> seqs
         self._srv_next = 0  # oldest timestamp whose round is not yet relayed
@@ -291,12 +306,24 @@ class SimCluster:
             self._relay(self._srv_pending.pop(ts), ts, tick)
 
     def _relay(self, round_: dict[int, list[int]], ts: int, tick: int) -> None:
+        """Send each worker the other origins' commits of one round, sized
+        by one sorted pass: a worker's message carries the union of the
+        round's keys less those that only its own commits hold."""
         log, srv = self.store.log, self.topology.server
+        keys = [log[seqs[0]].keys if len(seqs) == 1
+                else merge_payloads([log[s].keys for s in seqs])
+                for seqs in round_.values()]
+        # the first place and the number of holders of each distinct key
+        _, first, holders = np.unique(np.concatenate(keys), return_index=True,
+                                      return_counts=True)
+        alone = np.searchsorted(np.cumsum([len(k) for k in keys]),
+                                first[holders == 1], side="right")
+        own = dict(zip(round_, np.bincount(alone, minlength=len(keys)).tolist()))
         for dst in range(self.cfg.P):
             part = [s for origin, seqs in round_.items() if origin != dst for s in seqs]
             if not part:
                 continue
-            n = len(merge_payloads([log[s].keys for s in part]))
+            n = len(first) - own.get(dst, 0)
             self._send(srv, dst, part, n, sparse_codec_size(n), ts, srv, tick)
 
     def _deliver(self, link: OutgoingQueue, dst: int, msg: tuple, tick: int) -> None:
@@ -315,9 +342,8 @@ class SimCluster:
         st = clock - ts
         link.staleness_sum += st * len(seqs)
         link.staleness_count += len(seqs)
-        for seq in seqs:
-            worker = store.deliver(dst, seq).worker
-            self.pair_staleness.setdefault((worker, dst), []).append(st)
+        store.deliver(dst, seqs)
+        self.deliveries.extend((dst, st, seqs))
         # only a delivery that leaves nothing required in flight can open
         # the gate of a waiting worker
         if self.wait_since[dst] is not None and not store.missing_required(dst):
@@ -339,11 +365,11 @@ class SimCluster:
         store = self.store
         store.set_tick(tick)
         applied = store.apply_pending(p)
-        for upd in applied:
-            st = store.clocks[p] - upd.timestamp
-            self.stale_sum += st
-            self.stale_cnt += 1
-            self.stale_max = max(self.stale_max, st)
+        if applied:
+            stale = [store.clocks[p] - upd.timestamp for upd in applied]
+            self.stale_sum += sum(stale)
+            self.stale_cnt += len(stale)
+            self.stale_max = max(self.stale_max, max(stale))
         view = store.read(p)
         t = store.clocks[p]
         indices = self.workload.block(p, t, view)
@@ -433,7 +459,8 @@ class SimCluster:
             final_tick=last_tick,
             stale_mean=self.stale_sum / self.stale_cnt if self.stale_cnt else 0.0,
             stale_max=self.stale_max,
-            pair_staleness=self.pair_staleness,
+            deliveries=self.deliveries,
+            commit_workers=[upd.worker for upd in self.store.log],
         )
 
 

@@ -289,26 +289,34 @@ class SspCore:
                 released.append(p)
         return released
 
-    def deliver(self, worker: int, seq: int) -> _Update:
-        """Record that foreign commit `seq` has arrived at `worker`."""
-        if not 0 <= worker < self.P:
-            raise ProtocolError(f"invalid worker id {worker}")
-        if not 0 <= seq < len(self.log):
-            raise ProtocolError(f"invalid seq {seq}")
-        upd = self.log[seq]
-        flight = self.in_flight[worker]
-        left = flight.pop(upd.timestamp, 0) - 1
-        if left < 0 or upd.worker == worker:
-            raise ProtocolError(f"seq {seq} is not in flight to worker {worker}")
+    def deliver(self, worker: int, seqs: list[int]) -> None:
+        """Record that one message's foreign commits `seqs`, which share one
+        timestamp, have arrived at `worker`; a faulty message changes nothing."""
+        log, n = self.log, len(seqs)
+        if not (0 <= worker < self.P and seqs and 0 <= seqs[0] < len(log)):
+            raise ProtocolError(f"invalid worker id {worker} or seq in {seqs}")
+        ts, flight = log[seqs[0]].timestamp, self.in_flight[worker]
+        for seq in seqs:
+            if not 0 <= seq < len(log):
+                raise ProtocolError(f"invalid seq {seq}")
+            upd = log[seq]
+            if upd.worker == worker or upd.timestamp != ts:
+                raise ProtocolError(f"seq {seq} is not in flight to worker {worker} "
+                                    f"at timestamp {ts}")
+        left = flight.get(ts, 0) - n
+        if left < 0 or n > 1 and len(set(seqs)) < n:
+            raise ProtocolError(f"seqs {seqs} are not in flight to worker {worker}")
+        if ts <= self.clocks[worker] - self.staleness - 1:  # horizon
+            if self._missing[worker] < n:
+                raise StateCorruptionError(
+                    f"{n} required seqs arrived at worker {worker}, whose count of "
+                    f"required commits in flight is {self._missing[worker]}")
+            self._missing[worker] -= n
         if left:
-            flight[upd.timestamp] = left
-        if upd.timestamp <= self.clocks[worker] - self.staleness - 1:  # horizon
-            if not self._missing[worker]:
-                raise StateCorruptionError(f"seq {seq} arrived at worker {worker}, "
-                                           "whose count of required commits in flight is 0")
-            self._missing[worker] -= 1
-        self.arrived[worker].add(seq)
-        return upd
+            flight[ts] = left
+        else:
+            del flight[ts]
+        self.arrived[worker].update(seqs)
 
     def catch_up(self, worker: int) -> list[_Update]:
         """Fold every arrived foreign update into the worker's view, in commit
@@ -320,8 +328,10 @@ class SspCore:
             return []
         applied = [log[seq] for seq in sorted(arrived)]
         arrived.clear()
+        append, tick, clock = self._append, self.tick, self.clocks[worker]
         for upd in applied:
-            self._emit("apply", worker, upd.seq, upd.timestamp, len(upd.keys), upd.nbytes)
+            append((tick, "apply", worker, clock, upd.seq, upd.timestamp,
+                    len(upd.keys), upd.nbytes))
         np.add.at(self.views[worker], np.concatenate([u.keys for u in applied]),
                   np.concatenate([u.vals for u in applied]))
         return applied

@@ -4,8 +4,10 @@ Each case runs `FuzzWorkload` with a windowed straggler and hashes the three
 texts a run writes: the trace, the metrics and the traffic report. A change
 to the simulator that moves a tick, a byte count or an event order fails
 here; one that means to change them records new digests and says why. The
-four shipped configs are pinned the same way, through `icflow run`, with the
-report `icflow replay` prints for each trace.
+fuzz and SAP cases also pin `SimResult.pair_staleness`, every (origin,
+destination) list in delivery order. The four shipped configs are pinned
+the same way, through `icflow run`, with the report `icflow replay` prints
+for each trace.
 
 `FuzzWorkload` draws from numpy's `default_rng` and uses no BLAS, so the
 digests do not depend on the BLAS build; a numpy release that changes the
@@ -53,6 +55,26 @@ GOLDEN = {
     ("halton", 3, True): "5e245034bdb2134a",
 }
 
+# the same cases -> sha256 of every (origin, destination) list of
+# `SimResult.pair_staleness`, in delivery order, first 16 hex digits
+GOLDEN_PAIRS = {
+    ("master_slave", 0, False): "ae27cf8cd25a2cdc",
+    ("master_slave", 1, False): "d099ef475c0ee9b4",
+    ("master_slave", 1, True): "0584bca23c26b835",
+    ("master_slave", 3, False): "5209770c20b473f9",
+    ("master_slave", 3, True): "60c793a0b511b85d",
+    ("full_p2p", 0, False): "8891aeb6f2a426cd",
+    ("full_p2p", 1, False): "4859a2da75052381",
+    ("full_p2p", 1, True): "4b5fb2b8cfbb56e4",
+    ("full_p2p", 3, False): "ba62acf1160b677d",
+    ("full_p2p", 3, True): "6d1baa36d672012a",
+    ("halton", 0, False): "8cab4013fbe0ec33",
+    ("halton", 1, False): "b5b48c612d3cf03e",
+    ("halton", 1, True): "9b63cb498b1e0b02",
+    ("halton", 3, False): "7cc49e8e97801c2a",
+    ("halton", 3, True): "548910ef6b418cc7",
+}
+
 
 # (topology, staleness) -> the same digest for FuzzWorkload(60, 5,
 # keys_per_update=40): each update touches most of its worker's 12-key
@@ -68,9 +90,17 @@ GOLDEN_OVERLAPPING = {
 }
 
 
+def _pairs_digest(pair_staleness):
+    """The digest of every (origin, destination) list of delivered staleness,
+    each in delivery order."""
+    text = "".join(f"{o},{d}:{st}\n" for (o, d), st in sorted(pair_staleness.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _digest(topology, staleness, extras, m=40, keys_per_update=3, views=False):
-    """The digest of one run; with `views`, the bytes of every worker's final
-    view and of the global values are hashed too."""
+    """The digest of one run and that of its `pair_staleness`; with `views`,
+    the bytes of every worker's final view and of the global values are
+    hashed into the first too."""
     P = 5
     cfg = inject_straggler(
         SimConfig(P=P, staleness=staleness, topology=topology, bandwidth=16.0,
@@ -83,7 +113,7 @@ def _digest(topology, staleness, extras, m=40, keys_per_update=3, views=False):
     data = text.encode()
     if views:
         data += b"".join(v.tobytes() for v in sim.store.views) + res.values.tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
+    return hashlib.sha256(data).hexdigest()[:16], _pairs_digest(res.pair_staleness)
 
 
 CASES = [
@@ -96,23 +126,24 @@ CASES = [
 
 @pytest.mark.parametrize("topology,staleness,extras", CASES)
 def test_fuzz_runs_match_recorded_digests(topology, staleness, extras):
-    assert _digest(topology, staleness, extras) == GOLDEN[(topology, staleness, extras)]
+    assert _digest(topology, staleness, extras) == (
+        GOLDEN[(topology, staleness, extras)], GOLDEN_PAIRS[(topology, staleness, extras)])
 
 
 @pytest.mark.parametrize("topology,staleness", sorted(GOLDEN_OVERLAPPING))
 def test_overlapping_applies_match_recorded_digests(topology, staleness):
     assert _digest(topology, staleness, False, m=60, keys_per_update=40,
-                   views=True) == \
-        GOLDEN_OVERLAPPING[(topology, staleness)]
+                   views=True)[0] == GOLDEN_OVERLAPPING[(topology, staleness)]
 
 
 # (topology, staleness) -> the same digest, with the final values, for a
 # SAP-scheduled Lasso run with extras and a windowed straggler. At staleness
 # above 0 a round's scheduler feedback comes after later rounds were
-# scheduled, so these pin the order of `rounds` and `observe` calls.
+# scheduled, so these pin the order of `rounds` and `observe` calls. Each
+# comes with the digest of the run's `pair_staleness`, as in GOLDEN_PAIRS.
 GOLDEN_SAP = {
-    ("halton", 2): "dacb91718bbf267d",
-    ("master_slave", 1): "02c484eea29a9ee0",
+    ("halton", 2): ("dacb91718bbf267d", "54750ff4498447ae"),
+    ("master_slave", 1): ("02c484eea29a9ee0", "67c1ca0e97182263"),
 }
 
 
@@ -131,7 +162,7 @@ def test_sap_runs_under_staleness_match_recorded_digests(topology, staleness):
     assert min(res.extra_passes[1:]) > 0 and sum(res.blocked_ticks) > 0
     text = res.trace.to_text() + res.metrics_text() + traffic_report(res.traffic)
     digest = hashlib.sha256(text.encode() + res.values.tobytes()).hexdigest()[:16]
-    assert digest == GOLDEN_SAP[(topology, staleness)]
+    assert (digest, _pairs_digest(res.pair_staleness)) == GOLDEN_SAP[(topology, staleness)]
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"

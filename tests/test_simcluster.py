@@ -1,12 +1,19 @@
+import heapq
 import math
+import random
 import signal
 
 import numpy as np
 import pytest
 
-from icflow.algorithms.lasso import LassoProblem
+from icflow.algorithms.lasso import LassoCDProgram, LassoProblem
 from icflow.datasets import gen_lasso
-from icflow.engine import apply_sparse
+from icflow.engine import (
+    FixedBlockScheduler,
+    StoppingCriterion,
+    apply_sparse,
+    run_model_parallel,
+)
 from icflow.errors import ConfigurationError, StateCorruptionError
 from icflow.fabric import OutgoingQueue, sparse_codec_size
 from icflow.sap import SapScheduler
@@ -209,11 +216,31 @@ def test_large_halton_ring_delivers_everything_in_lock_step():
     assert all(flight == {} for flight in sim.store.in_flight)
 
 
+def _assert_link_schedules_rebuilt(sim, trace):
+    """A link sends in FIFO order at `bandwidth` bytes per tick: a message
+    starts once it is sent and the previous one has finished, and arrives
+    `latency` ticks after the tick its transmission ends in. Rebuilt from the
+    msg_send and msg_deliver rows alone, with message ids in send order.
+    Returns how many messages waited for their link."""
+    cfg = sim.cfg
+    sent = {e.seq: e for e in trace if e.event == "msg_send"}
+    got = {e.seq: e for e in trace if e.event == "msg_deliver"}
+    assert sent.keys() == got.keys()
+    free_at, queued = {}, 0
+    for mid in sorted(sent):
+        send = sent[mid]
+        link = (send.worker, got[mid].worker)
+        start = max(send.tick, free_at.get(link, 0.0))
+        queued += start > send.tick
+        free_at[link] = start + send.bytes / cfg.bandwidth
+        assert got[mid].tick == math.ceil(free_at[link]) + cfg.latency, (cfg, mid)
+    assert free_at.keys() == sim.links.keys()
+    # the run path keeps no per-send record
+    assert all(q.transmissions == [] for q in sim.links.values())
+    return queued
+
+
 def test_every_link_schedule_rebuilt_from_the_trace_matches_its_deliveries():
-    # a link sends in FIFO order at `bandwidth` bytes per tick: a message
-    # starts once it is sent and the previous one has finished, and arrives
-    # `latency` ticks after the tick its transmission ends in. Rebuilt from
-    # the msg_send and msg_deliver rows alone, with message ids in send order
     for topology in ("master_slave", "full_p2p", "halton"):
         for extras in (False, True):
             cfg = inject_straggler(
@@ -222,23 +249,8 @@ def test_every_link_schedule_rebuilt_from_the_trace_matches_its_deliveries():
                 3, 4.0, (5, 40),
             )
             sim = SimCluster(FuzzWorkload(40, 5, seed=4), cfg)
-            trace = sim.run().trace
-            sent = {e.seq: e for e in trace if e.event == "msg_send"}
-            got = {e.seq: e for e in trace if e.event == "msg_deliver"}
-            assert sent.keys() == got.keys()
-            free_at, queued = {}, 0
-            for mid in sorted(sent):
-                send = sent[mid]
-                link = (send.worker, got[mid].worker)
-                start = max(send.tick, free_at.get(link, 0.0))
-                queued += start > send.tick
-                free_at[link] = start + send.bytes / cfg.bandwidth
-                assert got[mid].tick == math.ceil(free_at[link]) + cfg.latency, \
-                    (topology, extras, mid)
-            assert queued, (topology, extras)  # the links are slow enough to queue
-            assert free_at.keys() == sim.links.keys()
-            # the run path keeps no per-send record
-            assert all(q.transmissions == [] for q in sim.links.values())
+            # the links are slow enough to queue
+            assert _assert_link_schedules_rebuilt(sim, sim.run().trace), (topology, extras)
 
 
 def test_links_are_fabric_queues_and_traffic_is_their_stats():
@@ -271,6 +283,47 @@ def test_merge_payloads_is_a_key_union():
     seqs = [store.commit(0, {2: 1.5}, 0), store.commit(1, {2: -1.5}, 0)]
     assert merge_payloads([store.log[s].keys for s in seqs]).tolist() == [2]
     assert merge_payloads([]).tolist() == []
+
+
+def test_relay_sizes_each_message_as_the_union_of_the_other_origins_keys():
+    # the key count a server message had when each was merged on its own:
+    # overlapping keys, keys of one origin only, origins with several
+    # commits, values that cancel, empty payloads and late single origins
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        P = int(rng.integers(2, 9))
+        sim = SimCluster(FuzzWorkload(12, P), SimConfig(P=P, topology="master_slave"))
+        log, round_ = sim.store.log, {}
+        for origin in rng.permutation(P)[:rng.integers(1, P + 1)].tolist():
+            for _ in range(rng.integers(1, 4)):
+                keys = rng.choice(12, size=rng.integers(0, 6), replace=False)
+                payload = {int(k): float(rng.choice((1.5, -1.5))) for k in keys}
+                round_.setdefault(origin, []).append(sim.store.commit(origin, payload, 0))
+        sent = []
+        sim._send = lambda src, dst, seqs, n, nbytes, *rest: sent.append(
+            (dst, seqs, n, nbytes))
+        sim._relay(round_, 0, 0)
+        assert [d for d, *_ in sent] == [d for d in range(P) if set(round_) - {d}]
+        for dst, seqs, n, nbytes in sent:
+            assert seqs == [s for o, part in round_.items() if o != dst for s in part]
+            assert n == len(merge_payloads([log[s].keys for s in seqs])), (round_, dst)
+            assert nbytes == sparse_codec_size(n)
+
+
+def test_each_delivered_server_message_is_one_store_call(monkeypatch):
+    calls = []
+    deliver = SspCore.deliver
+
+    def counted(store, worker, seqs):
+        calls.append(len(seqs))
+        return deliver(store, worker, seqs)
+
+    monkeypatch.setattr(SspCore, "deliver", counted)
+    P, clocks = 6, 5
+    run_simulation(FuzzWorkload(24, P), SimConfig(P=P, topology="master_slave",
+                                                  max_clocks=clocks))
+    # one call per server message, not one per commit it carries
+    assert calls == [P - 1] * (P * clocks)
 
 
 class CancellingWorkload(FixedCostWorkload):
@@ -698,3 +751,111 @@ def test_a_worker_left_waiting_is_named_with_its_state_and_clock():
     with pytest.raises(StateCorruptionError) as e:
         sim.run()
     assert str(e.value) == "event queue drained with workers stuck: worker 1: waiting clock=0"
+
+
+# -- tie order ----------------------------------------------------------------
+
+
+class TieShuffledCluster(SimCluster):
+    """Runs the events of one tick in a random order instead of push order:
+    a heap entry is (tick, (r, seq), handler, args), with `r` drawn per
+    event. Every delivery on one link at one tick shares one `r`, so its
+    deliveries keep their push order: links are FIFO in the model, and the
+    master-slave server relies on it (rounds flush in timestamp order)."""
+
+    def __init__(self, workload, config, seed):
+        super().__init__(workload, config)
+        self._rng = random.Random(seed)
+        self._link_r = {}  # (link, tick) -> r of its deliveries
+
+    def _push(self, tick, handler, *args):
+        if handler == self._deliver:
+            key = (id(args[0]), tick)
+            if key not in self._link_r:
+                self._link_r[key] = self._rng.random()
+            r = self._link_r[key]
+        else:
+            r = self._rng.random()
+        heapq.heappush(self.heap, (tick, (r, self._heap_seq), handler, args))
+        self._heap_seq += 1
+
+
+def _tie_fuzz_configs(n=36):
+    """A fixed list of small configs over every topology, staleness 0, 1 and
+    3, P from 2 to 8, slow or fast links, windowed stragglers and extras."""
+    for i in range(n):
+        rng = random.Random(i)
+        P, staleness = 2 + i % 7, (0, 1, 3)[i % 3]
+        cfg = SimConfig(P=P, staleness=staleness,
+                        topology=("master_slave", "full_p2p", "halton")[i // 3 % 3],
+                        bandwidth=rng.choice((40.0, 4096.0)), latency=rng.randrange(3),
+                        max_clocks=6, slow_worker_extras=staleness > 0 and i % 2 == 0)
+        yield i, inject_straggler(cfg, rng.randrange(P), rng.uniform(1.5, 5.0),
+                                  (rng.randrange(10), rng.randrange(5, 40)))
+
+
+def test_any_order_of_same_tick_events_keeps_the_protocol():
+    extras = reordered = 0
+    for i, cfg in _tie_fuzz_configs():
+        sim = TieShuffledCluster(FuzzWorkload(4 * cfg.P, cfg.P, seed=i), cfg, seed=i)
+        res = sim.run()
+        rep = replay(res.trace, cfg.staleness, cfg.P)
+        assert rep.ok, (i, cfg, rep.to_text())
+        _assert_link_schedules_rebuilt(sim, res.trace)
+        extras += sum(res.extra_passes)
+        in_push_order = run_simulation(FuzzWorkload(4 * cfg.P, cfg.P, seed=i), cfg)
+        reordered += res.trace.to_text() != in_push_order.trace.to_text()
+    # the list reaches the extra passes, and the shuffle moves events
+    assert extras and reordered
+
+
+def test_lock_step_lasso_matches_the_serial_reference_under_any_tie_order():
+    ds = gen_lasso(120, 24, 5, seed=7)
+    program = LassoCDProgram(LassoProblem.from_raw(ds.X, ds.y))
+    P, clocks = 4, 8
+    reference = []
+    run_model_parallel(program, None, P, FixedBlockScheduler(24, P),
+                       StoppingCriterion(max_iterations=clocks, window=64),
+                       trajectory_out=reference)
+    for seed in range(6):
+        rng = random.Random(seed)
+        cfg = inject_straggler(
+            SimConfig(P=P, staleness=0, topology="master_slave", max_clocks=clocks),
+            rng.randrange(P), rng.uniform(1.5, 5.0), (rng.randrange(10), 30))
+        res = TieShuffledCluster(
+            LassoModelParallelWorkload(program.problem, P), cfg, seed).run()
+        assert len(res.trajectory) == clocks
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(reference, res.trajectory)), seed
+
+
+def test_a_counter_fault_fails_under_any_tie_order(monkeypatch):
+    # the forged fault of test_a_counter_fault_ends_in_an_error_not_a_hang
+    advance_clock = SspCore.advance_clock
+
+    def uncounted(store, worker):
+        missing = store._missing[worker]
+        blocked = advance_clock(store, worker)
+        store._missing[worker] = missing
+        return blocked
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not end within 10 s")
+
+    monkeypatch.setattr(SspCore, "advance_clock", uncounted)
+    old = signal.signal(signal.SIGALRM, hung)
+    try:
+        for topology in ("master_slave", "full_p2p", "halton"):
+            cfg = inject_straggler(
+                SimConfig(P=4, staleness=1, topology=topology, max_clocks=10,
+                          slow_worker_extras=True), 1, 3.0)
+            for seed in range(4):
+                signal.alarm(10)
+                try:
+                    res = TieShuffledCluster(FuzzWorkload(24, 4), cfg, seed).run()
+                except StateCorruptionError:
+                    continue
+                assert not replay(res.trace, 1, 4).ok, (topology, seed)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

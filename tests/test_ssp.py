@@ -6,7 +6,7 @@ import pytest
 
 from icflow import ssp
 from icflow.engine import apply_sparse
-from icflow.errors import ProtocolError, TraceParseError
+from icflow.errors import ProtocolError, StateCorruptionError, TraceParseError
 from icflow.simcluster import FuzzWorkload, SimCluster, SimConfig, run_simulation
 from icflow.ssp import (
     TRACE_HEADER,
@@ -210,9 +210,9 @@ def test_read_my_writes_is_immediate():
 
 def test_catch_up_applies_the_required_horizon_and_fresher_arrivals():
     store = SspCore(P=2, staleness=1, m=4)
-    store.deliver(1, store.commit(0, {0: 1.0}, timestamp=0))
+    store.deliver(1, [store.commit(0, {0: 1.0}, timestamp=0)])
     store.advance_clock(0)
-    store.deliver(1, store.commit(0, {0: 10.0}, timestamp=1))
+    store.deliver(1, [store.commit(0, {0: 10.0}, timestamp=1)])
     # reader at clock 2 with s=1 must see timestamps <= 0 and may see more:
     # both arrived commits are folded in, in commit order
     store.advance_clock(1)
@@ -237,7 +237,7 @@ def test_catch_up_applies_what_arrived_and_leaves_the_rest_in_flight():
     # worker 2 at clock 2 must see timestamps <= 0; of those only old[1] has
     # arrived, and the fresher new[0] has arrived too
     for seq in (new[0], old[1]):
-        store.deliver(2, seq)
+        store.deliver(2, [seq])
     applied = store.catch_up(2)
     assert [u.seq for u in applied] == [old[1], new[0]]
     assert store.arrived[2] == set()
@@ -314,7 +314,7 @@ def test_missing_required_reflects_undelivered_updates():
     seq = store.commit(0, {0: 1.0}, 0)
     store.advance_clock(1)
     assert store.missing_required(1) == 1
-    store.deliver(1, seq)
+    store.deliver(1, [seq])
     assert store.missing_required(1) == 0
 
 
@@ -324,8 +324,8 @@ def test_arrival_order_does_not_change_apply_order():
         store.commit(0, {0: 2.0 ** k}, 0)
     # seqs 9 and 1 arrive newest first; they share a slot of a small set, so
     # applying in the arrived set's own order would apply 9 before 1
-    store.deliver(1, 9)
-    store.deliver(1, 1)
+    store.deliver(1, [9])
+    store.deliver(1, [1])
     assert [u.seq for u in store.apply_pending(1)] == [1, 9]
     assert [e.seq for e in store.trace if e.event == "apply"] == [1, 9]
     assert store.in_flight[1] == {0: 8} and store.arrived[1] == set()
@@ -335,10 +335,10 @@ def test_deliver_rejects_what_is_not_in_flight():
     store = SspCore(P=2, staleness=0, m=2)
     seq = store.commit(0, {0: 1.0}, 0)
     with pytest.raises(ProtocolError):
-        store.deliver(0, seq)  # a worker's own commit never travels to it
-    store.deliver(1, seq)
+        store.deliver(0, [seq])  # a worker's own commit never travels to it
+    store.deliver(1, [seq])
     with pytest.raises(ProtocolError):
-        store.deliver(1, seq)
+        store.deliver(1, [seq])
 
 
 def test_deliver_rejects_an_invalid_worker_or_seq_before_any_change():
@@ -350,10 +350,60 @@ def test_deliver_rejects_an_invalid_worker_or_seq_before_any_change():
     # next apply; worker 3 and seq 1 ended in an IndexError
     for worker, bad in ((-1, seq), (3, seq), (1, -1), (1, 1)):
         with pytest.raises(ProtocolError, match="invalid"):
-            store.deliver(worker, bad)
+            store.deliver(worker, [bad])
         assert store.arrived == arrived and store.in_flight == in_flight
-    store.deliver(2, seq)
+    store.deliver(2, [seq])
     assert [u.seq for u in store.apply_pending(2)] == [seq]
+
+
+def _three_workers_at_clock_1():
+    """Workers 0 and 1 commit twice at clock 0 and once at clock 1; worker 2
+    has reached clock 1, so the clock-0 commits are required there."""
+    store = SspCore(P=3, staleness=0, m=4)
+    old = [store.commit(p, {p: 1.0}, 0) for p in (0, 1, 0, 1)]
+    for p in range(3):
+        store.advance_clock(p)
+    new = [store.commit(p, {p: 2.0}, 1) for p in (0, 1)]
+    return store, old, new
+
+
+def test_deliver_takes_one_message_in_one_step():
+    store, old, new = _three_workers_at_clock_1()
+    assert store.in_flight[2] == {0: 4, 1: 2} and store.missing_required(2) == 4
+    store.deliver(2, old[:3])
+    assert store.in_flight[2] == {0: 1, 1: 2} and store.missing_required(2) == 1
+    store.deliver(2, [new[1], new[0]])
+    assert store.in_flight[2] == {0: 1} and store.missing_required(2) == 1
+    assert store.arrived[2] == {*old[:3], *new}
+    assert [u.seq for u in store.catch_up(2)] == sorted([*old[:3], *new])
+
+
+def test_deliver_rejects_a_faulty_message_before_any_change():
+    store, old, new = _three_workers_at_clock_1()
+    store.deliver(2, [old[0]])
+    state = ([set(a) for a in store.arrived], [dict(f) for f in store.in_flight],
+             list(store._missing))
+    faults = [
+        [old[1], new[0]],  # two timestamps
+        [new[1], new[0], old[1]],
+        [*old],  # old[0] has arrived: more seqs than are in flight
+        [old[1], old[1]],  # a repeated seq
+        [old[1], len(store.log)],  # out of range
+        [old[1], -1],
+    ]
+    for seqs in faults:
+        with pytest.raises(ProtocolError):
+            store.deliver(2, seqs)
+        assert (store.arrived, store.in_flight, store._missing) == state, seqs
+    with pytest.raises(ProtocolError):  # worker 0's own commit
+        store.deliver(0, [old[1], old[2]])
+    assert (store.arrived, store.in_flight, store._missing) == state
+    # a required count below the message's required seqs is a corrupt store
+    store._missing[2] = 1
+    state[2][2] = 1
+    with pytest.raises(StateCorruptionError):
+        store.deliver(2, [old[1], old[2]])
+    assert (store.arrived, store.in_flight, store._missing) == state
 
 
 def run_two_workers(staleness, rounds):
@@ -363,7 +413,7 @@ def run_two_workers(staleness, rounds):
         for p in (0, 1):
             store.set_tick(t)
             store.read(p)
-            store.deliver(1 - p, store.commit(p, {p: 1.0}, store.clocks[p]))
+            store.deliver(1 - p, [store.commit(p, {p: 1.0}, store.clocks[p])])
             store.advance_clock(p)
             store.release_unblocked()
     for p in (0, 1):
