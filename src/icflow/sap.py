@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,8 +27,38 @@ def dependency_check(j: int, k: int, X: np.ndarray) -> float:
     return float(abs(X[:, j] @ X[:, k]))
 
 
+class DependencyGraph:
+    """The dependency graph of a Gram matrix at kappa, CSR-style: row j lists
+    the k > j with |gram[j, k]| >= kappa - _KAPPA_TIE as ascending int32 ids
+    ``cols[starts[j]:starts[j + 1]]``. Built in row chunks of about 64k weights
+    (no m x m temporary); at most m(m-1)/2 ids, a quarter of gram.nbytes."""
+
+    def __init__(self, gram: np.ndarray, kappa: float):
+        self.gram, self.kappa, t = gram, kappa, kappa - _KAPPA_TIE
+        step = max(1, (1 << 16) // max(len(gram), 1))
+        counts, cols = [[0]], [np.zeros(0, np.int32)]
+        for lo in range(0, len(gram), step):
+            rows = gram[lo:lo + step, lo:]
+            r, c = np.divmod(np.flatnonzero((rows >= t) | (rows <= -t)), rows.shape[1])
+            r, c = r[c > r], c[c > r]
+            counts.append(np.bincount(r, minlength=len(rows)))
+            cols.append((c + lo).astype(np.int32))
+        self.starts, self.cols = np.cumsum(np.concatenate(counts)), np.concatenate(cols)
+
+    def pairs(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges among sorted distinct ids c: positions a < b and |gram|, row-major."""
+        pos = np.full(len(self.starts) - 1, -1)
+        pos[c] = np.arange(len(c))
+        lengths = self.starts[c + 1] - self.starts[c]
+        shift = self.starts[c] + lengths - np.cumsum(lengths)  # row start - its offset in ids
+        ids = self.cols[np.arange(lengths.sum()) + np.repeat(shift, lengths)]
+        a, b = np.repeat(np.arange(len(c)), lengths), pos[ids]
+        a, b = a[b >= 0], b[b >= 0]
+        return a, b, np.abs(self.gram[c[a], c[b]])
+
+
 def build_independent_subsets(
-    candidates, kappa: float, X: np.ndarray, gram: np.ndarray
+    candidates, kappa: float, X: np.ndarray, graph: DependencyGraph
 ) -> list[list[int]]:
     """Group candidates into subsets safe for cross-worker parallel update.
 
@@ -37,16 +68,15 @@ def build_independent_subsets(
     large, since a split component would update dependent columns on
     different workers.
 
-    All pair weights of a call are read from ``gram``, the Gram matrix
-    X.T @ X. A pair whose weight there lies within ``_KAPPA_TIE`` of kappa
-    is decided by ``dependency_check`` on X itself, so every grouping
-    equals the one the pairwise checks give.
+    The pairs come from the candidates' rows of ``graph``, built at this kappa,
+    with their weights from its Gram matrix X.T @ X. A pair whose weight lies
+    within ``_KAPPA_TIE`` of kappa is decided by ``dependency_check`` on X, so
+    every grouping equals the one the pairwise checks give.
     """
+    if graph.kappa != kappa:
+        raise ConfigurationError(f"graph built at kappa={graph.kappa}, used at {kappa}")
     cand = sorted(set(candidates))
-    if not cand:
-        return []
-    block = np.abs(gram[np.ix_(cand, cand)])
-    rows, cols = np.nonzero(np.triu(block >= kappa - _KAPPA_TIE, k=1))
+    rows, cols, weights = graph.pairs(np.array(cand, np.intp))
     parent = list(range(len(cand)))
 
     def find(a):
@@ -55,7 +85,7 @@ def build_independent_subsets(
             a = parent[a]
         return a
 
-    for a, b, w in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
+    for a, b, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
         if w >= kappa + _KAPPA_TIE or dependency_check(cand[a], cand[b], X) >= kappa:
             parent[find(a)] = find(b)
 
@@ -80,8 +110,8 @@ class PriorityState:
 
     def observe(self, changes: dict[int, float]) -> None:
         """Record A_j(t-1) - A_j(t-2) for the coordinates updated this round."""
-        for j, d in changes.items():
-            self.weights[j] = d * d + self.eps
+        vals = np.fromiter(changes.values(), float, len(changes))
+        self.weights[list(changes)] = vals * vals + self.eps
 
 
 def prioritize_sample(
@@ -183,11 +213,11 @@ def build_rotation_plan(doc_token_counts, V: int, P: int) -> RotationPlan:
 
 
 class SapScheduler:
-    """schedule(): prioritize a candidate pool, dependency-check it into
+    """rounds(): prioritize a candidate pool, dependency-check it into
     independent subsets, and balance the subsets across P workers.
 
-    The pair weights come from `gram`, X.T @ X (a Lasso problem has it
-    already); without one the scheduler computes it once here."""
+    The dependency graph at kappa is built once here from `gram`, X.T @ X (a
+    Lasso problem has it already; else it is computed), and read each round."""
 
     def __init__(
         self,
@@ -206,29 +236,24 @@ class SapScheduler:
         self.pool_size = min(m, pool_size or max(P * 8, 32))
         self.priority = PriorityState(m=m)
         self.rng = np.random.default_rng(seed)
-        self.column_costs = np.maximum(np.count_nonzero(X, axis=0), 1).tolist()
+        self.graph = DependencyGraph(self.gram, kappa)
+        self._costs = np.maximum(np.count_nonzero(X, axis=0), 1)
+        self.column_costs = self._costs.tolist()
         self._last_emitted: list[int] = []
 
     def rounds(self, t: int, values) -> list[list[int]]:
         candidates = prioritize_sample(self.priority, self.pool_size, self.rng)
         self._last_emitted = candidates
-        subsets = build_independent_subsets(candidates, self.kappa, self.X, self.gram)
-        costs = [sum(self.column_costs[j] for j in s) for s in subsets]
-        assignment = balance_load(costs, self.P)
-        out: list[list[int]] = []
-        for p in range(self.P):
-            block: list[int] = []
-            for i in assignment[p]:
-                block.extend(subsets[i])
-            out.append(block)
-        return out
+        subsets = build_independent_subsets(candidates, self.kappa, self.X, self.graph)
+        starts = np.cumsum([0] + [len(s) for s in subsets[:-1]])
+        costs = np.add.reduceat(self._costs[list(chain.from_iterable(subsets))], starts).tolist()
+        return [[j for i in mine for j in subsets[i]] for mine in balance_load(costs, self.P)]
 
     def observe(self, changes: dict[int, float]) -> None:
         # emitted coordinates that did not move drop back to the floor,
         # otherwise their pre-convergence weights keep winning the sample
-        full = {j: changes.get(j, 0.0) for j in self._last_emitted}
-        full.update(changes)
-        self.priority.observe(full)
+        self.priority.weights[self._last_emitted] = self.priority.eps
+        self.priority.observe(changes)
 
 
 class RandomScheduler:

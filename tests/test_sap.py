@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from icflow.datasets import gen_lasso
 from icflow.errors import ConfigurationError
 from icflow.simcluster import LassoModelParallelWorkload, SimCluster, SimConfig
 from icflow.sap import (
+    DependencyGraph,
     PriorityState,
     RandomScheduler,
     RoundRobinScheduler,
@@ -46,7 +49,8 @@ def test_independent_subsets_separate_weak_pairs():
     X = unit_cols(
         np.column_stack([base[:, 0], base[:, 0], base[:, 1], base[:, 1], base[:, 2]])
     )
-    subsets = build_independent_subsets(range(5), 0.5, X, X.T @ X)
+    graph = DependencyGraph(X.T @ X, 0.5)
+    subsets = build_independent_subsets(range(5), 0.5, X, graph)
     assert [0, 1] in subsets and [2, 3] in subsets and [4] in subsets
     # every cross-subset pair is below the threshold
     for a, sa in enumerate(subsets):
@@ -58,9 +62,9 @@ def test_independent_subsets_separate_weak_pairs():
                     assert dependency_check(j, k, X) < 0.5
 
 
-def _pairwise_subsets(candidates, kappa, X, gram=None):
+def _pairwise_subsets(candidates, kappa, X, graph=None):
     """Reference grouping: one dependency_check per candidate pair, union-find,
-    then the same ordering as build_independent_subsets (`gram` is unused)."""
+    then the same ordering as build_independent_subsets (`graph` is unused)."""
     cand = sorted(set(candidates))
     if not cand:
         return []
@@ -84,7 +88,8 @@ def _pairwise_subsets(candidates, kappa, X, gram=None):
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def test_blocked_grouping_matches_pairwise_reference():
+def _random_cases():
+    """24 (X, candidates, kappa): block-correlated and Gaussian designs."""
     rng = np.random.default_rng(21)
     for i in range(24):
         if i % 2:
@@ -99,8 +104,59 @@ def test_blocked_grouping_matches_pairwise_reference():
         candidates = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
         # kappa = 0 joins every pair into one component
         kappa = 0.0 if i == 0 else float(rng.uniform(0.02, 0.6))
-        args = (candidates.tolist(), kappa, X)
-        assert build_independent_subsets(*args, X.T @ X) == _pairwise_subsets(*args)
+        yield X, candidates.tolist(), kappa
+
+
+def test_blocked_grouping_matches_pairwise_reference():
+    for X, candidates, kappa in _random_cases():
+        graph = DependencyGraph(X.T @ X, kappa)
+        args = (candidates, kappa, X)
+        assert build_independent_subsets(*args, graph) == _pairwise_subsets(*args)
+
+
+def _assert_graph_pairs_equal_block_pairs(gram, kappa, candidates):
+    """The graph's (a, b, weight) pairs for a candidate set are the ones the
+    thresholded upper triangle of the candidates' block gives, in its order."""
+    c = sorted(set(candidates))
+    block = np.abs(gram[np.ix_(c, c)])
+    a, b = np.nonzero(np.triu(block >= kappa - 1e-9, 1))
+    got = DependencyGraph(gram, kappa).pairs(np.array(c, np.intp))
+    for x, y in zip(got, (a, b, block[a, b])):
+        assert np.array_equal(x, y)
+    return len(a)
+
+
+def test_graph_pairs_match_the_thresholded_block():
+    for X, candidates, kappa in _random_cases():
+        _assert_graph_pairs_equal_block_pairs(X.T @ X, kappa, candidates)
+    X = unit_cols(gen_lasso(200, 60, 5, seed=3, block_size=6, block_rho=0.7).X)
+    gram, m = X.T @ X, 60
+    assert _assert_graph_pairs_equal_block_pairs(gram, 0.0, range(m)) == m * (m - 1) // 2
+    everything = _assert_graph_pairs_equal_block_pairs(gram, 0.3, range(m))
+    assert everything == len(DependencyGraph(gram, 0.3).cols) > 0
+    for candidates in ([], [17], [5, 9, 5, 30, 9, 9, 41]):
+        _assert_graph_pairs_equal_block_pairs(gram, 0.3, candidates)
+        graph = DependencyGraph(gram, 0.3)
+        assert (build_independent_subsets(candidates, 0.3, X, graph)
+                == _pairwise_subsets(candidates, 0.3, X))
+    # a pair within 1e-9 of kappa, on either side, is in the graph; past it, not
+    w = abs(gram[2, 3])
+    for kappa, inside in ((w - 5e-10, True), (w + 5e-10, True), (w + 2e-9, False)):
+        assert _assert_graph_pairs_equal_block_pairs(gram, kappa, [2, 3]) == int(inside)
+
+
+def test_graph_build_holds_no_dense_temporary_and_keeps_its_kappa():
+    X = unit_cols(gen_lasso(1000, 600, 8, seed=3, block_size=10, block_rho=0.5).X)
+    gram = X.T @ X
+    tracemalloc.start()
+    try:
+        graph = DependencyGraph(gram, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gram.nbytes / 4
+    with pytest.raises(ConfigurationError):
+        build_independent_subsets(range(10), 0.2, X, graph)
 
 
 def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
@@ -115,7 +171,8 @@ def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
         return dependency_check(a, b, X)
 
     monkeypatch.setattr(sap, "dependency_check", counting_check)
-    subsets = build_independent_subsets(range(40), kappa, X, X.T @ X)
+    graph = DependencyGraph(X.T @ X, kappa)
+    subsets = build_independent_subsets(range(40), kappa, X, graph)
     assert (j, k) in oracle_calls
     assert [j, k] in subsets
     assert subsets == _pairwise_subsets(range(40), kappa, X)
