@@ -237,8 +237,7 @@ class SapScheduler:
         self.priority = PriorityState(m=m)
         self.rng = np.random.default_rng(seed)
         self.graph = DependencyGraph(self.gram, kappa)
-        self._costs = np.maximum(np.count_nonzero(X, axis=0), 1)
-        self.column_costs = self._costs.tolist()
+        self.column_costs = np.maximum(np.count_nonzero(X, axis=0), 1)
         self._last_emitted: list[int] = []
 
     def rounds(self, t: int, values) -> list[list[int]]:
@@ -246,7 +245,8 @@ class SapScheduler:
         self._last_emitted = candidates
         subsets = build_independent_subsets(candidates, self.kappa, self.X, self.graph)
         starts = np.cumsum([0] + [len(s) for s in subsets[:-1]])
-        costs = np.add.reduceat(self._costs[list(chain.from_iterable(subsets))], starts).tolist()
+        costs = np.add.reduceat(self.column_costs[list(chain.from_iterable(subsets))],
+                                starts).tolist()
         return [[j for i in mine for j in subsets[i]] for mine in balance_load(costs, self.P)]
 
     def observe(self, changes: dict[int, float]) -> None:

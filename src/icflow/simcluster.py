@@ -344,17 +344,13 @@ class SimCluster:
         link.staleness_count += len(seqs)
         store.deliver(dst, seqs)
         self.deliveries.extend((dst, st, seqs))
-        # only a delivery that leaves nothing required in flight can open
-        # the gate of a waiting worker
-        if self.wait_since[dst] is not None and not store.missing_required(dst):
-            self._maybe_start(dst, tick)
+        self._maybe_start(dst, tick)
 
     # -- worker state machine -----------------------------------------------
 
     def _maybe_start(self, p: int, tick: int) -> None:
         if self.wait_since[p] is None:
             return
-        self.store.set_tick(tick)
         if self.store.blocked[p] or self.store.missing_required(p):
             return
         self.blocked_ticks[p] += tick - self.wait_since[p]
@@ -363,7 +359,7 @@ class SimCluster:
 
     def _start_pass(self, p: int, tick: int) -> None:
         store = self.store
-        store.set_tick(tick)
+        store.tick = tick
         applied = store.apply_pending(p)
         if applied:
             stale = [store.clocks[p] - upd.timestamp for upd in applied]
@@ -385,7 +381,7 @@ class SimCluster:
 
     def _finish_pass(self, p: int, payload: dict, tick: int) -> None:
         store = self.store
-        store.set_tick(tick)
+        store.tick = tick
         t = store.clocks[p]
         self._append((tick, "compute_end", p, t, 0, t, len(payload), 0))
         seq = store.commit(p, payload, t)

@@ -184,11 +184,13 @@ class _Update:
 class SspCore:
     """Single-threaded bounded-staleness store driven by an external clock.
 
-    The caller owns the notion of time (``tick``) and the network: ``deliver``
-    records that a foreign update has arrived at a worker, and only arrived
-    updates are applied. ``catch_up`` applies every arrived one (a read may
-    be fresher than required); ``missing_required`` counts the ones the
-    protocol obliges a worker to see that are still in flight.
+    The caller owns the notion of time (it sets ``tick``, which stamps each
+    trace row) and the network. ``owed`` holds, per worker and timestamp, the
+    foreign commits that have not yet arrived there. ``deliver`` takes one
+    message: its seqs must be distinct and all owed to the worker at one
+    timestamp, so a commit arrives once. ``catch_up`` applies every arrived
+    update (a read may be fresher than required); ``missing_required``
+    counts the owed commits the protocol obliges a worker to see.
     Updates are kept as key and value arrays; one ``np.add.at`` per apply
     adds them in commit order, so each element's additions come in that order.
     """
@@ -209,10 +211,11 @@ class SspCore:
         self.log: list[_Update] = []
         # per worker: foreign seqs that have arrived and are not yet applied
         self.arrived: list[set[int]] = [set() for _ in range(P)]
-        # per worker: timestamp -> number of foreign commits not yet arrived
-        self.in_flight: list[dict[int, int]] = [{} for _ in range(P)]
+        # per worker: timestamp -> the foreign seqs committed and not yet arrived
+        self.owed: list[dict[int, set[int]]] = [{} for _ in range(P)]
         # per worker: how many of those it is obliged to see, the ones with a
-        # timestamp at or before its horizon, clock - staleness - 1
+        # timestamp at or before its horizon, clock - staleness - 1; kept as a
+        # count, so that no delivery scans `owed`
         self._missing = [0] * P
         self._append = self.trace._flat.extend  # the one path for trace rows
 
@@ -222,9 +225,6 @@ class SspCore:
               key_count: int = 0, nbytes: int = 0) -> None:
         self._append((self.tick, event, worker, self.clocks[worker], seq,
                       timestamp, key_count, nbytes))
-
-    def set_tick(self, tick: int) -> None:
-        self.tick = tick
 
     # -- protocol -----------------------------------------------------------
 
@@ -250,8 +250,11 @@ class SspCore:
         self.log.append(upd)
         for p in range(self.P):
             if p != worker:
-                flight = self.in_flight[p]
-                flight[timestamp] = flight.get(timestamp, 0) + 1
+                owed = self.owed[p].get(timestamp)
+                if owed is None:
+                    self.owed[p][timestamp] = {upd.seq}
+                else:
+                    owed.add(upd.seq)
                 if timestamp <= self.clocks[p] - self.staleness - 1:  # p's horizon
                     self._missing[p] += 1
         np.add.at(self.views[worker], upd.keys, upd.vals)
@@ -267,16 +270,13 @@ class SspCore:
             raise ProtocolError(f"worker {worker} already finished")
         self.clocks[worker] += 1
         horizon = self.clocks[worker] - self.staleness - 1
-        self._missing[worker] += self.in_flight[worker].get(horizon, 0)
+        self._missing[worker] += len(self.owed[worker].get(horizon, ()))
         self._emit("clock", worker)
-        if self.would_block(worker):
+        if self.clocks[worker] - self.min_clock() > self.staleness:
             self.blocked[worker] = True
             self._emit("block", worker)
             return True
         return False
-
-    def would_block(self, worker: int) -> bool:
-        return self.clocks[worker] - self.min_clock() > self.staleness
 
     def release_unblocked(self) -> list[int]:
         """Clear the blocked flag for workers whose gap has closed."""
@@ -295,27 +295,22 @@ class SspCore:
         log, n = self.log, len(seqs)
         if not (0 <= worker < self.P and seqs and 0 <= seqs[0] < len(log)):
             raise ProtocolError(f"invalid worker id {worker} or seq in {seqs}")
-        ts, flight = log[seqs[0]].timestamp, self.in_flight[worker]
-        for seq in seqs:
-            if not 0 <= seq < len(log):
-                raise ProtocolError(f"invalid seq {seq}")
-            upd = log[seq]
-            if upd.worker == worker or upd.timestamp != ts:
-                raise ProtocolError(f"seq {seq} is not in flight to worker {worker} "
-                                    f"at timestamp {ts}")
-        left = flight.get(ts, 0) - n
-        if left < 0 or n > 1 and len(set(seqs)) < n:
-            raise ProtocolError(f"seqs {seqs} are not in flight to worker {worker}")
+        ts = log[seqs[0]].timestamp
+        owed = self.owed[worker].get(ts)
+        # a seq out of range, of another timestamp, the worker's own or
+        # already arrived is not owed
+        if owed is None or not owed.issuperset(seqs) or n > 1 and len(set(seqs)) < n:
+            raise ProtocolError(f"seqs {seqs} are not owed to worker {worker} "
+                                f"at timestamp {ts}")
         if ts <= self.clocks[worker] - self.staleness - 1:  # horizon
             if self._missing[worker] < n:
                 raise StateCorruptionError(
                     f"{n} required seqs arrived at worker {worker}, whose count of "
                     f"required commits in flight is {self._missing[worker]}")
             self._missing[worker] -= n
-        if left:
-            flight[ts] = left
-        else:
-            del flight[ts]
+        owed.difference_update(seqs)
+        if not owed:
+            del self.owed[worker][ts]
         self.arrived[worker].update(seqs)
 
     def catch_up(self, worker: int) -> list[_Update]:
@@ -343,7 +338,7 @@ class SspCore:
 
     def missing_required(self, worker: int) -> int:
         """How many foreign commits the protocol obliges this worker to see
-        are still in flight to it."""
+        are still owed to it."""
         if not 0 <= worker < self.P:  # not `_check_worker`: runs per delivery
             raise ProtocolError(f"invalid worker id {worker}")
         return self._missing[worker]

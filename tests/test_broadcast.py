@@ -64,7 +64,6 @@ class UnicastCluster(SimCluster):
             super()._deliver(link, node, msg, tick)
             return
         link.inflight -= nbytes
-        self.store.set_tick(tick)
         self._append((tick, "msg_deliver", node, self.store.clocks[node], mid,
                       ts, key_count, nbytes))
         self._hop(rest, seqs, key_count, ts, origin, tick)
@@ -146,7 +145,7 @@ def test_each_commit_takes_p_minus_1_sends_one_per_route():
                     path.append(parent[path[-1]])
                 assert path[::-1] == topo.route(origin, dst), (seq, dst)
         for p in range(P):
-            assert sim.store.in_flight[p] == {}
+            assert sim.store.owed[p] == {}
         assert replay(res.trace, s, P).ok
 
 

@@ -6,7 +6,8 @@ A module-level definition counts as reached when some code in src/ names it
 suite imports it. A method other than a dunder counts as reached when its
 name appears as an attribute in src/ outside its own body, or anywhere in the
 acceptance suite. Strings, docstrings included, do not count, and neither
-does an import that nothing then uses.
+does an import that nothing then uses. Every attribute that src/ assigns on
+self, outside exception classes, is read somewhere.
 """
 import ast
 import pathlib
@@ -68,6 +69,29 @@ def test_every_definition_is_reached():
                     continue
                 dead.append(f"{path.relative_to(SRC)}: {cls.name}.{node.name}")
     assert not dead, "unreached definitions:\n" + "\n".join(dead)
+
+
+def test_every_assigned_attribute_is_read():
+    """An attribute that src/ assigns on self is read, on any object, in src/
+    or in the acceptance suite; an assignment or an augmented assignment is
+    not a read. Attributes set in an exception class are exempt: they are the
+    error's payload."""
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))]
+    read = {node.attr for tree in [*trees, ast.parse(ACCEPTANCE.read_text())]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = [cls for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)]
+    errors, known = {"Exception"}, set()
+    while errors != known:  # grow the set of exception classes to a fixpoint
+        known = set(errors)
+        errors |= {cls.name for cls in classes
+                   if any(getattr(base, "id", None) in known for base in cls.bases)}
+    unread = {f"{cls.name}.{node.attr}" for cls in classes if cls.name not in errors
+              for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) == "self" and node.attr not in read}
+    assert not unread, "attributes never read:\n" + "\n".join(sorted(unread))
 
 
 def _callee(call: ast.Call):

@@ -222,7 +222,7 @@ def test_a_scheduler_built_from_x_alone_computes_its_gram():
     X = unit_cols(gen_lasso(100, 30, 4, seed=2).X)
     sched = SapScheduler(X, P=2)
     assert np.array_equal(sched.gram, X.T @ X)
-    assert sched.column_costs == [max(1, int(np.count_nonzero(X[:, j])))
+    assert sched.column_costs.tolist() == [max(1, int(np.count_nonzero(X[:, j])))
                                   for j in range(30)]
 
 

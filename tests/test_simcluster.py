@@ -213,7 +213,7 @@ def test_large_halton_ring_delivers_everything_in_lock_step():
                      SimConfig(P=128, staleness=0, topology="halton", max_clocks=3))
     res = sim.run()
     assert replay(res.trace, 0, 128).ok
-    assert all(flight == {} for flight in sim.store.in_flight)
+    assert all(owed == {} for owed in sim.store.owed)
 
 
 def _assert_link_schedules_rebuilt(sim, trace):
@@ -671,7 +671,7 @@ def _fuzz_clusters(m=40, keys_per_update=3):
                                               keys_per_update=keys_per_update), cfg)
 
 
-def test_missing_required_counter_equals_a_scan_of_in_flight():
+def test_missing_required_counter_equals_a_scan_of_owed():
     for sim in _fuzz_clusters():
         store = sim.store
         seen = []
@@ -680,7 +680,7 @@ def test_missing_required_counter_equals_a_scan_of_in_flight():
             seen.append(row)
             for p in range(store.P):
                 horizon = store.clocks[p] - store.staleness - 1
-                scan = sum(n for ts, n in store.in_flight[p].items() if ts <= horizon)
+                scan = sum(len(seqs) for ts, seqs in store.owed[p].items() if ts <= horizon)
                 assert store.missing_required(p) == scan, (sim.cfg, len(seen), p)
 
         _checked_run(sim, check)

@@ -242,7 +242,7 @@ def test_catch_up_applies_what_arrived_and_leaves_the_rest_in_flight():
     assert [u.seq for u in applied] == [old[1], new[0]]
     assert store.arrived[2] == set()
     assert store.missing_required(2) == 1  # old[0]
-    assert store.in_flight[2] == {0: 1, 1: 1}  # old[0] and new[1]
+    assert store.owed[2] == {0: {old[0]}, 1: {new[1]}}
     assert list(store.views[2]) == [10.0, 1.0, 0.0, 0.0]
     assert [e.seq for e in store.trace if e.event == "apply"] == [old[1], new[0]]
 
@@ -328,7 +328,7 @@ def test_arrival_order_does_not_change_apply_order():
     store.deliver(1, [1])
     assert [u.seq for u in store.apply_pending(1)] == [1, 9]
     assert [e.seq for e in store.trace if e.event == "apply"] == [1, 9]
-    assert store.in_flight[1] == {0: 8} and store.arrived[1] == set()
+    assert store.owed[1] == {0: set(range(10)) - {1, 9}} and store.arrived[1] == set()
 
 
 def test_deliver_rejects_what_is_not_in_flight():
@@ -341,17 +341,36 @@ def test_deliver_rejects_what_is_not_in_flight():
         store.deliver(1, [seq])
 
 
+def _state(store):
+    """A copy of what `deliver` changes: arrivals, owed seqs, required counts."""
+    return ([set(a) for a in store.arrived],
+            [{ts: set(seqs) for ts, seqs in owed.items()} for owed in store.owed],
+            list(store._missing))
+
+
+def test_deliver_rejects_a_repeat_while_its_timestamp_is_still_owed():
+    store = SspCore(P=3, staleness=0, m=2)
+    a, b = store.commit(0, {0: 1.0}, 0), store.commit(1, {1: 1.0}, 0)
+    store.advance_clock(2)
+    store.deliver(2, [a])
+    state = _state(store)
+    # a count per timestamp took the repeat for b and left nothing required
+    with pytest.raises(ProtocolError):
+        store.deliver(2, [a])
+    assert _state(store) == state and store.owed[2] == {0: {b}}
+    assert store.missing_required(2) == 1
+
+
 def test_deliver_rejects_an_invalid_worker_or_seq_before_any_change():
     store = SspCore(P=3, staleness=0, m=2)
     seq = store.commit(0, {0: 1.0}, 0)
-    arrived = [set(a) for a in store.arrived]
-    in_flight = [dict(f) for f in store.in_flight]
+    state = _state(store)
     # -1 once recorded an arrival at worker 2, and seq -1 a KeyError at the
     # next apply; worker 3 and seq 1 ended in an IndexError
     for worker, bad in ((-1, seq), (3, seq), (1, -1), (1, 1)):
         with pytest.raises(ProtocolError, match="invalid"):
             store.deliver(worker, [bad])
-        assert store.arrived == arrived and store.in_flight == in_flight
+        assert _state(store) == state
     store.deliver(2, [seq])
     assert [u.seq for u in store.apply_pending(2)] == [seq]
 
@@ -369,11 +388,11 @@ def _three_workers_at_clock_1():
 
 def test_deliver_takes_one_message_in_one_step():
     store, old, new = _three_workers_at_clock_1()
-    assert store.in_flight[2] == {0: 4, 1: 2} and store.missing_required(2) == 4
+    assert store.owed[2] == {0: set(old), 1: set(new)} and store.missing_required(2) == 4
     store.deliver(2, old[:3])
-    assert store.in_flight[2] == {0: 1, 1: 2} and store.missing_required(2) == 1
+    assert store.owed[2] == {0: {old[3]}, 1: set(new)} and store.missing_required(2) == 1
     store.deliver(2, [new[1], new[0]])
-    assert store.in_flight[2] == {0: 1} and store.missing_required(2) == 1
+    assert store.owed[2] == {0: {old[3]}} and store.missing_required(2) == 1
     assert store.arrived[2] == {*old[:3], *new}
     assert [u.seq for u in store.catch_up(2)] == sorted([*old[:3], *new])
 
@@ -381,12 +400,11 @@ def test_deliver_takes_one_message_in_one_step():
 def test_deliver_rejects_a_faulty_message_before_any_change():
     store, old, new = _three_workers_at_clock_1()
     store.deliver(2, [old[0]])
-    state = ([set(a) for a in store.arrived], [dict(f) for f in store.in_flight],
-             list(store._missing))
+    state = _state(store)
     faults = [
         [old[1], new[0]],  # two timestamps
         [new[1], new[0], old[1]],
-        [*old],  # old[0] has arrived: more seqs than are in flight
+        [*old],  # old[0] has arrived, so it is no longer owed
         [old[1], old[1]],  # a repeated seq
         [old[1], len(store.log)],  # out of range
         [old[1], -1],
@@ -394,16 +412,16 @@ def test_deliver_rejects_a_faulty_message_before_any_change():
     for seqs in faults:
         with pytest.raises(ProtocolError):
             store.deliver(2, seqs)
-        assert (store.arrived, store.in_flight, store._missing) == state, seqs
+        assert _state(store) == state, seqs
     with pytest.raises(ProtocolError):  # worker 0's own commit
         store.deliver(0, [old[1], old[2]])
-    assert (store.arrived, store.in_flight, store._missing) == state
+    assert _state(store) == state
     # a required count below the message's required seqs is a corrupt store
     store._missing[2] = 1
     state[2][2] = 1
     with pytest.raises(StateCorruptionError):
         store.deliver(2, [old[1], old[2]])
-    assert (store.arrived, store.in_flight, store._missing) == state
+    assert _state(store) == state
 
 
 def run_two_workers(staleness, rounds):
@@ -411,7 +429,7 @@ def run_two_workers(staleness, rounds):
     # interleave worker passes; worker 1 runs two clocks behind when allowed
     for t in range(rounds):
         for p in (0, 1):
-            store.set_tick(t)
+            store.tick = t
             store.read(p)
             store.deliver(1 - p, [store.commit(p, {p: 1.0}, store.clocks[p])])
             store.advance_clock(p)
