@@ -34,16 +34,22 @@ def normalize_columns(X: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class LassoProblem:
-    """Column-normalized design matrix, response, and l1 weight."""
+    """Column-normalized design matrix, response, and l1 weight; a `lam` of
+    None takes the default, a tenth of the largest |X^T y|."""
 
     X: np.ndarray
     y: np.ndarray
-    lam: float
+    lam: float | None
     gram: np.ndarray = field(init=False)
     Xty: np.ndarray = field(init=False)
     col_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # an explicit lam is checked before any product, a default after X^T y
+        Xty = None
+        if self.lam is None:
+            Xty = self.X.T @ self.y
+            self.lam = 0.1 * np.max(np.abs(Xty))
         if self.lam <= 0:
             raise ConfigurationError("lambda must be > 0")
         self.gram = self.X.T @ self.X
@@ -51,7 +57,7 @@ class LassoProblem:
             raise ConfigurationError(
                 "design matrix columns must be unit-normalized at load"
             )
-        self.Xty = self.X.T @ self.y
+        self.Xty = self.X.T @ self.y if Xty is None else Xty
         self.col_sq = np.diag(self.gram).copy()
 
     @classmethod
@@ -59,8 +65,6 @@ class LassoProblem:
         """The problem on X (float64) scaled to unit columns. X is scaled in
         place and owned by the problem: pass a copy to keep the raw matrix."""
         normalize_columns(X, out=X)
-        if lam is None:
-            lam = 0.1 * np.max(np.abs(X.T @ y))
         return cls(X=X, y=y, lam=lam)
 
     @property

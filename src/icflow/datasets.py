@@ -3,8 +3,9 @@
 Formats are deliberately plain: numpy `.npy` files for design matrices
 (a 2-D array of real floating values, every one finite), a dense text vector
 for responses, the bag-of-words triple format `docID wordID count` (1-based,
-three header lines) for corpora, and one integer class id per line for
-labels. Every generator writes a ground-truth sidecar next to the data.
+after a D, V, nnz header; fields separated by any whitespace) for corpora,
+and one integer class id per line for labels. Every generator writes a
+ground-truth sidecar next to the data.
 """
 from __future__ import annotations
 
@@ -206,17 +207,37 @@ def write_corpus(corpus: LdaCorpus, out_dir: str) -> dict:
     return paths
 
 
+def _read_int_fields(path: str) -> np.ndarray:
+    """Every whitespace-separated field of `path` through `int()`, as int64.
+    A file of ASCII digits and ASCII whitespace whose fields have at most 18
+    digits (so none overflows) is parsed in one C pass with the same result;
+    any other goes field by field, which also gives the error."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw.translate(None, b"0123456789 \t\n\r\x0b\x0c"):
+        # between consecutive whitespace bytes (those below b"0") of the
+        # padded file lies a field, of length 0 where they are adjacent
+        spaces = np.flatnonzero(np.frombuffer(b" " + raw + b" ", np.uint8) < 48)
+        lengths = np.diff(spaces) - 1
+        nums = np.fromstring(raw, dtype=np.int64, sep=" ")  # reads " " as [0]
+        if lengths.max() <= 18 and len(nums) == np.count_nonzero(lengths):
+            return nums
+    with open(path) as f:
+        fields = f.read().split()
+    return np.array(list(map(int, fields)), dtype=np.int64)
+
+
 def read_corpus(path: str) -> tuple[list[list[int]], int]:
     """Read bag-of-words triples back into token lists: each document holds
     its words (0-based) in file order, each repeated per its count. The file
-    is D, V and the number of triples, then one `docID wordID count` triple
-    per line with 1-based ids; a docID outside 1..D, a wordID outside 1..V,
-    a negative count or a field that is not an integer is a configuration
-    error."""
+    is D, V and the number of triples, then `docID wordID count` triples with
+    1-based ids, all fields separated by any whitespace: the line layout that
+    `write_corpus` writes is not required. A field that is not an integer, a
+    wrong field count, a docID outside 1..D, a wordID outside 1..V, a
+    negative count, or more documents or tokens than an array can hold is a
+    configuration error."""
     try:
-        with open(path) as f:
-            fields = f.read().split()
-        nums = np.array(list(map(int, fields)), dtype=np.int64)
+        nums = _read_int_fields(path)
     except (ValueError, OverflowError) as e:
         raise ConfigurationError(f"{path}: not a bag-of-words file: {e}") from None
     if len(nums) < 3 or nums[0] < 1 or nums[1] < 1:
@@ -235,10 +256,14 @@ def read_corpus(path: str) -> tuple[list[list[int]], int]:
     if len(bad):
         raise ConfigurationError(
             f"{path}: triple {bad[0] + 1}: negative count {c[bad[0]]}")
-    doc = np.repeat(d - 1, c)
-    order = np.argsort(doc, kind="stable")
-    ends = np.cumsum(np.bincount(doc, minlength=D))[:-1]
-    return [t.tolist() for t in np.split(np.repeat(w - 1, c)[order], ends)], V
+    try:  # sizes past any array's, or past int64 in all
+        doc = np.repeat(d - 1, c)
+        ends = np.cumsum(np.bincount(doc, minlength=D)).tolist()
+    except ValueError:
+        raise ConfigurationError(f"{path}: {D} documents of {sum(c.tolist())} tokens "
+                                 "in all are more than an array can hold") from None
+    words = np.repeat(w - 1, c)[np.argsort(doc, kind="stable")].tolist()
+    return [words[a:b] for a, b in zip([0] + ends, ends)], V
 
 
 # ---------------------------------------------------------------------------

@@ -781,6 +781,14 @@ def test_corpus_ids_and_counts_are_checked(tmp_path):
         with pytest.raises(ConfigurationError):
             datasets.read_corpus(str(tmp_path / "docs.txt"))
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, bad
+    # 2**63 tokens in all (past int64), 2**62 tokens (2**65 bytes) and 2**62
+    # documents used to end in a ValueError from numpy
+    for triples, D in ((((1, 1, 2**62), (2, 3, 2**62)), 2), (((2, 1, 2**62),), 2),
+                       ((), 2**62)):
+        corpus(*triples, D=D)
+        with pytest.raises(ConfigurationError, match="more than an array can hold"):
+            datasets.read_corpus(str(tmp_path / "docs.txt"))
+        assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, (triples, D)
     # the last is not UTF-8, which used to end in a UnicodeDecodeError
     for text in (b"", b"2 3", b"0 3 0", b"2 0 0", b"2 3 2\n1 1 1\n",
                  b"2 3 1\n1 1 \xff\n"):
@@ -788,6 +796,114 @@ def test_corpus_ids_and_counts_are_checked(tmp_path):
         with pytest.raises(ConfigurationError, match="docs.txt"):
             datasets.read_corpus(str(tmp_path / "docs.txt"))
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, text
+
+
+# token -> the bytes that replace it; each keeps a file the C pass can read
+# or sends it field by field, where `int()` accepts or rejects it
+TOKEN_EDITS = {
+    "plus": lambda t: b"+" + t,
+    "minus": lambda t: b"-" + t,
+    "underscore": lambda t: t[:1] + b"_" + t[1:] if len(t) > 1 else t + b"_0",
+    "leading zeros": lambda t: b"000" + t,
+    "non-ASCII digit": lambda t: t + "３".encode(),  # fullwidth 3
+    "18 digits": lambda t: t.rjust(18, b"0"),
+    "18-digit value": lambda t: b"123456789012345678",
+    "19 digits": lambda t: t.rjust(19, b"0"),
+    "19-digit value": lambda t: b"1" + b"0" * 18,
+    "19-digit overflow": lambda t: b"9" * 19,
+    "20 digits": lambda t: t.rjust(20, b"0"),
+    "20-digit value": lambda t: b"9" * 20,
+    "not UTF-8": lambda t: t + b"\xff",
+    "Latin-1 letter": lambda t: b"\xe9" + t,
+}
+# separator -> its replacement
+SEPARATOR_EDITS = {
+    "\\x1c": lambda s: b"\x1c",
+    "\\x1f": lambda s: b"\x1f",
+    "\\x85": lambda s: "\x85".encode(),
+    "no-break space": lambda s: "\xa0".encode(),
+    "tab": lambda s: b"\t",
+    "form feed": lambda s: b"\x0c",
+    "vertical tab": lambda s: b"\x0b",
+    "CR": lambda s: b"\r",
+    "CRLF": lambda s: s.replace(b"\n", b"\r\n"),
+    "double": lambda s: s + s,
+}
+# whole file -> the file
+FILE_EDITS = {
+    "as written": lambda raw: raw,
+    "CRLF": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "no final newline": lambda raw: raw.rstrip(b"\n"),
+    "leading blank lines": lambda raw: b"\n \n" + raw,
+    "one line": lambda raw: raw.replace(b"\n", b" "),
+    "empty": lambda raw: b"",
+    "whitespace only": lambda raw: b" \n\t",
+    "truncated": lambda raw: raw[: len(raw) // 2],
+}
+
+
+def _int_fields(path):
+    """Every field of `path` through `str.split` and `int()`."""
+    with open(path) as f:
+        return np.array(list(map(int, f.read().split())), dtype=np.int64)
+
+
+def _fields(read, path):
+    """The fields `read` parses from `path`, or its error."""
+    try:
+        return read(path).tolist()
+    except (ValueError, OverflowError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _outcome(read, path):
+    """What `read` returns, or its error; a count too large to allocate ends
+    in a MemoryError, which `icflow run` also reports with exit code 2."""
+    try:
+        return read(path)
+    except (ConfigurationError, MemoryError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_the_corpus_reader_matches_int_on_any_bytes(tmp_path, monkeypatch):
+    parsed = []  # the arrays np.fromstring returned, the last one last
+    fromstring = np.fromstring
+
+    def spy(*args, **kwargs):
+        parsed.append(fromstring(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    path = str(tmp_path / "docs.txt")
+    rng = random.Random(3)
+    outcomes = Counter()
+    for seed in range(8):
+        corpus = datasets.gen_lda(rng.randint(1, 6), rng.randint(2, 9), 2, 5, seed=seed)
+        raw = Path(datasets.write_corpus(corpus, str(tmp_path))["docs"]).read_bytes()
+        parts = re.split(rb"(\s+)", raw.strip())  # tokens at even indices
+        cases = [(name, edit(raw)) for name, edit in FILE_EDITS.items()]
+        for edits, at in ((TOKEN_EDITS, range(0, len(parts), 2)),
+                          (SEPARATOR_EDITS, range(1, len(parts), 2))):
+            for name, edit in edits.items():
+                edited = list(parts)
+                for i in rng.sample(at, min(len(at), rng.randint(1, 3))):
+                    edited[i] = edit(edited[i])
+                cases.append((name, b"".join(edited) + b"\n"))
+        for name, data in cases:
+            Path(path).write_bytes(data)
+            assert _fields(datasets._read_int_fields, path) == _fields(_int_fields, path), \
+                (name, data)
+            got = _outcome(datasets.read_corpus, path)
+            with monkeypatch.context() as m:
+                m.setattr(datasets, "_read_int_fields", _int_fields)
+                assert got == _outcome(datasets.read_corpus, path), (name, data)
+            if not isinstance(got, str):
+                assert got == _reference_read_corpus(path)
+            outcomes[isinstance(got, str)] += 1
+            if name == "as written":  # a `write_corpus` file takes the C pass
+                assert datasets._read_int_fields(path) is parsed[-1]
+    # both accepted and rejected files were compared
+    assert outcomes[False] > 50 and outcomes[True] > 50, outcomes
 
 
 def test_replay_subcommand_exit_codes(tmp_path, capsys):

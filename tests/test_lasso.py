@@ -66,6 +66,45 @@ def test_default_lambda_rule():
     assert prob.lam == pytest.approx(0.1 * np.max(np.abs(Xn.T @ y)))
 
 
+class _CountsProducts(np.ndarray):
+    """A design matrix that counts the matrix products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountsProducts.products += 1
+
+        def plain(args):
+            return tuple(a.view(np.ndarray) if isinstance(a, _CountsProducts) else a
+                         for a in args)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+def test_the_problem_takes_x_transpose_y_once_and_checks_lambda_first():
+    ds = gen_lasso(50, 8, 3, seed=2)
+    want = LassoProblem.from_raw(ds.X.copy(), ds.y)
+    for lam, y, products, raises in ((None, ds.y, 2, False), (0.05, ds.y, 2, False),
+                                     (0.0, ds.y, 0, True), (-1.0, ds.y, 0, True),
+                                     (None, np.zeros(50), 1, True)):
+        _CountsProducts.products = 0
+        X = ds.X.copy().view(_CountsProducts)
+        if raises:
+            # before the Gram matrix: a derived lambda after the one product
+            # it needs, an explicit one before any
+            with pytest.raises(ConfigurationError, match="lambda must be > 0"):
+                LassoProblem.from_raw(X, y, lam=lam)
+        else:
+            prob = LassoProblem.from_raw(X, y, lam=lam)
+            assert np.array_equal(prob.Xty, want.Xty)
+            assert np.array_equal(prob.gram, want.gram)
+            assert prob.lam == (want.lam if lam is None else lam)
+        assert _CountsProducts.products == products, (lam, products)
+
+
 def test_from_raw_scales_its_matrix_in_place_to_the_bits_of_the_norm():
     rng = np.random.default_rng(3)
     for shape in ((60, 12), (1000, 30), (7, 40)):

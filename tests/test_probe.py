@@ -2,8 +2,8 @@
 
 `perfbench/probe.py` wraps icflow functions and methods from outside, by
 name; a rename or deletion in the program breaks it. This runs it on a small
-Lasso config that reaches the store, the simulator and SAP, and on the
-replay of that config's trace.
+Lasso config that reaches the store, the simulator and SAP, on the replay of
+that config's trace, and on an LDA config that reads its corpus from a file.
 """
 import json
 import os
@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import icflow
+from icflow import datasets
 from icflow.cli import EXIT_OK, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,3 +71,21 @@ def test_probe_times_the_trace_write_and_the_problem_build(tmp_path):
         rows = [row for row in agg if row[0] == name]
         assert sum(row[2] for row in rows) >= 1, name
         assert sum(row[4] for row in rows) > 0, name
+
+
+def test_probe_traces_and_stamps_an_lda_run_from_a_docs_file(tmp_path):
+    # the corpus is parsed inside `datasets.read_corpus`, the name the probe
+    # times as cli.read; parsed elsewhere, the read would count as build time
+    docs = datasets.write_corpus(datasets.gen_lda(30, 40, 3, 10, seed=1),
+                                 str(tmp_path))["docs"]
+    cfg = tmp_path / "lda.cfg"
+    cfg.write_text(f"[data]\ndocs = {docs}\n[algorithm]\nalgorithm = lda\n"
+                   "topics = 4\nepochs = 2\n[runtime]\np = 2\n")
+    args = ["--quiet", "--out-dir", str(tmp_path / "out"), "run", str(cfg)]
+    agg = _probe(tmp_path, "trace", *args)["agg"]
+    for name in ("cli.read", "lda.rotation"):
+        rows = [row for row in agg if row[0] == name]
+        assert sum(row[2] for row in rows) == 1, name
+        assert sum(row[4] for row in rows) > 0, name
+    loop = _probe(tmp_path, "stamp", *args)["loop"]
+    assert loop["t0"] < loop["t1"], loop

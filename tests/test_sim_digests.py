@@ -22,7 +22,7 @@ import pytest
 
 from icflow.algorithms.lasso import LassoProblem
 from icflow.cli import main, parse_config
-from icflow.datasets import gen_lasso
+from icflow.datasets import gen_lasso, gen_lda, write_corpus
 from icflow.fabric import traffic_report
 from icflow.sap import SapScheduler
 from icflow.simcluster import (
@@ -204,3 +204,23 @@ def test_shipped_configs_match_recorded_digests(name, tmp_path, capsys):
     assert main(["replay", str(tmp_path / "trace.txt"), "--staleness",
                  str(runtime.get("staleness", 0)), "--workers", str(runtime["p"])]) == 0
     assert capsys.readouterr().out == REPLAY_REPORT
+
+
+# sha256 of each of OUTPUTS, first 16 hex digits, for an LDA run that reads
+# its corpus from a `docs` file written by `write_corpus`. No shipped config
+# reads a corpus file, and LDA's results depend on the order in which the
+# reader lays out each document's tokens, so this pins the file-to-run path.
+DOCS_FILE_RUN = ("ca5498281c0ad1df", "a7cd6d508c4888ff", "bda4b4c3f2cb5d08",
+                 "56e6ff98a513f1b5")
+
+
+def test_an_lda_run_from_a_docs_file_matches_recorded_digests(tmp_path):
+    corpus = gen_lda(40, 30, 4, 12, seed=7, zipf_s=1.1)
+    docs = write_corpus(corpus, str(tmp_path / "data"))["docs"]
+    config = tmp_path / "lda.cfg"
+    config.write_text(f"[data]\ndocs = {docs}\n[algorithm]\nalgorithm = lda\n"
+                      "topics = 4\nepochs = 4\n[runtime]\np = 3\nseed = 5\n")
+    assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "run", str(config)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()[:16]
+                    for f in OUTPUTS)
+    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, DOCS_FILE_RUN))
