@@ -44,9 +44,9 @@ class LdaState:
 def _assign(
     corpus: list[list[int]], V: int, K: int, rng: np.random.Generator
 ) -> tuple[LdaState, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``init_state``'s state, then the flat arrays it was built from: the
-    N + 1 document start offsets, and each token's document, word id and
-    topic, all tokens in document order."""
+    """``init_state``'s state without its per-document ``z`` lists, then the
+    flat arrays it was built from: the N + 1 document start offsets, and each
+    token's document, word id and topic, all tokens in document order."""
     if K < 1 or V < 1:
         raise ConfigurationError("K and V must be >= 1")
     N = len(corpus)
@@ -65,7 +65,7 @@ def _assign(
     doc_topic = np.bincount(docs * K + z, minlength=N * K).reshape(N, K)
     word_topic = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
     totals = np.bincount(z, minlength=K)
-    state = LdaState(doc_topic, word_topic, totals, _per_doc(z, starts), 50.0 / K, 0.01)
+    state = LdaState(doc_topic, word_topic, totals, [], 50.0 / K, 0.01)
     return state, starts, docs, words, z
 
 
@@ -87,7 +87,9 @@ def init_state(
     One ``rng.integers(K, size=n)`` call draws the same topics, and leaves
     the generator in the same state, as n scalar ``rng.integers(K)`` calls.
     """
-    return _assign(corpus, V, K, rng)[0]
+    state, starts, _, _, z = _assign(corpus, V, K, rng)
+    state.z = _per_doc(z, starts)
+    return state
 
 
 def conditional_topic_distribution(

@@ -21,7 +21,7 @@ from .algorithms import lda as lda_mod
 from .algorithms import mlr as mlr_mod
 from .engine import FixedBlockScheduler
 from .errors import ConfigurationError, IcflowError, TraceParseError
-from .fabric import full_codec_size, sf_codec_size, traffic_report
+from .fabric import Codec, full_codec_size, sf_codec_size, traffic_report
 from .sap import RandomScheduler, RoundRobinScheduler, SapScheduler
 from .simcluster import (
     METRICS_HEADER,
@@ -104,7 +104,7 @@ _RUNTIME = {
     "seed": (_int(0), 0),
     "max_clocks": (_int(1), 30),
     "topology": (_choice("master_slave", "full_p2p", "halton"), "master_slave"),
-    "codec": (_choice("full", "sufficient_factor"), "sufficient_factor"),
+    "codec": (_choice(*(c.value for c in Codec)), Codec.SUFFICIENT_FACTOR.value),
     "scheduler": (_choice("fixed", "sap", "random", "round_robin"), "fixed"),
     "bandwidth": (_positive, 4096.0),
     "latency": (_int(0), 1),
@@ -361,7 +361,7 @@ def _run_mlr(cfg: ExperimentConfig):
     )
     # every step broadcasts its update to the P-1 peers; a sufficient-factor
     # update carries one factor pair per minibatch row
-    if codec == "full":
+    if codec == Codec.FULL.value:
         size = full_codec_size(K, problem.D)
     else:
         size = sf_codec_size(K, problem.D, min(batch, problem.n))
@@ -572,9 +572,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "replay":
             return _cmd_replay(args)
-        if args.command == "report":
-            sys.stdout.write(build_report(args.metrics, args.tolerance))
-            return EXIT_OK
+        sys.stdout.write(build_report(args.metrics, args.tolerance))  # report
+        return EXIT_OK
     # MemoryError: an input too large to allocate; OSError: a path that cannot
     # be opened, created or written, such as an output directory under a file
     except (ConfigurationError, MemoryError, OSError) as e:
@@ -583,7 +582,6 @@ def main(argv=None) -> int:
     except IcflowError as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

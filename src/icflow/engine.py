@@ -23,19 +23,13 @@ from .errors import (
 
 @dataclass
 class UpdateDelta:
-    """An update in dense, sparse, or sufficient-factor form.
-
-    payload: ndarray | dict[int, float] | list[(b, c) vector pairs]
+    """An update: a sparse {key: value} dict, or the (b, c) vector pairs of
+    the sufficient-factor form that `fabric.encode_delta` puts on the wire.
     """
 
     payload: Any
     timestamp: int
     origin: int
-
-    def __post_init__(self):
-        if isinstance(self.payload, dict):
-            # sparse payloads carry no explicit zeros
-            self.payload = {k: v for k, v in self.payload.items() if v != 0.0}
 
 
 @dataclass(frozen=True)

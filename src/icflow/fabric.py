@@ -1,5 +1,5 @@
-"""Managed communication: topologies and their broadcast trees, wire codecs
-with exact byte accounting, and rate-limited FIFO link queues."""
+"""Managed communication: topologies and their broadcast trees, update sizes
+and the sufficient-factor wire codec, and rate-limited FIFO link queues."""
 from __future__ import annotations
 
 import struct
@@ -19,11 +19,10 @@ HEADER_BYTES = struct.calcsize(HEADER_FMT)  # 25
 # the last tick the trace's int64 columns hold
 _MAX_TICK = 2**63 - 1
 
-_TAG_DENSE = 1
-_TAG_SPARSE = 2
 _TAG_SF = 3
 
 
+# the `[runtime] codec` names: the form an MLR step's update is sized in
 class Codec(Enum):
     FULL = "full"
     SUFFICIENT_FACTOR = "sufficient_factor"
@@ -34,6 +33,8 @@ class Codec(Enum):
 
 
 def full_codec_size(K: int, D: int) -> int:
+    """Bytes of a dense K x D update: the header (S = 0), then the K * D
+    values as little-endian float64, row by row."""
     return HEADER_BYTES + 8 * K * D
 
 
@@ -42,81 +43,50 @@ def sf_codec_size(K: int, D: int, S: int) -> int:
 
 
 def sparse_codec_size(nnz: int) -> int:
+    """Bytes of a sparse update of nnz keys: the header (K = 1, D = 0,
+    S = nnz), then each key in ascending order as a little-endian uint32 id
+    and float64 value."""
     return HEADER_BYTES + 12 * nnz
 
 
 def encode_delta(delta: UpdateDelta, codec: Codec) -> bytes:
-    payload = delta.payload
-    if codec is Codec.SUFFICIENT_FACTOR:
-        factors = payload
-        if factors:
-            k = len(factors[0][0])
-            d = len(factors[0][1])
-        else:
-            k = d = 0
-        for b, c in factors:
-            if len(b) != k or len(c) != d:
-                raise ConfigurationError("sufficient factors must share shapes")
-        head = struct.pack(
-            HEADER_FMT, _TAG_SF, k, d, len(factors), delta.timestamp, delta.origin
-        )
-        body = b"".join(
-            np.asarray(b, dtype="<f8").tobytes() + np.asarray(c, dtype="<f8").tobytes()
-            for b, c in factors
-        )
-        return head + body
-    if isinstance(payload, dict):
-        keys = sorted(payload)
-        head = struct.pack(
-            HEADER_FMT, _TAG_SPARSE, 1, 0, len(keys), delta.timestamp, delta.origin
-        )
-        body = b"".join(
-            struct.pack("<Id", k, payload[k]) for k in keys
-        )
-        return head + body
-    arr = np.asarray(payload, dtype="<f8")
-    if arr.ndim == 1:
-        kk, dd = 1, arr.shape[0]
-    elif arr.ndim == 2:
-        kk, dd = arr.shape
+    """The sufficient-factor wire form of `delta`, whose payload lists (b, c)
+    vector pairs of one shape: the header, then each pair's b and c as
+    little-endian float64. A full update is only sized (`full_codec_size`)."""
+    if codec is not Codec.SUFFICIENT_FACTOR:
+        raise ConfigurationError(f"the {codec.value} codec sizes updates but encodes none")
+    factors = delta.payload
+    if factors:
+        k = len(factors[0][0])
+        d = len(factors[0][1])
     else:
-        raise ConfigurationError("dense payload must be a vector or matrix")
-    head = struct.pack(HEADER_FMT, _TAG_DENSE, kk, dd, 0, delta.timestamp, delta.origin)
-    return head + arr.tobytes()
+        k = d = 0
+    for b, c in factors:
+        if len(b) != k or len(c) != d:
+            raise ConfigurationError("sufficient factors must share shapes")
+    head = struct.pack(
+        HEADER_FMT, _TAG_SF, k, d, len(factors), delta.timestamp, delta.origin
+    )
+    body = b"".join(
+        np.asarray(b, dtype="<f8").tobytes() + np.asarray(c, dtype="<f8").tobytes()
+        for b, c in factors
+    )
+    return head + body
 
 
 def decode_delta(data: bytes) -> UpdateDelta:
     if len(data) < HEADER_BYTES:
         raise DecodeError(len(data), "truncated header")
     tag, k, d, s, ts, origin = struct.unpack(HEADER_FMT, data[:HEADER_BYTES])
-    body = data[HEADER_BYTES:]
-    kinds = {_TAG_DENSE: ("dense", full_codec_size(k, d)),
-             _TAG_SPARSE: ("sparse", sparse_codec_size(s)),
-             _TAG_SF: ("sufficient-factor", sf_codec_size(k, d, s))}
-    if tag not in kinds:
+    if tag != _TAG_SF:
         raise DecodeError(0, f"unknown codec tag {tag}")
-    kind, size = kinds[tag]
-    expected = size - HEADER_BYTES
+    body = data[HEADER_BYTES:]
+    expected = sf_codec_size(k, d, s) - HEADER_BYTES
     if len(body) != expected:
         raise DecodeError(HEADER_BYTES + min(len(body), expected),
-                          f"{kind} body length {len(body)} != {expected}")
-    if tag == _TAG_DENSE:
-        arr = np.frombuffer(body, dtype="<f8").copy()
-        payload = arr if k == 1 else arr.reshape(k, d)
-        return UpdateDelta(payload=payload, timestamp=ts, origin=origin)
-    if tag == _TAG_SPARSE:
-        payload = {}
-        for i in range(s):
-            key, val = struct.unpack_from("<Id", body, 12 * i)
-            payload[key] = val
-        return UpdateDelta(payload=payload, timestamp=ts, origin=origin)
-    factors = []
-    stride = 8 * (k + d)
-    for i in range(s):
-        chunk = body[i * stride : (i + 1) * stride]
-        b = np.frombuffer(chunk[: 8 * k], dtype="<f8").copy()
-        c = np.frombuffer(chunk[8 * k :], dtype="<f8").copy()
-        factors.append((b, c))
+                          f"sufficient-factor body length {len(body)} != {expected}")
+    rows = np.frombuffer(body, dtype="<f8").reshape(s, k + d)
+    factors = [(row[:k].copy(), row[k:].copy()) for row in rows]
     return UpdateDelta(payload=factors, timestamp=ts, origin=origin)
 
 

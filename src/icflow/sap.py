@@ -3,7 +3,7 @@ independent subsets, load balancing, and the LDA block-rotation plan."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -18,6 +18,11 @@ _HASH_MOD = 2**32
 # (under 1e-15 on unit columns); build_independent_subsets hands pairs this
 # close to kappa to dependency_check.
 _KAPPA_TIE = 1e-9
+
+# SapScheduler.weights[j]: the squared last change of coordinate j plus this floor
+_PRIORITY_FLOOR = 1e-6
+# the uniform share prioritize_sample mixes into its probabilities
+_EXPLORE = 0.1
 
 
 def dependency_check(j: int, k: int, X: np.ndarray) -> float:
@@ -58,7 +63,7 @@ class DependencyGraph:
 
 
 def build_independent_subsets(
-    candidates, kappa: float, X: np.ndarray, graph: DependencyGraph
+    candidates, X: np.ndarray, graph: DependencyGraph
 ) -> list[list[int]]:
     """Group candidates into subsets safe for cross-worker parallel update.
 
@@ -68,13 +73,13 @@ def build_independent_subsets(
     large, since a split component would update dependent columns on
     different workers.
 
-    The pairs come from the candidates' rows of ``graph``, built at this kappa,
-    with their weights from its Gram matrix X.T @ X. A pair whose weight lies
-    within ``_KAPPA_TIE`` of kappa is decided by ``dependency_check`` on X, so
-    every grouping equals the one the pairwise checks give.
+    kappa is the one ``graph`` was built at. The pairs come from the
+    candidates' rows of ``graph``, with their weights from its Gram matrix
+    X.T @ X. A pair whose weight lies within ``_KAPPA_TIE`` of kappa is
+    decided by ``dependency_check`` on X, so every grouping equals the one the
+    pairwise checks give.
     """
-    if graph.kappa != kappa:
-        raise ConfigurationError(f"graph built at kappa={graph.kappa}, used at {kappa}")
+    kappa = graph.kappa
     cand = sorted(set(candidates))
     rows, cols, weights = graph.pairs(np.array(cand, np.intp))
     parent = list(range(len(cand)))
@@ -95,47 +100,24 @@ def build_independent_subsets(
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-@dataclass
-class PriorityState:
-    """Per-parameter selection weights: recent squared change plus a floor."""
-
-    m: int
-    eps: float = 1e-6
-    weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigurationError("priority floor eps must be > 0")
-        self.weights = np.full(self.m, self.eps)
-
-    def observe(self, changes: dict[int, float]) -> None:
-        """Record A_j(t-1) - A_j(t-2) for the coordinates updated this round."""
-        vals = np.fromiter(changes.values(), float, len(changes))
-        self.weights[list(changes)] = vals * vals + self.eps
-
-
 def prioritize_sample(
-    priority: PriorityState,
-    count: int,
-    rng: np.random.Generator,
-    explore: float = 0.1,
+    weights: np.ndarray, count: int, rng: np.random.Generator
 ) -> list[int]:
     """Sample `count` distinct indices with probability proportional to weight.
 
-    A uniform `explore` fraction is mixed in so indices whose weight has
+    A uniform `_EXPLORE` share is mixed in so indices whose weight has
     decayed to the floor are still revisited occasionally; without it the
     sampler can starve coordinates that only become relevant after their
     correlated partners move.
     """
+    m = len(weights)
     if count <= 0:
         raise ConfigurationError("sample count must be > 0")
-    if count > priority.m:
-        raise ConfigurationError(f"cannot sample {count} of {priority.m} indices")
-    if not 0.0 <= explore <= 1.0:
-        raise ConfigurationError("explore fraction must be in [0, 1]")
-    p = priority.weights / priority.weights.sum()
-    p = (1.0 - explore) * p + explore / priority.m
-    return sorted(rng.choice(priority.m, size=count, replace=False, p=p).tolist())
+    if count > m:
+        raise ConfigurationError(f"cannot sample {count} of {m} indices")
+    p = weights / weights.sum()
+    p = (1.0 - _EXPLORE) * p + _EXPLORE / m
+    return sorted(rng.choice(m, size=count, replace=False, p=p).tolist())
 
 
 def balance_load(costs, P: int) -> list[list[int]]:
@@ -212,6 +194,16 @@ def build_rotation_plan(doc_token_counts, V: int, P: int) -> RotationPlan:
     return RotationPlan(doc_ranges=ranges, word_buckets=buckets)
 
 
+def _pool_size(m: int, P: int, pool_size: int | None) -> int:
+    """Candidates a round: `pool_size`, by default max(8P, 32), at most m."""
+    return min(m, pool_size or max(P * 8, 32))
+
+
+def _deal(picks: list[int], P: int) -> list[list[int]]:
+    """Pick i goes to worker i mod P."""
+    return [picks[p::P] for p in range(P)]
+
+
 class SapScheduler:
     """rounds(): prioritize a candidate pool, dependency-check it into
     independent subsets, and balance the subsets across P workers.
@@ -231,19 +223,18 @@ class SapScheduler:
         self.X = X
         self.gram = X.T @ X if gram is None else gram
         self.P = P
-        self.kappa = kappa
         m = X.shape[1]
-        self.pool_size = min(m, pool_size or max(P * 8, 32))
-        self.priority = PriorityState(m=m)
+        self.pool_size = _pool_size(m, P, pool_size)
+        self.weights = np.full(m, _PRIORITY_FLOOR)
         self.rng = np.random.default_rng(seed)
         self.graph = DependencyGraph(self.gram, kappa)
         self.column_costs = np.maximum(np.count_nonzero(X, axis=0), 1)
         self._last_emitted: list[int] = []
 
     def rounds(self, t: int, values) -> list[list[int]]:
-        candidates = prioritize_sample(self.priority, self.pool_size, self.rng)
+        candidates = prioritize_sample(self.weights, self.pool_size, self.rng)
         self._last_emitted = candidates
-        subsets = build_independent_subsets(candidates, self.kappa, self.X, self.graph)
+        subsets = build_independent_subsets(candidates, self.X, self.graph)
         starts = np.cumsum([0] + [len(s) for s in subsets[:-1]])
         costs = np.add.reduceat(self.column_costs[list(chain.from_iterable(subsets))],
                                 starts).tolist()
@@ -252,8 +243,9 @@ class SapScheduler:
     def observe(self, changes: dict[int, float]) -> None:
         # emitted coordinates that did not move drop back to the floor,
         # otherwise their pre-convergence weights keep winning the sample
-        self.priority.weights[self._last_emitted] = self.priority.eps
-        self.priority.observe(changes)
+        self.weights[self._last_emitted] = _PRIORITY_FLOOR
+        vals = np.fromiter(changes.values(), float, len(changes))
+        self.weights[list(changes)] = vals * vals + _PRIORITY_FLOOR
 
 
 class RandomScheduler:
@@ -262,15 +254,12 @@ class RandomScheduler:
     def __init__(self, m: int, P: int, pool_size: int | None = None, seed: int = 0):
         self.m = m
         self.P = P
-        self.pool_size = min(m, pool_size or max(P * 8, 32))
+        self.pool_size = _pool_size(m, P, pool_size)
         self.rng = np.random.default_rng(seed)
 
     def rounds(self, t: int, values) -> list[list[int]]:
         picks = self.rng.choice(self.m, size=self.pool_size, replace=False)
-        out: list[list[int]] = [[] for _ in range(self.P)]
-        for i, j in enumerate(picks.tolist()):
-            out[i % self.P].append(j)
-        return out
+        return _deal(picks.tolist(), self.P)
 
     def observe(self, changes: dict[int, float]) -> None:
         pass
@@ -282,16 +271,13 @@ class RoundRobinScheduler:
     def __init__(self, m: int, P: int, pool_size: int | None = None):
         self.m = m
         self.P = P
-        self.pool_size = min(m, pool_size or max(P * 8, 32))
+        self.pool_size = _pool_size(m, P, pool_size)
         self.cursor = 0
 
     def rounds(self, t: int, values) -> list[list[int]]:
         picks = [(self.cursor + i) % self.m for i in range(self.pool_size)]
         self.cursor = (self.cursor + self.pool_size) % self.m
-        out: list[list[int]] = [[] for _ in range(self.P)]
-        for i, j in enumerate(picks):
-            out[i % self.P].append(j)
-        return out
+        return _deal(picks, self.P)
 
     def observe(self, changes: dict[int, float]) -> None:
         pass

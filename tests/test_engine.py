@@ -4,7 +4,6 @@ import pytest
 from icflow.engine import (
     FixedBlockScheduler,
     StoppingCriterion,
-    UpdateDelta,
     run_model_parallel,
 )
 from icflow.errors import (
@@ -12,11 +11,6 @@ from icflow.errors import (
     NonFiniteObjectiveError,
     SchedulingConflictError,
 )
-
-
-def test_update_delta_drops_explicit_zeros():
-    d = UpdateDelta(payload={1: 0.0, 2: 3.5}, timestamp=0, origin=0)
-    assert d.payload == {2: 3.5}
 
 
 def test_stopping_criterion_validation():

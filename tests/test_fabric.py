@@ -30,26 +30,6 @@ def test_header_is_25_bytes():
     assert HEADER_BYTES == 25
 
 
-def test_dense_round_trip_and_size():
-    rng = np.random.default_rng(0)
-    for shape, (K, D) in (((7,), (1, 7)), ((3, 5), (3, 5))):
-        arr = rng.normal(size=shape)
-        d = UpdateDelta(payload=arr, timestamp=12, origin=3)
-        wire = encode_delta(d, Codec.FULL)
-        assert len(wire) == full_codec_size(K, D) == HEADER_BYTES + 8 * arr.size
-        back = decode_delta(wire)
-        assert np.array_equal(back.payload, arr)
-        assert back.timestamp == 12 and back.origin == 3
-
-
-def test_sparse_round_trip_and_size():
-    d = UpdateDelta(payload={5: 1.25, 2: -0.5}, timestamp=7, origin=1)
-    wire = encode_delta(d, Codec.FULL)
-    assert len(wire) == sparse_codec_size(2) == HEADER_BYTES + 12 * 2
-    back = decode_delta(wire)
-    assert back.payload == {2: -0.5, 5: 1.25}
-
-
 def test_sf_round_trip_is_bit_exact():
     rng = np.random.default_rng(1)
     K, D, S = 6, 4, 3
@@ -58,6 +38,7 @@ def test_sf_round_trip_is_bit_exact():
     wire = encode_delta(d, Codec.SUFFICIENT_FACTOR)
     assert len(wire) == sf_codec_size(K, D, S)
     back = decode_delta(wire)
+    assert back.timestamp == 9 and back.origin == 2
     recon = gradient_from_factors(back.payload, K, D)
     expect = gradient_from_factors(factors, K, D)
     assert np.array_equal(recon, expect)
@@ -76,6 +57,14 @@ def test_sf_mismatched_factor_shapes_rejected():
         encode_delta(d, Codec.SUFFICIENT_FACTOR)
 
 
+def test_only_the_sufficient_factor_codec_encodes():
+    d = UpdateDelta(payload=[(np.ones(2), np.ones(3))], timestamp=0, origin=0)
+    with pytest.raises(ConfigurationError):
+        encode_delta(d, Codec.FULL)
+    assert full_codec_size(2, 3) == HEADER_BYTES + 8 * 6
+    assert sparse_codec_size(2) == HEADER_BYTES + 12 * 2
+
+
 def test_published_mlr_shape_compression_ratio():
     # 325k x 10k parameter matrix, 100 factor pairs
     full = full_codec_size(325_000, 10_000)
@@ -88,16 +77,20 @@ def test_published_mlr_shape_compression_ratio():
 
 def test_decode_errors_carry_offsets():
     with pytest.raises(DecodeError) as e:
-        decode_delta(b"\x01\x02")
+        decode_delta(b"\x03\x02")
     assert e.value.offset == 2
+    factors = [(np.zeros(2), np.zeros(3))] * 2
     wire = encode_delta(
-        UpdateDelta(payload=np.zeros(4), timestamp=0, origin=0), Codec.FULL
+        UpdateDelta(payload=factors, timestamp=0, origin=0), Codec.SUFFICIENT_FACTOR
     )
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError) as e:
         decode_delta(wire[:-3])
-    bad_tag = b"\x09" + wire[1:]
-    with pytest.raises(DecodeError):
-        decode_delta(bad_tag)
+    assert e.value.offset == len(wire) - 3
+    # tags 1 and 2, the dense and sparse forms, are not on the wire
+    for tag in (b"\x01", b"\x02", b"\x09"):
+        with pytest.raises(DecodeError) as e:
+            decode_delta(tag + wire[1:])
+        assert e.value.offset == 0
 
 
 def halton_neighbors(i, P):

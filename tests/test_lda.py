@@ -401,9 +401,9 @@ def test_rotation_detects_corrupted_counts(monkeypatch):
     real_assign = lda._assign
 
     def corrupted(*args, **kwargs):
-        state, *flat = real_assign(*args, **kwargs)
-        state.word_topic[corpus[0][0], state.z[0][0]] = 0
-        return (state, *flat)
+        state, starts, docs, words, z = real_assign(*args, **kwargs)
+        state.word_topic[corpus[0][0], z[0]] = 0  # the first token's topic
+        return state, starts, docs, words, z
 
     monkeypatch.setattr(lda, "_assign", corrupted)
     with pytest.raises(StateCorruptionError, match=f"word {corpus[0][0]}"):

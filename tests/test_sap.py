@@ -11,7 +11,6 @@ from icflow.errors import ConfigurationError
 from icflow.simcluster import LassoModelParallelWorkload, SimCluster, SimConfig
 from icflow.sap import (
     DependencyGraph,
-    PriorityState,
     RandomScheduler,
     RoundRobinScheduler,
     SapScheduler,
@@ -50,7 +49,7 @@ def test_independent_subsets_separate_weak_pairs():
         np.column_stack([base[:, 0], base[:, 0], base[:, 1], base[:, 1], base[:, 2]])
     )
     graph = DependencyGraph(X.T @ X, 0.5)
-    subsets = build_independent_subsets(range(5), 0.5, X, graph)
+    subsets = build_independent_subsets(range(5), X, graph)
     assert [0, 1] in subsets and [2, 3] in subsets and [4] in subsets
     # every cross-subset pair is below the threshold
     for a, sa in enumerate(subsets):
@@ -62,9 +61,11 @@ def test_independent_subsets_separate_weak_pairs():
                     assert dependency_check(j, k, X) < 0.5
 
 
-def _pairwise_subsets(candidates, kappa, X, graph=None):
-    """Reference grouping: one dependency_check per candidate pair, union-find,
-    then the same ordering as build_independent_subsets (`graph` is unused)."""
+def _pairwise_subsets(candidates, X, graph):
+    """Reference grouping at the graph's kappa: one dependency_check per
+    candidate pair, union-find, then the same ordering as
+    build_independent_subsets (the graph's pairs are unused)."""
+    kappa = graph.kappa
     cand = sorted(set(candidates))
     if not cand:
         return []
@@ -109,9 +110,8 @@ def _random_cases():
 
 def test_blocked_grouping_matches_pairwise_reference():
     for X, candidates, kappa in _random_cases():
-        graph = DependencyGraph(X.T @ X, kappa)
-        args = (candidates, kappa, X)
-        assert build_independent_subsets(*args, graph) == _pairwise_subsets(*args)
+        args = (candidates, X, DependencyGraph(X.T @ X, kappa))
+        assert build_independent_subsets(*args) == _pairwise_subsets(*args)
 
 
 def _assert_graph_pairs_equal_block_pairs(gram, kappa, candidates):
@@ -137,8 +137,8 @@ def test_graph_pairs_match_the_thresholded_block():
     for candidates in ([], [17], [5, 9, 5, 30, 9, 9, 41]):
         _assert_graph_pairs_equal_block_pairs(gram, 0.3, candidates)
         graph = DependencyGraph(gram, 0.3)
-        assert (build_independent_subsets(candidates, 0.3, X, graph)
-                == _pairwise_subsets(candidates, 0.3, X))
+        assert (build_independent_subsets(candidates, X, graph)
+                == _pairwise_subsets(candidates, X, graph))
     # a pair within 1e-9 of kappa, on either side, is in the graph; past it, not
     w = abs(gram[2, 3])
     for kappa, inside in ((w - 5e-10, True), (w + 5e-10, True), (w + 2e-9, False)):
@@ -155,8 +155,7 @@ def test_graph_build_holds_no_dense_temporary_and_keeps_its_kappa():
     finally:
         tracemalloc.stop()
     assert peak < gram.nbytes / 4
-    with pytest.raises(ConfigurationError):
-        build_independent_subsets(range(10), 0.2, X, graph)
+    assert graph.kappa == 0.1
 
 
 def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
@@ -172,10 +171,10 @@ def test_pair_at_exactly_kappa_is_joined_through_the_oracle(monkeypatch):
 
     monkeypatch.setattr(sap, "dependency_check", counting_check)
     graph = DependencyGraph(X.T @ X, kappa)
-    subsets = build_independent_subsets(range(40), kappa, X, graph)
+    subsets = build_independent_subsets(range(40), X, graph)
     assert (j, k) in oracle_calls
     assert [j, k] in subsets
-    assert subsets == _pairwise_subsets(range(40), kappa, X)
+    assert subsets == _pairwise_subsets(range(40), X, graph)
 
 
 def test_sap_scheduler_rounds_match_pairwise_reference(monkeypatch):
@@ -227,38 +226,40 @@ def test_a_scheduler_built_from_x_alone_computes_its_gram():
 
 
 def test_priority_state_observe_and_floor():
-    ps = PriorityState(m=4, eps=1e-6)
-    assert np.allclose(ps.weights, 1e-6)
-    ps.observe({1: 2.0, 3: -3.0})
-    assert ps.weights[1] == pytest.approx(4.0 + 1e-6)
-    assert ps.weights[3] == pytest.approx(9.0 + 1e-6)
-    with pytest.raises(ConfigurationError):
-        PriorityState(m=2, eps=0.0)
+    X = unit_cols(gen_lasso(50, 6, 2, seed=1).X)
+    sched = SapScheduler(X, P=1, pool_size=3, seed=0)
+    assert np.array_equal(sched.weights, np.full(6, 1e-6))
+    sched.observe({0: 5.0, 2: 1.0})
+    assert sched.weights[0] == 25.0 + 1e-6 and sched.weights[2] == 1.0 + 1e-6
+    emitted = [j for blk in sched.rounds(0, None) for j in blk]
+    assert 0 in emitted and 2 not in emitted
+    sched.observe({1: 2.0, 3: -3.0})
+    # emitted coordinates that did not move drop back to the floor; the
+    # others keep their weights
+    expected = np.full(6, 1e-6)
+    expected[[1, 2, 3]] = 4.0 + 1e-6, 1.0 + 1e-6, 9.0 + 1e-6
+    assert np.array_equal(sched.weights, expected)
 
 
 def test_prioritize_sample_prefers_heavy_weights():
-    ps = PriorityState(m=10, eps=1e-9)
-    ps.observe({0: 10.0, 1: 10.0})
+    weights = np.full(10, 1e-6)
+    weights[:2] = 100.0
     rng = np.random.default_rng(3)
-    hits = 0
-    for _ in range(200):
-        picked = prioritize_sample(ps, 2, rng, explore=0.0)
-        hits += int(0 in picked) + int(1 in picked)
-    assert hits > 380  # nearly always both heavy coordinates
-    # with exploration mixed in, light coordinates still get sampled
-    light = 0
+    hits = light = 0
     for _ in range(500):
-        picked = prioritize_sample(ps, 2, rng, explore=0.5)
+        picked = prioritize_sample(weights, 2, rng)
+        hits += int(0 in picked) + int(1 in picked)
         light += sum(1 for j in picked if j >= 2)
-    assert light > 0
-    with pytest.raises(ConfigurationError):
-        prioritize_sample(ps, 2, rng, explore=1.5)
-    picked = prioritize_sample(ps, 10, rng)
+    # with a tenth of the probability spread uniformly, each draw takes a
+    # heavy coordinate with probability 0.92 (then 0.85): both heavy
+    # coordinates are mostly picked, and light ones still are at times
+    assert hits > 800 and light > 60
+    picked = prioritize_sample(weights, 10, rng)
     assert sorted(picked) == list(range(10))
     with pytest.raises(ConfigurationError):
-        prioritize_sample(ps, 0, rng)
+        prioritize_sample(weights, 0, rng)
     with pytest.raises(ConfigurationError):
-        prioritize_sample(ps, 11, rng)
+        prioritize_sample(weights, 11, rng)
 
 
 def brute_force_makespan(costs, P):
@@ -347,7 +348,7 @@ def test_sap_scheduler_emits_disjoint_balanced_rounds():
     flat = [j for blk in rounds for j in blk]
     assert len(flat) == len(set(flat)) == sched.pool_size
     sched.observe({0: 1.0})
-    assert sched.priority.weights[0] > sched.priority.weights[1]
+    assert sched.weights[0] > sched.weights[1]
 
 
 def test_baseline_schedulers_cover_pool():
@@ -357,4 +358,8 @@ def test_baseline_schedulers_cover_pool():
     rr = RoundRobinScheduler(m=10, P=2, pool_size=10)
     flat = sorted(j for blk in rr.rounds(0, None) for j in blk)
     assert flat == list(range(10))
+    # pick i goes to worker i mod P, and the cursor moves on by the pool
+    rr = RoundRobinScheduler(m=10, P=3, pool_size=7)
+    assert rr.rounds(0, None) == [[0, 3, 6], [1, 4], [2, 5]]
+    assert rr.rounds(1, None) == [[7, 0, 3], [8, 1], [9, 2]]
 

@@ -599,6 +599,7 @@ def _forgeries(events, P):
     apply_ = next(e for e in events if e.event == "apply")
     other = (commit.worker + 1) % P
     unfinished = [e for e in events if e.event != "finish"]
+    at = events.index(commit) + 1
     return [
         ("tick regression", "ticks_non_decreasing",
          events[:mid] + [events[mid]._replace(tick=-1)] + events[mid + 1:]),
@@ -610,6 +611,14 @@ def _forgeries(events, P):
          plus((last, "block", 0, 0, 0, 0, 0, 0), (last, "block", 0, 0, 0, 0, 0, 0))),
         ("dangling block", "block_unblock_matched",
          unfinished + [TraceEvent(last, "block", 2, 0, 0, 0, 0, 0)]),
+        ("unblock without block", "block_unblock_matched",
+         plus((last, "unblock", 0, 0, 0, 0, 0, 0))),
+        ("duplicate commit seq", "staleness_protocol",
+         events[:at] + [commit] + events[at:]),
+        ("apply of an unknown seq", "staleness_protocol",
+         plus((last, "apply", other, 0, 10**6, 0, 1, 37))),
+        ("read while blocked", "staleness_protocol",
+         plus((last, "block", 0, 0, 0, 0, 0, 0), (last, "read", 0, 0, 0, 0, 0, 0))),
         ("self-apply", "staleness_protocol",
          plus((last, "apply", commit.worker, 0, commit.seq, commit.timestamp, 1, 37))),
         ("double-apply", "staleness_protocol", events + [apply_]),
