@@ -7,9 +7,10 @@ sub-epochs, and only the shared topic totals are read from a stale snapshot
 within a sub-epoch. Because the workers of a sub-epoch share no count row,
 ``sample_blocks`` runs them in lockstep, one (P, K) numpy step per token
 position, with the same draws and results as sampling block after block
-with ``gibbs_token_update``. ``lda_log_likelihood`` needs no scipy: each
-log-gamma argument is an integer count plus a prior, so it sums a table of
-``math.lgamma`` values indexed by count.
+with ``gibbs_token_update``, on one float64 ``count_table``; the state it
+returns holds int64 tables. ``lda_log_likelihood`` needs no scipy: each
+log-gamma argument is a whole-number count plus a prior, so it sums a table
+of ``math.lgamma`` values indexed by count.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ def _assign(
 
 def _per_doc(z: np.ndarray, starts: np.ndarray) -> list[list[int]]:
     """The flat per-token values ``z`` as one list per document."""
-    # split at every start but the first: N + 1 pieces, the last one empty
-    return [zd.tolist() for zd in np.split(z, starts[1:])[:-1]]
+    flat, bounds = z.tolist(), starts.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def init_state(
@@ -149,15 +150,17 @@ def sweep_sequential(
 
 
 def _lgamma_sum(counts: np.ndarray, shift: float) -> float:
-    """``np.sum(gammaln(counts + shift))`` for an array of non-negative int
-    counts: lgamma is evaluated once per value 0..max, and the looked-up
+    """``np.sum(gammaln(counts + shift))`` for an array of non-negative whole
+    numbers: lgamma is evaluated once per value 0..max, and the looked-up
     values are summed in the same shape, hence in the same order."""
     if counts.size == 0:
         return 0.0
-    if counts.min() < 0:
-        raise StateCorruptionError(f"negative count {counts.min()} in the log-likelihood")
-    table = np.array([lgamma(n + shift) for n in range(int(counts.max()) + 1)])
-    return float(np.sum(table[counts]))
+    idx = counts.astype(np.int64)
+    if idx.min() < 0:
+        raise StateCorruptionError(f"negative count {idx.min()} in the log-likelihood")
+    table = np.array([lgamma(n + shift) for n in range(int(idx.max()) + 1)])
+    # the values overwrite idx; mode "raise" would buffer them in a second copy
+    return float(np.sum(table.take(idx, None, idx.view(np.float64), "clip")))
 
 
 def lda_log_likelihood(state: LdaState) -> float:
@@ -184,6 +187,16 @@ class RotationResult:
     schedule_log: list[tuple]
 
 
+def count_table(doc_topic: np.ndarray, word_topic: np.ndarray, totals: np.ndarray,
+                P: int) -> np.ndarray:
+    """``sample_blocks``' float64 table: the doc-topic rows (N), the
+    word-topic rows (V), ``totals`` once per block (P rows), 3·P spare rows."""
+    N, V = len(doc_topic), len(word_topic)
+    counts = np.zeros((N + V + 4 * P, doc_topic.shape[1]))
+    counts[:N], counts[N : N + V], counts[N + V : N + V + P] = doc_topic, word_topic, totals
+    return counts
+
+
 def sample_blocks(
     counts: np.ndarray,
     N: int,
@@ -197,68 +210,75 @@ def sample_blocks(
 ) -> None:
     """Resample P blocks of tokens in lockstep, one token per block a step.
 
-    ``counts`` stacks the doc-topic rows (N), the word-topic rows (V) and one
-    topic-totals row per block (P); block i reads and writes totals row
-    N + V + i. ``blocks[i]`` lists distinct global token ids (into ``z``,
-    ``docs`` and ``words``) in sampling order, ``uniforms[i]`` one draw per
-    token. The blocks must share no document and no word, so that no step
-    reads a row another block writes in that step: each block then gets
-    exactly the counts and draws it would get alone, and
-    ``gibbs_token_update``'s result.
+    ``counts`` is a ``count_table``, exact while every count is below 2**53;
+    block i reads and writes totals row N + V + i. ``blocks[i]`` lists
+    distinct global token ids (into ``z``, ``docs`` and ``words``) in
+    sampling order, ``uniforms[i]`` one draw per token. The blocks must share
+    no document and no word, so that no step reads a row another block writes
+    in that step: each block then gets exactly the counts and draws it would
+    get alone, and ``gibbs_token_update``'s result.
 
-    Each token is sampled once, so its old topic is read from ``z`` before
-    the first step and its new one written back after the last: a step is
-    only the dozen numpy calls whose per-call overhead sets its time.
+    Every step is P wide: a block out of tokens samples on its own three
+    spare rows, set to L + 1 so that L steps never empty them. Old topics are
+    read from ``z`` before the first step, and the new ones written back
+    after the last, once no decremented count of any step is negative.
     """
     P = len(blocks)
-    V = counts.shape[0] - N - P
+    V = counts.shape[0] - N - 4 * P
     K = counts.shape[1]
-    # longest first: the blocks still running at step j are a prefix
-    order = sorted(range(P), key=lambda i: -len(blocks[i]))
-    L = len(blocks[order[0]])
-    old = np.zeros((L, P), dtype=np.int64)
-    new = np.zeros((L, P), dtype=np.int64)
-    rows = np.zeros((L, 3, P), dtype=np.int64)  # doc, word and totals row
+    L = max(map(len, blocks))
+    spare = N + V + P
+    counts[spare:] = L + 1
+    old, new = np.zeros((2, L, P), dtype=np.int64)
+    # doc, word and totals row of each step and slot; spare rows by default
+    rows = np.empty((L, 3, P), dtype=np.int64)
+    rows[:] = spare + np.arange(3)[:, None] + 3 * np.arange(P)
     u = np.zeros((L, P, 1))
-    running = np.zeros(L, dtype=np.int64)
-    for slot, i in enumerate(order):
-        g = blocks[i]
+    for i, (g, ui) in enumerate(zip(blocks, uniforms)):
         n = len(g)
-        old[:n, slot] = z[g]
-        rows[:n, 0, slot] = docs[g]
-        rows[:n, 1, slot] = N + words[g]
-        rows[:, 2, slot] = N + V + i
-        u[:n, slot, 0] = uniforms[i]
-        running[:n] += 1
+        old[:n, i] = z[g]
+        rows[:n, 0, i] = docs[g]
+        rows[:n, 1, i] = N + words[g]
+        rows[:n, 2, i] = N + V + i
+        u[:n, i, 0] = ui
     row_at = rows * K  # flat index of each row's topic 0
     old_at = row_at + old[:, None, :]
     flat = counts.reshape(-1)
-    offset = np.array([alpha, beta, V * beta])[:, None, None]
-    for j, m in enumerate(running.tolist()):
-        at = old_at[j, :, :m]
-        c = flat[at]
-        c -= 1
-        flat[at] = c
-        if np.minimum.reduce(c, axis=None) < 0:
-            bad = int(np.flatnonzero((c < 0).any(axis=0))[0])
-            d, w = rows[j, 0, bad], rows[j, 1, bad] - N
-            raise StateCorruptionError(
-                f"negative count after decrement (doc {d}, word {w}, topic {old[j, bad]})"
-            )
-        x = counts.take(rows[j, :, :m], axis=0) + offset
-        # conditional_topic_distribution and rng.choice's cdf, row by row
-        q = x[0] * x[1]
-        q /= x[2]
-        q /= np.add.reduce(q, axis=1, keepdims=True)
-        np.add.accumulate(q, axis=1, out=q)
-        q /= q[:, -1:]
-        # the cdf is non-decreasing and ends in 1.0 > u, so its first entry
-        # above u is at searchsorted(u, side="right")
-        k = new[j, :m]
-        (q > u[j, :m]).argmax(axis=1, out=k)
-        flat[row_at[j, :, :m] + k] += 1
-    for slot, i in enumerate(order):
-        z[blocks[i]] = new[: len(blocks[i]), slot]
+    # every step's buffers; full shapes, as broadcasting slows a small ufunc
+    decremented, one = np.empty((L, 3, P)), np.ones((3, P))
+    x, offset = np.empty((2, 3, P, K))
+    offset[:] = np.array([alpha, beta, V * beta])[:, None, None]
+    q, cdf = np.empty((2, P, K))
+    x0, x1, x2, last, total = *x, cdf[:, -1:], np.empty((P, 1))
+    above, inc = np.empty((P, K), dtype=bool), np.empty((3, P), dtype=np.int64)
+    # corrupt counts may go negative, and divide by zero, until the check below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for at, r, uj, k, r_at, c in zip(old_at, rows, u, new, row_at, decremented):
+            flat.take(at, None, c, "clip")  # "raise" would buffer c
+            np.subtract(c, one, c)
+            flat[at] = c
+            counts.take(r, 0, x, "clip")
+            np.add(x, offset, x)
+            # conditional_topic_distribution and rng.choice's cdf, row by row
+            np.multiply(x0, x1, q)
+            np.divide(q, x2, q)
+            np.add.reduce(q, 1, None, total, True)
+            np.divide(q, total, q)
+            np.add.accumulate(q, 1, None, cdf)
+            np.divide(cdf, last, q)
+            # the cdf is non-decreasing and ends in 1.0 > u, so its first
+            # entry above u is at searchsorted(u, side="right")
+            np.greater(q, uj, above)
+            above.argmax(1, k)
+            np.add(r_at, k, inc)
+            flat[inc] += 1
+    bad = np.argwhere((decremented < 0).any(axis=1))
+    if len(bad):
+        j, i = bad[0]
+        raise StateCorruptionError(f"negative count after decrement (doc {rows[j, 0, i]}, "
+                                   f"word {rows[j, 1, i] - N}, topic {old[j, i]})")
+    for i, g in enumerate(blocks):
+        z[g] = new[: len(g), i]
 
 
 def run_rotation(
@@ -292,10 +312,10 @@ def run_rotation(
         ids = (np.argsort(in_bucket, kind="stable") + starts[lo]).astype(np.int32)
         ends = np.cumsum(np.bincount(in_bucket, minlength=P))
         block_ids.append(np.split(ids, ends[:-1]))
-    counts = np.empty((N + V + P, K), dtype=np.int64)
-    counts[:N], counts[N : N + V] = state.doc_topic, state.word_topic
+    counts = count_table(state.doc_topic, state.word_topic, state.topic_totals, P)
     state.doc_topic, state.word_topic = counts[:N], counts[N : N + V]
-    local_totals = counts[N + V :]
+    state.topic_totals = state.topic_totals.astype(np.float64)
+    local_totals = counts[N + V : N + V + P]
     lls: list[float] = []
     schedule_log: list[tuple] = []
     for epoch in range(epochs):
@@ -313,6 +333,12 @@ def run_rotation(
                           state.alpha, state.beta)
             state.topic_totals += (local_totals - state.topic_totals).sum(axis=0)
         lls.append(lda_log_likelihood(state))
+    # int64 again in the same buffer, a few rows at a time: no second table
+    ints, step = counts.view(np.int64), max(1, (1 << 14) // K)
+    for lo in range(0, len(counts), step):
+        ints[lo : lo + step] = counts[lo : lo + step]
+    state.doc_topic, state.word_topic = ints[:N], ints[N : N + V]
+    state.topic_totals = state.topic_totals.astype(np.int64)
     state.z = _per_doc(z, starts)
     return RotationResult(state, plan, lls, schedule_log)
 

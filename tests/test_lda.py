@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -6,6 +8,7 @@ from icflow.algorithms import lda
 from icflow.algorithms.lda import (
     LdaState,
     conditional_topic_distribution,
+    count_table,
     gibbs_token_update,
     init_state,
     lda_log_likelihood,
@@ -387,9 +390,7 @@ def test_sample_blocks_matches_token_update_on_cdf_boundaries(K):
                 expected.append(gibbs_token_update(
                     ref, d, w, i, _FixedDraw(u), totals=ref.topic_totals.copy()
                 ))
-            counts = np.vstack(
-                [state.doc_topic, state.word_topic, np.tile(state.topic_totals, (P, 1))]
-            )
+            counts = count_table(state.doc_topic, state.word_topic, state.topic_totals, P)
             z = np.concatenate([np.asarray(zd, dtype=np.int64) for zd in state.z])
             sample_blocks(counts, len(corpus), z, docs, words, blocks,
                           [np.array([u]) for u in us], state.alpha, state.beta)
@@ -456,9 +457,97 @@ def test_sample_blocks_matches_token_update_on_a_flat_cdf():
                 ref, d, d, 0, _FixedDraw(u), totals=ref.topic_totals.copy()))
         assert expected == topics
         state = fresh()
-        counts = np.vstack([state.doc_topic, state.word_topic,
-                            np.tile(state.topic_totals, (2, 1))])
+        counts = count_table(state.doc_topic, state.word_topic, state.topic_totals, 2)
         z = np.array([k, k], dtype=np.int64)
         sample_blocks(counts, N, z, docs, words, blocks,
                       [np.array([u]) for u in us], state.alpha, state.beta)
         assert z.tolist() == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("table", ["word_topic", "topic_totals"])
+def test_rotation_detects_counts_corrupted_at_a_later_step(monkeypatch, table):
+    """A count that first goes negative after a block's first step. Sampling
+    goes on to the last step before the check, and warns nowhere: V·beta is
+    1, so a topic total of -1 divides by zero in every step that reads it,
+    and its NaN cdf draws topic 0."""
+    V, K, P, seed = 100, 5, 2, 6
+    corpus = gen_lda(20, V, 3, 8, seed=5).docs
+    starts = np.cumsum([0] + [len(doc) for doc in corpus])
+    plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
+    z0 = lda._assign(corpus, V, K, np.random.default_rng(seed))[4]
+    # each worker's (token id, doc, word) in sub-epoch 0, in sampling order
+    blocks = [[(starts[d] + i, d, w) for d in range(lo, hi)
+               for i, w in enumerate(corpus[d]) if w in plan.word_buckets[b]]
+              for (lo, hi), b in (plan.block(p, 0) for p in range(P))]
+    if table == "word_topic":
+        # worker 0's first token at step 2 or later with a word new to its block
+        j = next(j for j in range(2, len(blocks[0]))
+                 if all(w != blocks[0][j][2] for _, _, w in blocks[0][:j]))
+        t, d, w = blocks[0][j]
+        row, topic = w, z0[t]
+    else:
+        # a topic no first token holds; the first (step, worker) holding it
+        topic = next(k for k in range(1, K) if all(z0[b[0][0]] != k for b in blocks))
+        j, p = min((j, p) for p, block in enumerate(blocks)
+                   for j, (t, _, _) in enumerate(block) if z0[t] == topic)
+        t, d, w = blocks[p][j]
+        row = None
+    assert j > 0
+    real_assign = lda._assign
+    seen = {}
+
+    def corrupted(*args, **kwargs):
+        state, starts_, docs, words, z = real_assign(*args, **kwargs)
+        if row is None:
+            state.topic_totals[topic] = -1
+        else:
+            state.word_topic[row, topic] = 0
+        seen.update(z=z, before=z.copy())
+        return state, starts_, docs, words, z
+
+    monkeypatch.setattr(lda, "_assign", corrupted)
+    with pytest.raises(StateCorruptionError) as e:
+        run_rotation(corpus, V=V, K=K, P=P, epochs=1, seed=seed)
+    assert str(e.value) == (
+        f"negative count after decrement (doc {d}, word {w}, topic {topic})")
+    assert np.array_equal(seen["z"], seen["before"])
+
+
+def test_rotation_returns_int64_tallies_of_its_z():
+    # the corpus of test_rotation_is_bit_identical_with_empty_and_uneven_blocks:
+    # most steps sample some block on its spare rows
+    corpus = gen_lda(20, 16, 3, 6, seed=3).docs
+    corpus[4] = []
+    corpus[-1] = [5] * 100
+    K = 7
+    state = run_rotation(corpus, 16, K, 4, epochs=2, seed=9).state
+    doc_topic = np.zeros((len(corpus), K), dtype=np.int64)
+    word_topic = np.zeros((16, K), dtype=np.int64)
+    for d, (doc, zd) in enumerate(zip(corpus, state.z)):
+        assert len(zd) == len(doc)
+        for w, k in zip(doc, zd):
+            doc_topic[d, k] += 1
+            word_topic[w, k] += 1
+    for table, tally in ((state.doc_topic, doc_topic), (state.word_topic, word_topic),
+                         (state.topic_totals, word_topic.sum(axis=0))):
+        assert table.dtype == np.int64
+        assert np.array_equal(table, tally)
+
+
+def test_rotation_holds_one_count_table_at_a_time():
+    """Building the float64 table holds the int doc and word tables beside it
+    (N + V rows); the step buffers are about 8·P rows. Converting the table
+    back with ``astype`` would hold a second full table (N + V + 4·P rows),
+    and a float copy in the log-likelihood 2·V rows beside it."""
+    N, V, K, P = 64, 256, 1000, 32
+    corpus = gen_lda(N, V, 4, 4, seed=0).docs
+    run_rotation(corpus, V, K, P, epochs=1, seed=0)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        run_rotation(corpus, V, K, P, epochs=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (N + V + 4 * P) * K * 8
+    assert peak < table + (N + V + 2 * P) * K * 8
