@@ -7,10 +7,12 @@ sub-epochs, and only the shared topic totals are read from a stale snapshot
 within a sub-epoch. Because the workers of a sub-epoch share no count row,
 ``sample_blocks`` runs them in lockstep, one (P, K) numpy step per token
 position, with the same draws and results as sampling block after block
-with ``gibbs_token_update``, on one float64 ``count_table``; the state it
-returns holds int64 tables. ``lda_log_likelihood`` needs no scipy: each
-log-gamma argument is a whole-number count plus a prior, so it sums a table
-of ``math.lgamma`` values indexed by count.
+with ``gibbs_token_update``. Every count table is float64 (exact below
+2**53) from ``_assign``'s first tally to the returned state; in
+``run_rotation`` the doc-topic and word-topic tables are row views of the
+one table that ``sample_blocks`` samples on. ``lda_log_likelihood`` needs no
+scipy: each log-gamma argument is a whole-number count plus a prior, so it
+sums a table of ``math.lgamma`` values indexed by count.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ from ..sap import RotationPlan, build_rotation_plan
 
 @dataclass
 class LdaState:
-    doc_topic: np.ndarray  # (N, K) int
-    word_topic: np.ndarray  # (V, K) int
-    topic_totals: np.ndarray  # (K,) int
+    doc_topic: np.ndarray  # (N, K) float64 whole numbers
+    word_topic: np.ndarray  # (V, K) float64 whole numbers
+    topic_totals: np.ndarray  # (K,) float64 whole numbers
     z: list  # per-doc list of token topic assignments
     alpha: float
     beta: float
@@ -43,11 +45,14 @@ class LdaState:
 
 
 def _assign(
-    corpus: list[list[int]], V: int, K: int, rng: np.random.Generator
+    corpus: list[list[int]], V: int, K: int, rng: np.random.Generator, spare: int
 ) -> tuple[LdaState, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``init_state``'s state without its per-document ``z`` lists, then the
     flat arrays it was built from: the N + 1 document start offsets, and each
-    token's document, word id and topic, all tokens in document order."""
+    token's document, word id and topic, all tokens in document order.
+
+    The doc-topic and word-topic tables are the first N and the next V rows
+    of one float64 table (their ``base``), followed by ``spare`` zero rows."""
     if K < 1 or V < 1:
         raise ConfigurationError("K and V must be >= 1")
     N = len(corpus)
@@ -63,10 +68,12 @@ def _assign(
         raise ConfigurationError(f"word id {w} out of range for V={V}")
     docs = np.repeat(np.arange(N), lengths)
     z = rng.integers(K, size=words.size)
-    doc_topic = np.bincount(docs * K + z, minlength=N * K).reshape(N, K)
-    word_topic = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
-    totals = np.bincount(z, minlength=K)
-    state = LdaState(doc_topic, word_topic, totals, [], 50.0 / K, 0.01)
+    counts = np.zeros((N + V + spare, K))
+    # one row block at a time, so only that block's int64 tally is held
+    counts[:N] = np.bincount(docs * K + z, minlength=N * K).reshape(N, K)
+    counts[N : N + V] = np.bincount(words * K + z, minlength=V * K).reshape(V, K)
+    totals = np.bincount(z, minlength=K).astype(np.float64)
+    state = LdaState(counts[:N], counts[N : N + V], totals, [], 50.0 / K, 0.01)
     return state, starts, docs, words, z
 
 
@@ -88,7 +95,7 @@ def init_state(
     One ``rng.integers(K, size=n)`` call draws the same topics, and leaves
     the generator in the same state, as n scalar ``rng.integers(K)`` calls.
     """
-    state, starts, _, _, z = _assign(corpus, V, K, rng)
+    state, starts, _, _, z = _assign(corpus, V, K, rng, 0)
     state.z = _per_doc(z, starts)
     return state
 
@@ -187,16 +194,6 @@ class RotationResult:
     schedule_log: list[tuple]
 
 
-def count_table(doc_topic: np.ndarray, word_topic: np.ndarray, totals: np.ndarray,
-                P: int) -> np.ndarray:
-    """``sample_blocks``' float64 table: the doc-topic rows (N), the
-    word-topic rows (V), ``totals`` once per block (P rows), 3·P spare rows."""
-    N, V = len(doc_topic), len(word_topic)
-    counts = np.zeros((N + V + 4 * P, doc_topic.shape[1]))
-    counts[:N], counts[N : N + V], counts[N + V : N + V + P] = doc_topic, word_topic, totals
-    return counts
-
-
 def sample_blocks(
     counts: np.ndarray,
     N: int,
@@ -210,8 +207,9 @@ def sample_blocks(
 ) -> None:
     """Resample P blocks of tokens in lockstep, one token per block a step.
 
-    ``counts`` is a ``count_table``, exact while every count is below 2**53;
-    block i reads and writes totals row N + V + i. ``blocks[i]`` lists
+    ``counts`` is float64, exact while every count is below 2**53: N
+    doc-topic rows, V word-topic rows, then a totals row per block (block i
+    reads and writes row N + V + i) and 3·P spare rows. ``blocks[i]`` lists
     distinct global token ids (into ``z``, ``docs`` and ``words``) in
     sampling order, ``uniforms[i]`` one draw per token. The blocks must share
     no document and no word, so that no step reads a row another block writes
@@ -299,7 +297,9 @@ def run_rotation(
     snapshot and reconciled afterwards. The P workers of a sub-epoch run in
     lockstep (``sample_blocks``).
     """
-    state, starts, docs, words, z = _assign(corpus, V, K, np.random.default_rng(seed))
+    state, starts, docs, words, z = _assign(corpus, V, K, np.random.default_rng(seed),
+                                            4 * P)
+    counts = state.doc_topic.base
     plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
     N = len(corpus)
     bucket_of = np.empty(V, dtype=np.int64)
@@ -312,9 +312,6 @@ def run_rotation(
         ids = (np.argsort(in_bucket, kind="stable") + starts[lo]).astype(np.int32)
         ends = np.cumsum(np.bincount(in_bucket, minlength=P))
         block_ids.append(np.split(ids, ends[:-1]))
-    counts = count_table(state.doc_topic, state.word_topic, state.topic_totals, P)
-    state.doc_topic, state.word_topic = counts[:N], counts[N : N + V]
-    state.topic_totals = state.topic_totals.astype(np.float64)
     local_totals = counts[N + V : N + V + P]
     lls: list[float] = []
     schedule_log: list[tuple] = []
@@ -333,12 +330,6 @@ def run_rotation(
                           state.alpha, state.beta)
             state.topic_totals += (local_totals - state.topic_totals).sum(axis=0)
         lls.append(lda_log_likelihood(state))
-    # int64 again in the same buffer, a few rows at a time: no second table
-    ints, step = counts.view(np.int64), max(1, (1 << 14) // K)
-    for lo in range(0, len(counts), step):
-        ints[lo : lo + step] = counts[lo : lo + step]
-    state.doc_topic, state.word_topic = ints[:N], ints[N : N + V]
-    state.topic_totals = state.topic_totals.astype(np.int64)
     state.z = _per_doc(z, starts)
     return RotationResult(state, plan, lls, schedule_log)
 

@@ -233,9 +233,9 @@ def read_corpus(path: str) -> tuple[list[list[int]], int]:
     is D, V and the number of triples, then `docID wordID count` triples with
     1-based ids, all fields separated by any whitespace: the line layout that
     `write_corpus` writes is not required. A field that is not an integer, a
-    wrong field count, a docID outside 1..D, a wordID outside 1..V, a
-    negative count, or more documents or tokens than an array can hold is a
-    configuration error."""
+    wrong field count, a D larger than the file's byte count, a docID
+    outside 1..D, a wordID outside 1..V, a negative count, or more tokens
+    than an array can hold is a configuration error."""
     try:
         nums = _read_int_fields(path)
     except (ValueError, OverflowError) as e:
@@ -243,6 +243,9 @@ def read_corpus(path: str) -> tuple[list[list[int]], int]:
     if len(nums) < 3 or nums[0] < 1 or nums[1] < 1:
         raise ConfigurationError(f"{path}: header must give D >= 1, V >= 1, nnz")
     D, V, nnz = nums[:3].tolist()
+    if D > (size := os.path.getsize(path)):
+        raise ConfigurationError(
+            f"{path}: header gives D = {D} documents in a file of {size} bytes")
     if len(nums) - 3 != 3 * nnz:
         raise ConfigurationError(
             f"{path}: expected {3 * nnz} triple fields, got {len(nums) - 3}")

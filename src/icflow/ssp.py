@@ -55,6 +55,8 @@ class TraceEvent(NamedTuple):
             nums = [int(parts[i]) for i in (0, 2, 3, 4, 5, 6, 7)]
         except ValueError as e:
             raise TraceParseError(line_number, str(e)) from None
+        if not all(-(2**63) <= n < 2**63 for n in nums):
+            raise TraceParseError(line_number, "integer outside int64")
         return cls(nums[0], parts[1], nums[1], nums[2], nums[3], nums[4], nums[5], nums[6])
 
 
@@ -67,11 +69,6 @@ _CHUNK_ROWS = 1024  # rows per piece of text that `Trace.to_text` writes
 # so a longer name is cut to a still unknown one, never to a known one.
 _TABLE_DTYPE = np.dtype([
     (name, f"<U{max(map(len, _EVENTS)) + 1}" if name == "event" else np.int64)
-    for name in TraceEvent._fields
-])
-# the same with Python integers, for a trace holding one beyond int64
-_WIDE_TABLE_DTYPE = np.dtype([
-    (name, _TABLE_DTYPE[name] if name == "event" else object)
     for name in TraceEvent._fields
 ])
 _EVENT_NAMES = np.array(sorted(_EVENTS))
@@ -128,11 +125,7 @@ class Trace:
         """The events as a structured array with one field per TraceEvent
         field, in trace order."""
         if self._table is None or len(self._table) != len(self):
-            rows = list(zip(*[self._fields()] * 8))
-            try:
-                self._table = np.array(rows, dtype=_TABLE_DTYPE)
-            except OverflowError:
-                self._table = np.array(rows, dtype=_WIDE_TABLE_DTYPE)
+            self._table = np.array(list(zip(*[self._fields()] * 8)), dtype=_TABLE_DTYPE)
         return self._table
 
     def __len__(self) -> int:

@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -417,9 +418,9 @@ def test_an_input_too_large_to_allocate_exits_2(tmp_path):
     # overcommit policy, so the test never touches real memory
     lda = "[algorithm]\nalgorithm = lda\ntopics = 2\n[runtime]\np = 1\n"
     configs = []
-    for name, D, V in (("many_docs", 10**15, 5), ("many_words", 2, 10**15)):
+    for name, V, count in (("many_tokens", 5, 10**15), ("many_words", 10**15, 2)):
         docs = tmp_path / f"{name}.txt"
-        docs.write_text(f"{D}\n{V}\n2\n1 1 2\n2 3 1\n")
+        docs.write_text(f"2\n{V}\n2\n1 1 {count}\n2 3 1\n")
         configs.append(write_cfg(tmp_path, f"[data]\ndocs = {docs}\n{lda}", f"{name}.cfg"))
     configs.append(write_cfg(tmp_path, f"[data]\nn = {10**14}\n[algorithm]\n"
                              "algorithm = lasso\n[runtime]\np = 1\n", "many_rows.cfg"))
@@ -743,6 +744,9 @@ def _reference_read_corpus(path):
     with open(path) as f:
         fields = f.read().split()
     D, V, nnz = int(fields[0]), int(fields[1]), int(fields[2])
+    if D > os.path.getsize(path):
+        raise ConfigurationError(f"{path}: header gives D = {D} documents in a file "
+                                 f"of {os.path.getsize(path)} bytes")
     docs = [[] for _ in range(D)]
     for i in range(nnz):
         d, w, c = (int(x) for x in fields[3 + 3 * i: 6 + 3 * i])
@@ -783,10 +787,12 @@ def test_corpus_ids_and_counts_are_checked(tmp_path):
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, bad
     # 2**63 tokens in all (past int64), 2**62 tokens (2**65 bytes) and 2**62
     # documents used to end in a ValueError from numpy
-    for triples, D in ((((1, 1, 2**62), (2, 3, 2**62)), 2), (((2, 1, 2**62),), 2),
-                       ((), 2**62)):
+    for triples, D, message in (
+            (((1, 1, 2**62), (2, 3, 2**62)), 2, "more than an array can hold"),
+            (((2, 1, 2**62),), 2, "more than an array can hold"),
+            ((), 2**62, f"header gives D = {2**62} documents in a file of 24 bytes")):
         corpus(*triples, D=D)
-        with pytest.raises(ConfigurationError, match="more than an array can hold"):
+        with pytest.raises(ConfigurationError, match=message):
             datasets.read_corpus(str(tmp_path / "docs.txt"))
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, (triples, D)
     # the last is not UTF-8, which used to end in a UnicodeDecodeError
@@ -796,6 +802,20 @@ def test_corpus_ids_and_counts_are_checked(tmp_path):
         with pytest.raises(ConfigurationError, match="docs.txt"):
             datasets.read_corpus(str(tmp_path / "docs.txt"))
         assert main(["--quiet", "run", cfg]) == EXIT_CONFIG, text
+
+
+def test_a_corpus_header_with_more_documents_than_bytes_exits_2(tmp_path, capsys):
+    # each document the header names costs memory; 11 bytes cannot back 10**5
+    docs = tmp_path / "docs.txt"
+    docs.write_text("100000\n8\n0\n")
+    cfg = write_cfg(tmp_path, f"[data]\ndocs = {docs}\n[algorithm]\nalgorithm = lda\n"
+                    "topics = 2\nepochs = 1\n[runtime]\np = 2\n")
+    t0 = time.monotonic()
+    assert main(["--out-dir", str(tmp_path / "out"), "--quiet", "run", cfg]) == EXIT_CONFIG
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        f"configuration error: {docs}: header gives D = 100000 documents "
+        "in a file of 11 bytes\n")
 
 
 # token -> the bytes that replace it; each keeps a file the C pass can read

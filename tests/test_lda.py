@@ -8,7 +8,6 @@ from icflow.algorithms import lda
 from icflow.algorithms.lda import (
     LdaState,
     conditional_topic_distribution,
-    count_table,
     gibbs_token_update,
     init_state,
     lda_log_likelihood,
@@ -361,7 +360,7 @@ def test_sample_blocks_matches_token_update_on_cdf_boundaries(K):
     V, P = 20, 3
     corpus = gen_lda(12, V, 3, 10, seed=K).docs
     plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
-    state = init_state(corpus, V, K, np.random.default_rng(K))
+    N = len(corpus)
     starts = np.cumsum([0] + [len(doc) for doc in corpus])
     # worker p's first token in bucket p: no shared document or word
     tokens = [
@@ -378,8 +377,6 @@ def test_sample_blocks_matches_token_update_on_cdf_boundaries(K):
         probe.topic_totals[old] -= 1
         cdf = np.cumsum(conditional_topic_distribution(probe, d, w))
         cdfs.append(cdf / cdf[-1])
-    docs = np.repeat(np.arange(len(corpus)), np.diff(starts))
-    words = np.concatenate(corpus)
     blocks = [np.array([starts[d] + i]) for d, i, _ in tokens]
     for k in range(K - 1):
         for below in (False, True):
@@ -390,9 +387,11 @@ def test_sample_blocks_matches_token_update_on_cdf_boundaries(K):
                 expected.append(gibbs_token_update(
                     ref, d, w, i, _FixedDraw(u), totals=ref.topic_totals.copy()
                 ))
-            counts = count_table(state.doc_topic, state.word_topic, state.topic_totals, P)
-            z = np.concatenate([np.asarray(zd, dtype=np.int64) for zd in state.z])
-            sample_blocks(counts, len(corpus), z, docs, words, blocks,
+            state, _, docs, words, z = lda._assign(corpus, V, K,
+                                                   np.random.default_rng(K), 4 * P)
+            counts = state.doc_topic.base
+            counts[N + V : N + V + P] = state.topic_totals
+            sample_blocks(counts, N, z, docs, words, blocks,
                           [np.array([u]) for u in us], state.alpha, state.beta)
             assert [int(z[g[0]]) for g in blocks] == expected
 
@@ -456,11 +455,11 @@ def test_sample_blocks_matches_token_update_on_a_flat_cdf():
             expected.append(gibbs_token_update(
                 ref, d, d, 0, _FixedDraw(u), totals=ref.topic_totals.copy()))
         assert expected == topics
-        state = fresh()
-        counts = count_table(state.doc_topic, state.word_topic, state.topic_totals, 2)
+        counts = np.zeros((N + V + 4 * 2, K))
+        counts[:N], counts[N : N + V], counts[N + V : N + V + 2] = doc_topic, word_topic, totals
         z = np.array([k, k], dtype=np.int64)
         sample_blocks(counts, N, z, docs, words, blocks,
-                      [np.array([u]) for u in us], state.alpha, state.beta)
+                      [np.array([u]) for u in us], 50.0 / K, 0.01)
         assert z.tolist() == expected
 
 
@@ -475,7 +474,7 @@ def test_rotation_detects_counts_corrupted_at_a_later_step(monkeypatch, table):
     corpus = gen_lda(20, V, 3, 8, seed=5).docs
     starts = np.cumsum([0] + [len(doc) for doc in corpus])
     plan = build_rotation_plan([len(doc) for doc in corpus], V, P)
-    z0 = lda._assign(corpus, V, K, np.random.default_rng(seed))[4]
+    z0 = lda._assign(corpus, V, K, np.random.default_rng(seed), 4 * P)[4]
     # each worker's (token id, doc, word) in sub-epoch 0, in sampling order
     blocks = [[(starts[d] + i, d, w) for d in range(lo, hi)
                for i, w in enumerate(corpus[d]) if w in plan.word_buckets[b]]
@@ -514,7 +513,7 @@ def test_rotation_detects_counts_corrupted_at_a_later_step(monkeypatch, table):
     assert np.array_equal(seen["z"], seen["before"])
 
 
-def test_rotation_returns_int64_tallies_of_its_z():
+def test_rotation_returns_float64_tallies_of_its_z():
     # the corpus of test_rotation_is_bit_identical_with_empty_and_uneven_blocks:
     # most steps sample some block on its spare rows
     corpus = gen_lda(20, 16, 3, 6, seed=3).docs
@@ -531,15 +530,17 @@ def test_rotation_returns_int64_tallies_of_its_z():
             word_topic[w, k] += 1
     for table, tally in ((state.doc_topic, doc_topic), (state.word_topic, word_topic),
                          (state.topic_totals, word_topic.sum(axis=0))):
-        assert table.dtype == np.int64
+        assert table.dtype == np.float64
         assert np.array_equal(table, tally)
 
 
 def test_rotation_holds_one_count_table_at_a_time():
-    """Building the float64 table holds the int doc and word tables beside it
-    (N + V rows); the step buffers are about 8·P rows. Converting the table
-    back with ``astype`` would hold a second full table (N + V + 4·P rows),
-    and a float copy in the log-likelihood 2·V rows beside it."""
+    """``_assign`` tallies straight into the float64 table, one row block at
+    a time, and the returned state keeps it, so the peak is the table plus
+    the larger of the step buffers (about 8·P rows) and the log-likelihood's
+    int64 index of the word rows (V rows, in ``_lgamma_sum``). Tallying into
+    int64 tables and copying them in would hold N + V more rows, and a
+    conversion back with ``astype`` a second full table."""
     N, V, K, P = 64, 256, 1000, 32
     corpus = gen_lda(N, V, 4, 4, seed=0).docs
     run_rotation(corpus, V, K, P, epochs=1, seed=0)  # numpy's first-call allocations
@@ -550,4 +551,4 @@ def test_rotation_holds_one_count_table_at_a_time():
     finally:
         tracemalloc.stop()
     table = (N + V + 4 * P) * K * 8
-    assert peak < table + (N + V + 2 * P) * K * 8
+    assert peak < table + (V + 2 * P) * K * 8

@@ -6,8 +6,9 @@ A module-level definition counts as reached when some code in src/ names it
 suite imports it. A method other than a dunder counts as reached when its
 name appears as an attribute in src/ outside its own body, or anywhere in the
 acceptance suite. Strings, docstrings included, do not count, and neither
-does an import that nothing then uses. Every attribute that src/ assigns on
-self, outside exception classes, is read somewhere.
+does an import that nothing then uses. Every module-level name that src/
+assigns, and every attribute that src/ assigns on self outside exception
+classes, is read somewhere.
 """
 import ast
 import pathlib
@@ -92,6 +93,30 @@ def test_every_assigned_attribute_is_read():
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and getattr(node.value, "id", None) == "self" and node.attr not in read}
     assert not unread, "attributes never read:\n" + "\n".join(sorted(unread))
+
+
+def test_every_module_level_name_is_read():
+    """A name that a module of src/ assigns at its top level, dunders aside,
+    is read (as a bare name or an attribute) somewhere in src/, or imported
+    by the acceptance suite; its own assignment is not a read."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    read = {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    unread = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for node in (n for t in targets for n in ast.walk(t)):
+                if isinstance(node, ast.Name) and not _is_dunder(node.id) \
+                        and node.id not in read:
+                    unread.append(f"{path.relative_to(SRC)}: {node.id}")
+    assert not unread, "module-level names never read:\n" + "\n".join(unread)
 
 
 def _callee(call: ast.Call):

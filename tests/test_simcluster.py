@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from icflow.algorithms.lasso import LassoCDProgram, LassoProblem
+from icflow.cli import EXIT_CONFIG, main
 from icflow.datasets import gen_lasso
 from icflow.engine import (
     FixedBlockScheduler,
@@ -644,15 +645,18 @@ def test_checkers_match_reference_on_forged_traces():
         assert check in [c.name for c in rep.checks if not c.ok], name
 
 
-def test_checkers_match_reference_beyond_int64():
+def test_replay_of_a_trace_beyond_int64_exits_2(tmp_path, capsys):
+    # no run writes an integer beyond int64, so the parse rejects one
     base = run_simulation(FuzzWorkload(12, 2, seed=1), SimConfig(P=2, max_clocks=3))
-    text = base.trace.to_text() + (
-        f"{2**70},msg_send,0,0,{2**64},0,1,37\n"
-        f"{2**70},clock,{-2**70},1,0,0,0,0\n"
-    )
-    trace = Trace.from_text(text)
-    rep, inv = _assert_checks_match_reference(trace, 0, 2, "beyond int64")
-    assert not rep.ok and not inv.ok
+    text = base.trace.to_text()
+    path = tmp_path / "trace.txt"
+    path.write_text(text + (f"{2**70},msg_send,0,0,{2**64},0,1,37\n"
+                            f"{2**70},clock,{-2**70},1,0,0,0,0\n"))
+    assert main(["--quiet", "replay", str(path), "--staleness", "0",
+                 "--workers", "2"]) == EXIT_CONFIG
+    line = len(text.splitlines()) + 1
+    assert capsys.readouterr().err == (
+        f"cannot parse trace: trace parse error at line {line}: integer outside int64\n")
 
 
 def _checked_run(sim, check):
