@@ -218,11 +218,12 @@ class SimResult:
 class SimCluster:
     """A message is a tuple (id, seqs, key_count, nbytes, timestamp,
     origin): it names commits by id, and their keys, values and wire sizes
-    live only in the store's log. A delivery's heap entry carries its link,
-    destination and message. Each link queue (`links`) is that link's
-    traffic record. A worker waits for its gate exactly when `wait_since[p]`
-    is set; it is done once the store has finished it, and computing
-    otherwise."""
+    live only in the store's log. Events wait in one list per tick
+    (`_events`), in push order, and `_ticks` is a heap of the ticks that
+    have one; a delivery's event carries its link, destination and message.
+    Each link queue (`links`) is that link's traffic record. A worker waits
+    for its gate exactly when `wait_since[p]` is set; it is done once the
+    store has finished it, and computing otherwise."""
 
     def __init__(self, workload, config: SimConfig):
         self.workload = workload
@@ -237,8 +238,8 @@ class SimCluster:
         self.blocked_ticks = [0] * P
         self.extra_passes = [0] * P
         self._extras_now = [0] * P  # extra passes at the worker's current clock
-        self.heap: list = []
-        self._heap_seq = 0
+        self._events: dict[int, list] = {}  # tick -> [(handler, args)] in push order
+        self._ticks: list[int] = []  # heap of the keys of `_events`
         self.global_values = np.zeros(workload.m)
         self.trajectory: list[np.ndarray] = []
         self.metrics: list[str] = []
@@ -255,9 +256,15 @@ class SimCluster:
     # -- event plumbing -----------------------------------------------------
 
     def _push(self, tick: int, handler: Callable, *args) -> None:
-        """Schedule `handler(*args, tick)`; equal ticks run in push order."""
-        heapq.heappush(self.heap, (tick, self._heap_seq, handler, args))
-        self._heap_seq += 1
+        """Schedule `handler(*args, tick)`; equal ticks run in push order. An
+        event pushed for the tick being run starts a fresh list, which runs
+        after the current one."""
+        bucket = self._events.get(tick)
+        if bucket is None:
+            self._events[tick] = [(handler, args)]
+            heapq.heappush(self._ticks, tick)
+        else:
+            bucket.append((handler, args))
 
     # -- network ------------------------------------------------------------
 
@@ -431,12 +438,14 @@ class SimCluster:
         for p in range(self.cfg.P):
             self._maybe_start(p, 0)
         last_tick = 0
-        while self.heap:
-            tick, _, handler, args = heapq.heappop(self.heap)
+        events, ticks, pop = self._events, self._ticks, heapq.heappop
+        while ticks:
+            tick = pop(ticks)
             if tick < last_tick:
                 raise StateCorruptionError("event ticks went backwards")
             last_tick = tick
-            handler(*args, tick)
+            for handler, args in events.pop(tick):
+                handler(*args, tick)
         stuck = [p for p, done in enumerate(self.store.finished) if not done]
         if stuck:
             dump = ", ".join(

@@ -183,9 +183,12 @@ class SspCore:
     message: its seqs must be distinct and all owed to the worker at one
     timestamp, so a commit arrives once. ``catch_up`` applies every arrived
     update (a read may be fresher than required); ``missing_required``
-    counts the owed commits the protocol obliges a worker to see.
-    Updates are kept as key and value arrays; one ``np.add.at`` per apply
-    adds them in commit order, so each element's additions come in that order.
+    counts the owed commits the protocol obliges a worker to see. The gate
+    minimum is kept, not scanned for: ``_at_clock`` counts the unfinished
+    workers at each clock and ``_low`` is the lowest clock that has one;
+    ``advance_clock`` and ``finish`` update both. Updates are kept as key
+    and value arrays; one ``np.add.at`` per apply adds them in commit order,
+    so each element's additions come in that order.
     """
 
     def __init__(self, P: int, staleness: int, m: int):
@@ -200,6 +203,8 @@ class SspCore:
         self.clocks = [0] * P
         self.finished = [False] * P
         self.blocked = [False] * P
+        self._at_clock = [P]
+        self._low = 0
         self.views = [np.zeros(m) for _ in range(P)]
         self.log: list[_Update] = []
         # per worker: foreign seqs that have arrived and are not yet applied
@@ -223,11 +228,8 @@ class SspCore:
 
     def min_clock(self) -> int:
         """Minimum clock over unfinished workers; finished ones do not hold
-        anyone back."""
-        active = [self.clocks[p] for p in range(self.P) if not self.finished[p]]
-        if not active:
-            return max(self.clocks)
-        return min(active)
+        anyone back; once all have finished, the maximum clock."""
+        return self._low if self._at_clock[self._low] else max(self.clocks)
 
     def commit(self, worker: int, payload: dict[int, float], timestamp: int) -> int:
         """Publish a timestamped update; the writer sees it immediately."""
@@ -261,11 +263,18 @@ class SspCore:
         self._check_worker(worker)
         if self.finished[worker]:
             raise ProtocolError(f"worker {worker} already finished")
-        self.clocks[worker] += 1
-        horizon = self.clocks[worker] - self.staleness - 1
+        clock = self.clocks[worker] = self.clocks[worker] + 1
+        at = self._at_clock
+        if clock == len(at):
+            at.append(0)
+        at[clock - 1] -= 1
+        at[clock] += 1
+        if not at[self._low]:  # it was the last worker at the minimum clock
+            self._low = clock
+        horizon = clock - self.staleness - 1
         self._missing[worker] += len(self.owed[worker].get(horizon, ()))
         self._emit("clock", worker)
-        if self.clocks[worker] - self.min_clock() > self.staleness:
+        if clock - self._low > self.staleness:
             self.blocked[worker] = True
             self._emit("block", worker)
             return True
@@ -273,6 +282,8 @@ class SspCore:
 
     def release_unblocked(self) -> list[int]:
         """Clear the blocked flag for workers whose gap has closed."""
+        if True not in self.blocked:
+            return []
         limit = self.min_clock() + self.staleness
         released = []
         for p in range(self.P):
@@ -292,7 +303,8 @@ class SspCore:
         owed = self.owed[worker].get(ts)
         # a seq out of range, of another timestamp, the worker's own or
         # already arrived is not owed
-        if owed is None or not owed.issuperset(seqs) or n > 1 and len(set(seqs)) < n:
+        if owed is None or (seqs[0] not in owed if n == 1 else
+                            not owed.issuperset(seqs) or len(set(seqs)) < n):
             raise ProtocolError(f"seqs {seqs} are not owed to worker {worker} "
                                 f"at timestamp {ts}")
         if ts <= self.clocks[worker] - self.staleness - 1:  # horizon
@@ -301,10 +313,14 @@ class SspCore:
                     f"{n} required seqs arrived at worker {worker}, whose count of "
                     f"required commits in flight is {self._missing[worker]}")
             self._missing[worker] -= n
-        owed.difference_update(seqs)
+        if n == 1:  # every halton and full P2P message
+            owed.remove(seqs[0])
+            self.arrived[worker].add(seqs[0])
+        else:
+            owed.difference_update(seqs)
+            self.arrived[worker].update(seqs)
         if not owed:
             del self.owed[worker][ts]
-        self.arrived[worker].update(seqs)
 
     def catch_up(self, worker: int) -> list[_Update]:
         """Fold every arrived foreign update into the worker's view, in commit
@@ -350,6 +366,11 @@ class SspCore:
     def finish(self, worker: int) -> None:
         """Mark a worker done; its clock stops counting toward the minimum."""
         self._check_worker(worker)
+        if not self.finished[worker]:
+            at = self._at_clock
+            at[self.clocks[worker]] -= 1
+            while not at[self._low] and self._low < len(at) - 1:
+                self._low += 1
         self.finished[worker] = True
         self.blocked[worker] = False
         self._emit("finish", worker)

@@ -173,19 +173,21 @@ def _arrivals(cls, P, bandwidth, latency, commits):
     sim.wait_since = [None] * P  # nobody waits for a pass; only the network runs
     arrived = {}
     pending = list(commits)
-    while pending or sim.heap:
-        if pending and (not sim.heap or pending[0][0] <= sim.heap[0][0]):
+    while pending or sim._ticks:
+        # a commit goes out before the deliveries of its tick
+        if pending and (not sim._ticks or pending[0][0] <= sim._ticks[0]):
             tick, origin, keys = pending.pop(0)
             payload = {k: 1.0 for k in range(keys)}
             sim._broadcast(origin, sim.store.commit(origin, payload, 0), tick)
             continue
-        tick, _, handler, (link, dst, msg) = heapq.heappop(sim.heap)
-        assert handler == sim._deliver
-        sim._deliver(link, dst, msg, tick)
-        _, seqs, *_ = msg
-        for seq in seqs:
-            if seq in sim.store.arrived[dst]:
-                arrived.setdefault((seq, dst), tick)
+        tick = heapq.heappop(sim._ticks)
+        for handler, (link, dst, msg) in sim._events.pop(tick):
+            assert handler == sim._deliver
+            sim._deliver(link, dst, msg, tick)
+            _, seqs, *_ = msg
+            for seq in seqs:
+                if seq in sim.store.arrived[dst]:
+                    arrived.setdefault((seq, dst), tick)
     assert all(q.inflight == 0 for q in sim.links.values())
     return arrived
 

@@ -7,8 +7,10 @@ suite imports it. A method other than a dunder counts as reached when its
 name appears as an attribute in src/ outside its own body, or anywhere in the
 acceptance suite. Strings, docstrings included, do not count, and neither
 does an import that nothing then uses. Every module-level name that src/
-assigns, and every attribute that src/ assigns on self outside exception
-classes, is read somewhere.
+assigns is read by its own module, by another module that imports it from
+there or reads it as that module's attribute, or by the acceptance suite's
+imports; every attribute that src/ assigns on self outside exception classes
+is read somewhere.
 """
 import ast
 import pathlib
@@ -95,28 +97,72 @@ def test_every_assigned_attribute_is_read():
     assert not unread, "attributes never read:\n" + "\n".join(sorted(unread))
 
 
+def _module(path: pathlib.Path) -> str:
+    """The dotted name `path` under src/ imports as."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _source(node: ast.ImportFrom, module: str, package: bool) -> str:
+    """The module an import in `module` (a package's __init__ if `package`)
+    takes its names from."""
+    base = module.split(".")[:None if package else -1]
+    if node.level > 1:
+        base = base[:1 - node.level]
+    return node.module if node.level == 0 else ".".join(
+        base + ([node.module] if node.module else []))
+
+
+def _reads_from_elsewhere(tree: ast.Module, module: str, package: bool) -> set:
+    """(module, name) for each name that `tree` imports from another module
+    or reads as an attribute of a module it imported by name."""
+    reads, modules = set(), {}  # local name -> the module it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _source(node, module, package)
+            for alias in node.names:
+                reads.add((source, alias.name))
+                modules[alias.asname or alias.name] = f"{source}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and getattr(node.value, "id", None) in modules:
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def _assigned(stmt: ast.stmt) -> set:
+    """The names a top-level statement assigns."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def test_every_module_level_name_is_read():
     """A name that a module of src/ assigns at its top level, dunders aside,
-    is read (as a bare name or an attribute) somewhere in src/, or imported
-    by the acceptance suite; its own assignment is not a read."""
-    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
-    read = {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(getattr(node, "ctx", None), ast.Load):
-                read.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    is read: by its own module, outside the statements that assign it; by
+    another module of src/, which imports it from that module or reads it as
+    an attribute of that module; or by the acceptance suite, which imports
+    it. A read of the same name elsewhere, of another object, does not
+    count."""
+    trees = {_module(p): (p.name == "__init__.py", ast.parse(p.read_text()))
+             for p in sorted(SRC.rglob("*.py"))}
+    elsewhere = _reads_from_elsewhere(
+        ast.parse(ACCEPTANCE.read_text()), "tests.test_acceptance", False)
+    for module, (package, tree) in trees.items():
+        elsewhere |= _reads_from_elsewhere(tree, module, package)
     unread = []
-    for path, tree in trees.items():
-        for stmt in tree.body:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+    for module, (_, tree) in trees.items():
+        # per top-level statement: the names it assigns and the names it reads
+        stmts = [(_assigned(stmt), {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                                    and isinstance(n.ctx, ast.Load)})
+                 for stmt in tree.body]
+        for name in set().union(*(assigned for assigned, _ in stmts)):
+            if _is_dunder(name) or (module, name) in elsewhere:
                 continue
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            for node in (n for t in targets for n in ast.walk(t)):
-                if isinstance(node, ast.Name) and not _is_dunder(node.id) \
-                        and node.id not in read:
-                    unread.append(f"{path.relative_to(SRC)}: {node.id}")
-    assert not unread, "module-level names never read:\n" + "\n".join(unread)
+            if not any(name in loads for assigned, loads in stmts if name not in assigned):
+                unread.append(f"{module}: {name}")
+    assert not unread, "module-level names never read:\n" + "\n".join(sorted(unread))
 
 
 def _callee(call: ast.Call):

@@ -97,17 +97,21 @@ def _pairs_digest(pair_staleness):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def golden_config(topology, staleness, extras):
+    """The config of a case: 5 workers on slow links, a windowed straggler."""
+    return inject_straggler(
+        SimConfig(P=5, staleness=staleness, topology=topology, bandwidth=16.0,
+                  latency=1, max_clocks=8, seed=3, slow_worker_extras=extras),
+        2, 4.0, (6, 60),
+    )
+
+
 def _digest(topology, staleness, extras, m=40, keys_per_update=3, views=False):
     """The digest of one run and that of its `pair_staleness`; with `views`,
     the bytes of every worker's final view and of the global values are
     hashed into the first too."""
-    P = 5
-    cfg = inject_straggler(
-        SimConfig(P=P, staleness=staleness, topology=topology, bandwidth=16.0,
-                  latency=1, max_clocks=8, seed=3, slow_worker_extras=extras),
-        2, 4.0, (6, 60),
-    )
-    sim = SimCluster(FuzzWorkload(m, P, seed=11, keys_per_update=keys_per_update), cfg)
+    cfg = golden_config(topology, staleness, extras)
+    sim = SimCluster(FuzzWorkload(m, 5, seed=11, keys_per_update=keys_per_update), cfg)
     res = sim.run()
     text = res.trace.to_text() + res.metrics_text() + traffic_report(res.traffic)
     data = text.encode()

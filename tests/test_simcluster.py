@@ -16,7 +16,7 @@ from icflow.engine import (
     run_model_parallel,
 )
 from icflow.errors import ConfigurationError, StateCorruptionError
-from icflow.fabric import OutgoingQueue, sparse_codec_size
+from icflow.fabric import OutgoingQueue, sparse_codec_size, traffic_report
 from icflow.sap import SapScheduler
 from icflow.simcluster import (
     FuzzWorkload,
@@ -39,6 +39,8 @@ from icflow.ssp import (
     check_staleness_invariants,
     replay,
 )
+from test_sim_digests import CASES as GOLDEN_CASES
+from test_sim_digests import golden_config
 
 
 def lasso_workload(P, seed=7):
@@ -769,28 +771,53 @@ def test_a_worker_left_waiting_is_named_with_its_state_and_clock():
 # -- tie order ----------------------------------------------------------------
 
 
-class TieShuffledCluster(SimCluster):
+class HeapOrderedCluster(SimCluster):
+    """Orders events by a heap of (tick, (r, seq), handler, args) entries,
+    `seq` the push count and `r` from `_rank` (0: plain push order, the
+    order the simulator's one-list-per-tick queue must reproduce). Each push
+    also queues one `_run_first` at its tick, which runs the heap's first
+    entry, so the queue only says when a tick's next event runs and the heap
+    says which: one pushed during a tick can run before older ones."""
+
+    def __init__(self, workload, config):
+        super().__init__(workload, config)
+        self.heap = []
+        self._heap_seq = 0
+
+    def _rank(self, tick, handler, args):
+        return 0
+
+    def _push(self, tick, handler, *args):
+        r = self._rank(tick, handler, args)
+        heapq.heappush(self.heap, (tick, (r, self._heap_seq), handler, args))
+        self._heap_seq += 1
+        super()._push(tick, self._run_first)
+
+    def _run_first(self, tick):
+        at, _, handler, args = heapq.heappop(self.heap)
+        assert at == tick
+        handler(*args, tick)
+
+
+class TieShuffledCluster(HeapOrderedCluster):
     """Runs the events of one tick in a random order instead of push order:
-    a heap entry is (tick, (r, seq), handler, args), with `r` drawn per
-    event. Every delivery on one link at one tick shares one `r`, so its
-    deliveries keep their push order: links are FIFO in the model, and the
-    master-slave server relies on it (rounds flush in timestamp order)."""
+    `r` is drawn per event. Every delivery on one link at one tick shares
+    one `r`, so its deliveries keep their push order: links are FIFO in the
+    model, and the master-slave server relies on it (rounds flush in
+    timestamp order)."""
 
     def __init__(self, workload, config, seed):
         super().__init__(workload, config)
         self._rng = random.Random(seed)
         self._link_r = {}  # (link, tick) -> r of its deliveries
 
-    def _push(self, tick, handler, *args):
+    def _rank(self, tick, handler, args):
         if handler == self._deliver:
             key = (id(args[0]), tick)
             if key not in self._link_r:
                 self._link_r[key] = self._rng.random()
-            r = self._link_r[key]
-        else:
-            r = self._rng.random()
-        heapq.heappush(self.heap, (tick, (r, self._heap_seq), handler, args))
-        self._heap_seq += 1
+            return self._link_r[key]
+        return self._rng.random()
 
 
 def _tie_fuzz_configs(n=36):
@@ -820,6 +847,20 @@ def test_any_order_of_same_tick_events_keeps_the_protocol():
         reordered += res.trace.to_text() != in_push_order.trace.to_text()
     # the list reaches the extra passes, and the shuffle moves events
     assert extras and reordered
+
+
+def test_the_tick_lists_run_events_in_the_order_of_a_heap():
+    # the one-list-per-tick queue against the (tick, push seq) heap it
+    # replaced: the three files a run writes are the same text
+    runs = [(cfg, 4 * cfg.P, i) for i, cfg in _tie_fuzz_configs()]
+    runs += [(golden_config(*case), 40, 11) for case in GOLDEN_CASES]
+    for cfg, m, seed in runs:
+        texts = []
+        for cls in (SimCluster, HeapOrderedCluster):
+            res = cls(FuzzWorkload(m, cfg.P, seed=seed), cfg).run()
+            texts.append((res.trace.to_text(), res.metrics_text(),
+                          traffic_report(res.traffic)))
+        assert texts[0] == texts[1], cfg
 
 
 def test_lock_step_lasso_matches_the_serial_reference_under_any_tie_order():

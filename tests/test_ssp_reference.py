@@ -5,7 +5,8 @@ it, and it keeps everything whole: every commit, and per worker the seqs that
 have arrived and those it has applied. Seeded random operation sequences run
 on both stores. After each step the two must agree on the step's result, on
 whether it raised and with which type, on `missing_required`,
-`would_block_if_advanced` and `blocked`, and on the views bit for bit.
+`would_block_if_advanced`, `blocked` and `min_clock`, and on the views bit
+for bit.
 """
 import numpy as np
 import pytest
@@ -112,6 +113,7 @@ def _step_both(store, ref, op, args):
     got, want = _outcome(getattr(store, op), args), _outcome(getattr(ref, op), args)
     assert got == want, (op, args)
     assert store.blocked == ref.blocked, (op, args)
+    assert store.min_clock() == ref._min_clock(), (op, args)
     for w in range(ref.P):
         assert store.missing_required(w) == ref.missing_required(w), (op, args, w)
         assert store.would_block_if_advanced(w) == ref.would_block_if_advanced(w)
@@ -175,3 +177,60 @@ def test_a_repeated_delivery_is_rejected_while_its_timestamp_is_owed():
              ("deliver", (2, [1])), ("read", (2,))]
     for op, args in steps:
         _step_both(store, ref, op, args)
+
+
+def _gate_steps(rng, ref, finish_share, anyone=False):
+    """Clock advances of random unfinished workers and releases. A step in
+    `finish_share` finishes a worker at the minimum clock while another is
+    left, so that the minimum moves to the next clock that still has a
+    worker; with `anyone`, any unfinished worker, the last one too."""
+    live = [w for w in range(ref.P) if not ref.finished[w]]
+    draw = rng.random()
+    if len(live) > (0 if anyone else 1) and draw < finish_share:
+        low = [w for w in live if anyone or ref.clocks[w] == ref._min_clock()]
+        return "finish", (int(rng.choice(low)),)
+    if live and draw < 0.75:
+        return "advance_clock", (int(rng.choice(live)),)
+    return "release_unblocked", ()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_finishing_workers_at_the_minimum_clock_moves_the_gate_as_the_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    P, staleness = 3 + seed % 4, seed % 3
+    store, ref = SspCore(P, staleness, 2), ReferenceStore(P, staleness, 2)
+    jumps = 0  # finishes that move the minimum past a clock nobody holds
+    for _ in range(120):
+        low = ref._min_clock()
+        op, args = _gate_steps(rng, ref, 0.04)
+        _step_both(store, ref, op, args)
+        jumps += op == "finish" and ref._min_clock() > low + 1
+    assert jumps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_finishing_every_worker_moves_the_gate_as_the_reference(seed):
+    rng = np.random.default_rng(200 + seed)
+    P, staleness = 2 + seed, seed % 2
+    store, ref = SspCore(P, staleness, 2), ReferenceStore(P, staleness, 2)
+    for _ in range(30):
+        _step_both(store, ref, *_gate_steps(rng, ref, 0.0))
+    while not all(ref.finished):
+        _step_both(store, ref, *_gate_steps(rng, ref, 0.3, anyone=True))
+    # once all have finished the minimum is the highest clock; a finished
+    # worker cannot advance, and finishing it again changes nothing
+    assert store.min_clock() == max(ref.clocks)
+    for op, args in [("advance_clock", (0,)), ("finish", (P - 1,)),
+                     ("release_unblocked", ()), ("would_block_if_advanced", (0,))]:
+        _step_both(store, ref, op, args)
+
+
+def test_finishing_a_worker_twice_leaves_the_minimum_where_it_was():
+    # workers 0 and 1 share the minimum clock 1 until 1 moves on
+    store, ref = SspCore(3, 1, 2), ReferenceStore(3, 1, 2)
+    steps = [("advance_clock", (0,)), ("advance_clock", (1,)), ("advance_clock", (2,)),
+             ("advance_clock", (2,)), ("finish", (0,)), ("finish", (0,)),
+             ("release_unblocked", ()), ("advance_clock", (1,)), ("finish", (0,))]
+    for op, args in steps:
+        _step_both(store, ref, op, args)
+    assert store.min_clock() == 2
