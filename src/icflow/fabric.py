@@ -225,7 +225,6 @@ class OutgoingQueue:
         self.budget = budget
         self.latency = latency
         self.free_at = 0.0
-        self.last_start = 0.0  # when the latest transmission started
         self.now = 0.0
         self.inflight = self.max_inflight = 0
         self.messages = self.bytes = 0
@@ -247,7 +246,7 @@ class OutgoingQueue:
             raise ConfigurationError(f"a {nbytes}-byte message sent at tick {start:.6g} "
                                      f"is delivered after tick {_MAX_TICK} at "
                                      f"{self.budget!r} bytes per tick")
-        self.last_start, self.free_at = start, finish
+        self.free_at = finish
         self.inflight += nbytes
         self.messages += 1
         self.bytes += nbytes
@@ -257,8 +256,9 @@ class OutgoingQueue:
 
     def enqueue(self, message: Message) -> None:
         message.enqueue_seq = len(self.transmissions)
+        start = max(self.now, self.free_at)  # as `transmit` takes it
         delivery = self.transmit(message.bytes, self.now)
-        self.transmissions.append((self.last_start, self.free_at, message.bytes))
+        self.transmissions.append((start, self.free_at, message.bytes))
         self.pending.append((self.free_at, delivery, message))
 
     def drain(self, elapsed: float) -> list[tuple[Message, float]]:

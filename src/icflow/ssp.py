@@ -9,9 +9,10 @@ runs more than s clocks ahead of the slowest one blocks until the gap closes.
 With s = 0 the protocol degenerates to fully synchronous lock-step execution.
 
 All store activity can be recorded as a trace (one CSV line per event) that an
-independent checker replays to verify the protocol guarantees. The whole
-checker lives here (`check_staleness_invariants`, and `replay`, which `icflow
-replay` runs), and it imports no simulator.
+independent checker replays to verify the protocol guarantees, on an int64
+table whose rows it selects by event code. The whole checker lives here
+(`check_staleness_invariants`, and `replay`, which `icflow replay` runs), and
+it imports no simulator.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ import numpy as np
 from .errors import ProtocolError, StateCorruptionError, TraceParseError
 from .fabric import sparse_codec_size
 
-_EVENTS = {
-    "commit", "clock", "block", "unblock", "read", "apply", "finish",
-    "compute_start", "compute_end", "msg_send", "msg_deliver",
-}
+# every event name, sorted; an event's code in a trace table is its index here
+_EVENTS = ("apply", "block", "clock", "commit", "compute_end", "compute_start",
+           "finish", "msg_deliver", "msg_send", "read", "unblock")
+_CODE = {name: code for code, name in enumerate(_EVENTS)}
 # subset replayed by the staleness checker; the rest are simulator events
 _PROTOCOL_EVENTS = {"commit", "clock", "block", "unblock", "read", "apply", "finish"}
 
@@ -49,7 +50,7 @@ class TraceEvent(NamedTuple):
         parts = line.strip().split(",")
         if len(parts) != 8:
             raise TraceParseError(line_number, f"expected 8 fields, got {len(parts)}")
-        if parts[1] not in _EVENTS:
+        if parts[1] not in _CODE:
             raise TraceParseError(line_number, f"unknown event {parts[1]!r}")
         try:
             nums = [int(parts[i]) for i in (0, 2, 3, 4, 5, 6, 7)]
@@ -64,14 +65,9 @@ TRACE_HEADER = ",".join(TraceEvent._fields)
 _ROW_FORMAT = ",".join(["%s"] * len(TraceEvent._fields)) + "\n"
 _CHUNK_ROWS = 1024  # rows per piece of text that `Trace.to_text` writes
 
-# A trace as a column table: one record per event, one field per TraceEvent
-# field. The event name is one character wider than the longest known name,
-# so a longer name is cut to a still unknown one, never to a known one.
-_TABLE_DTYPE = np.dtype([
-    (name, f"<U{max(map(len, _EVENTS)) + 1}" if name == "event" else np.int64)
-    for name in TraceEvent._fields
-])
-_EVENT_NAMES = np.array(sorted(_EVENTS))
+# A trace as a column table: one int64 record per event, one field per
+# TraceEvent field; the event field holds the event's code.
+_TABLE_DTYPE = np.dtype([(name, np.int64) for name in TraceEvent._fields])
 # The characters of a well-formed trace. np.loadtxt reads some other text
 # differently from int() and str (non-ASCII characters as digits, "\x1f" as
 # blank space, trailing NULs dropped), so such text is parsed line by line.
@@ -87,13 +83,10 @@ def _read_table(text: str, body: list[str]) -> Optional[np.ndarray]:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(body, dtype=_TABLE_DTYPE, delimiter=",",
-                               comments=None, ndmin=1)
-        except (ValueError, Warning):
+            return np.loadtxt(body, dtype=_TABLE_DTYPE, delimiter=",", comments=None,
+                              ndmin=1, converters={1: _CODE.__getitem__})
+        except (KeyError, ValueError, Warning):
             return None
-    if not np.isin(table["event"], _EVENT_NAMES).all():
-        return None
-    return table
 
 
 class Trace:
@@ -102,10 +95,10 @@ class Trace:
     A trace that the store and the simulator build is one flat list, which
     they extend by each event's 8 fields in ``TraceEvent`` order (70-85
     bytes an event, against 115-130 for a tuple). A trace read by
-    ``from_text`` is a column table (see ``table``) and has no flat list, so
-    nothing appends to it. ``events`` builds new ``TraceEvent`` objects on
-    each read. The table of a built trace is rebuilt when the trace's length
-    has changed since it was built."""
+    ``from_text`` is a column table of event codes (see ``table``) and has no
+    flat list, so nothing appends to it. ``events`` builds new, named
+    ``TraceEvent`` objects on each read. The table of a built trace is
+    rebuilt when the trace's length has changed since it was built."""
 
     def __init__(self, events: Iterable[TraceEvent] = ()):
         self._flat: Optional[list] = list(chain.from_iterable(events))
@@ -118,14 +111,18 @@ class Trace:
     def _fields(self):
         """The fields of every event, in trace order, as one iterator."""
         if self._flat is None:
-            return chain.from_iterable(self._table.tolist())
+            return chain.from_iterable((row[0], _EVENTS[row[1]], *row[2:])
+                                       for row in self._table.tolist())
         return iter(self._flat)
 
     def table(self) -> np.ndarray:
-        """The events as a structured array with one field per TraceEvent
-        field, in trace order."""
+        """The events as an int64 structured array with one field per
+        TraceEvent field, in trace order; the event field is the code."""
         if self._table is None or len(self._table) != len(self):
-            self._table = np.array(list(zip(*[self._fields()] * 8)), dtype=_TABLE_DTYPE)
+            flat, table = self._flat, np.empty(len(self), _TABLE_DTYPE)
+            for i, name in enumerate(TraceEvent._fields):
+                table[name] = list(map(_CODE.__getitem__, flat[1::8])) if i == 1 else flat[i::8]
+            self._table = table
         return self._table
 
     def __len__(self) -> int:
@@ -420,9 +417,10 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
 
     table = trace.table()
     # only protocol rows are replayed; each keeps its index in the whole trace
-    rows = np.flatnonzero(np.isin(table["event"], list(_PROTOCOL_EVENTS)))
+    rows = np.flatnonzero(np.isin(table["event"], [_CODE[e] for e in _PROTOCOL_EVENTS]))
     columns = [table[name][rows].tolist()
                for name in ("event", "worker", "clock", "seq", "timestamp")]
+    columns[0] = list(map(_EVENTS.__getitem__, columns[0]))
     for i, event, w, clock, seq, ts in zip(rows.tolist(), *columns):
         if not (0 <= w < P):
             violations.append(f"event {i}: worker {w} out of range")
@@ -541,8 +539,8 @@ def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
     blocked: dict[int, int] = {}
     finished: set[int] = set()
     pair_bad = None
-    rows = np.flatnonzero(np.isin(event, ["block", "unblock", "finish"]))
-    for i, name, worker in zip(rows.tolist(), event[rows].tolist(),
+    rows = np.flatnonzero(np.isin(event, [_CODE["block"], _CODE["unblock"], _CODE["finish"]]))
+    for i, name, worker in zip(rows.tolist(), map(_EVENTS.__getitem__, event[rows].tolist()),
                                table["worker"][rows].tolist()):
         if name == "block":
             if worker in blocked:
@@ -569,8 +567,8 @@ def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
 
     # every message send has a matching delivery: equal counts per id
     seq = table["seq"]
-    sent, n_sent = np.unique(seq[event == "msg_send"], return_counts=True)
-    got, n_got = np.unique(seq[event == "msg_deliver"], return_counts=True)
+    sent, n_sent = np.unique(seq[event == _CODE["msg_send"]], return_counts=True)
+    got, n_got = np.unique(seq[event == _CODE["msg_deliver"]], return_counts=True)
     ids = sorted_union([sent, got])
     counts = np.zeros((2, len(ids)), dtype=np.int64)
     counts[0, np.searchsorted(ids, sent)] = n_sent

@@ -14,6 +14,7 @@ is read somewhere.
 """
 import ast
 import pathlib
+import symtable
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -138,13 +139,26 @@ def _assigned(stmt: ast.stmt) -> set:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+def _global_reads(stmt: ast.stmt) -> set:
+    """The names a top-level statement reads as module-level names: in the
+    module scope, or in a nested scope where the name resolves as global. A
+    read of a function's local or parameter of the same name is not one."""
+    reads, tables = set(), [symtable.symtable(ast.unparse(stmt), "<stmt>", "exec")]
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        reads |= {sym.get_name() for sym in table.get_symbols() if sym.is_referenced()
+                  and (table.get_type() == "module" or sym.is_global())}
+    return reads
+
+
 def test_every_module_level_name_is_read():
     """A name that a module of src/ assigns at its top level, dunders aside,
     is read: by its own module, outside the statements that assign it; by
     another module of src/, which imports it from that module or reads it as
     an attribute of that module; or by the acceptance suite, which imports
-    it. A read of the same name elsewhere, of another object, does not
-    count."""
+    it. A read of the same name elsewhere, of another object or of a local
+    that shadows it, does not count."""
     trees = {_module(p): (p.name == "__init__.py", ast.parse(p.read_text()))
              for p in sorted(SRC.rglob("*.py"))}
     elsewhere = _reads_from_elsewhere(
@@ -154,9 +168,7 @@ def test_every_module_level_name_is_read():
     unread = []
     for module, (_, tree) in trees.items():
         # per top-level statement: the names it assigns and the names it reads
-        stmts = [(_assigned(stmt), {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
-                                    and isinstance(n.ctx, ast.Load)})
-                 for stmt in tree.body]
+        stmts = [(_assigned(stmt), _global_reads(stmt)) for stmt in tree.body]
         for name in set().union(*(assigned for assigned, _ in stmts)):
             if _is_dunder(name) or (module, name) in elsewhere:
                 continue

@@ -1,5 +1,7 @@
 import gc
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,6 +119,105 @@ def test_table_parse_matches_line_by_line_parse():
             _parse_outcome(_line_by_line, text), repr(text)
 
 
+# event name -> the text that replaces it
+NAME_EDITS = {
+    "unknown": lambda n: "teleport",
+    "truncated": lambda n: n[:-1],
+    "over-long": lambda n: n + n[-1],
+    "upper case": lambda n: n.upper(),
+    "space before": lambda n: " " + n,
+    "space after": lambda n: n + " ",
+    "tab after": lambda n: n + "\t",
+    "NUL before": lambda n: "\x00" + n,
+    "NUL after": lambda n: n + "\x00",
+    "non-ASCII letter": lambda n: n + "\xe9",
+    "no-break space": lambda n: n + "\xa0",
+}
+# integer field -> its replacement
+NUMBER_EDITS = {
+    "plus": lambda f: "+" + f,
+    "minus": lambda f: "-" + f,
+    "leading zeros": lambda f: "000" + f,
+    "spaces": lambda f: f" {f} ",
+    "underscore": lambda f: f + "_0",
+    "decimal point": lambda f: f + ".0",
+    "empty": lambda f: "",
+    "non-ASCII digit": lambda f: f + "\u0663",
+    "fullwidth digit": lambda f: "\uff13" + f,
+    "unit separator": lambda f: "\x1f" + f,
+    "int64 max": lambda f: str(2**63 - 1),
+    "int64 min": lambda f: str(-2**63),
+    "past int64": lambda f: str(2**63),
+    "below int64": lambda f: str(-2**63 - 1),
+    "far past int64": lambda f: "9" * 40,
+}
+# the fields of one line -> the line
+LINE_EDITS = {
+    "7 fields": lambda fs: ",".join(fs[:-1]),
+    "9 fields": lambda fs: ",".join(fs + ["0"]),
+    "blank": lambda fs: "",
+    "whitespace only": lambda fs: " \t ",
+    "CR at end": lambda fs: ",".join(fs) + "\r",
+    "NUL at end": lambda fs: ",".join(fs) + "\x00",
+    "comment": lambda fs: "#" + ",".join(fs),
+    "line break inside": lambda fs: ",".join(fs[:4]) + "\x85" + ",".join(fs[4:]),
+}
+# whole text -> the text
+TEXT_EDITS = {
+    "as written": lambda t: t,
+    "CRLF": lambda t: t.replace("\n", "\r\n"),
+    "no final newline": lambda t: t.rstrip("\n"),
+    "blank lines": lambda t: t.replace("\n", "\n\n"),
+    "whitespace-only lines": lambda t: t.replace("\n", "\n \n"),
+    "truncated": lambda t: t[: len(t) // 2],
+    "header only": lambda t: t.split("\n", 1)[0] + "\n",
+}
+
+
+def test_the_table_parse_matches_the_line_parse_on_edited_simulator_traces(monkeypatch):
+    tabled = []  # per call of the table parse, whether it read the text
+    read_table = ssp._read_table
+
+    def spy(text, body):
+        table = read_table(text, body)
+        tabled.append(table is not None)
+        return table
+
+    monkeypatch.setattr(ssp, "_read_table", spy)
+    rng = random.Random(5)
+    outcomes = Counter()
+    for seed in range(6):
+        P = rng.randint(2, 5)
+        config = SimConfig(P=P, staleness=rng.randint(0, 2), max_clocks=3, seed=seed,
+                           topology=rng.choice(["master_slave", "full_p2p", "halton"]))
+        trace = run_simulation(FuzzWorkload(6 * P, P, seed=seed), config).trace
+        text = trace.to_text()
+        header, *rows = text.splitlines()
+        rows = [row.split(",") for row in rows]
+        cases = [(name, edit(text)) for name, edit in TEXT_EDITS.items()]
+        for edits, fields in ((NAME_EDITS, [1]), (NUMBER_EDITS, [0, 2, 3, 4, 5, 6, 7]),
+                              (LINE_EDITS, None)):
+            for name, edit in edits.items():
+                lines = [",".join(row) for row in rows]
+                for i in rng.sample(range(len(rows)), rng.randint(1, 3)):
+                    if fields is None:
+                        lines[i] = edit(rows[i])
+                    else:
+                        j = rng.choice(fields)
+                        lines[i] = ",".join(rows[i][:j] + [edit(rows[i][j])] + rows[i][j + 1:])
+                cases.append((name, "\n".join([header, *lines]) + "\n"))
+        for name, edited in cases:
+            got = _parse_outcome(lambda t: Trace.from_text(t).events, edited)
+            assert got == _parse_outcome(_line_by_line, edited), (name, edited)
+            outcomes[got[0], bool(tabled) and tabled[-1]] += 1
+            if name == "as written":  # a simulator's trace takes the table parse
+                assert tabled[-1] and got == ("ok", trace.events)
+            tabled.clear()
+    # accepted texts by both parses and rejected texts were compared
+    assert outcomes["ok", True] > 50 and outcomes["ok", False] > 20, outcomes
+    assert outcomes["error", False] > 100, outcomes
+
+
 def test_table_parse_round_trips_a_simulator_trace():
     # P-1 link sends per halton commit: 60 clocks give at least 10,000 events
     res = run_simulation(FuzzWorkload(48, 8, seed=3),
@@ -170,6 +271,22 @@ def test_a_trace_written_to_a_file_is_never_held_whole(tmp_path):
     assert path.read_text() == text
 
 
+def test_parse_and_replay_peak_under_7_times_the_text():
+    # the table's 64-byte rows, the body's lines and the checker's columns
+    text = _halton_fuzz_run(60).trace.to_text()
+    replay(Trace.from_text(_halton_fuzz_run(2).trace.to_text()), 2, 8)  # imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = Trace.from_text(text)
+        assert replay(trace, 2, 8).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.table().dtype.itemsize == 64
+    assert peak < 7 * len(text), peak / len(text)
+
+
 def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
     sim = SimCluster(FuzzWorkload(24, 4, seed=1), SimConfig(P=4, staleness=1, max_clocks=4))
     trace = sim.run().trace
@@ -188,7 +305,7 @@ def test_replay_builds_the_table_of_an_in_memory_trace_once(monkeypatch):
     # an append through the store drops the cached table
     sim.store.finish(0)
     assert trace.table() is not first and len(trace.table()) == len(first) + 1
-    assert trace.table()["event"][-1] == "finish"
+    assert trace.table()["event"][-1] == ssp._CODE["finish"]
 
 
 def test_commit_requires_current_clock_timestamp():
