@@ -20,7 +20,7 @@ import numpy as np
 from .engine import FixedBlockScheduler, _check_objective
 from .errors import ConfigurationError, StateCorruptionError
 from .fabric import _MAX_TICK, OutgoingQueue, make_topology, sparse_codec_size
-from .ssp import SspCore, Trace, sorted_union
+from .ssp import SspCore, Trace
 
 # extra passes a worker may take at one clock: a run's work stays bounded
 MAX_EXTRA_PASSES = 6
@@ -177,10 +177,14 @@ class FuzzWorkload:
 # simulator
 
 
-# the keys a combined server message carries: the sorted union of its parts'
-# key arrays, where a key whose values cancel still counts; a global of this
-# module that `_relay` calls, so a wrapper put here sees every merge
-merge_payloads = sorted_union
+def merge_payloads(arrays: list[np.ndarray]) -> np.ndarray:
+    """The keys a combined server message carries: the sorted union of its
+    parts' key arrays, where a key whose values cancel still counts. Taken by
+    sort and neighbour compare, not plain `np.unique` or `np.union1d`, whose
+    first call imports `numpy.ma` (on numpy 2.4.6). A global of this module
+    that `_relay` calls, so a wrapper put here sees every merge."""
+    keys = np.sort(np.concatenate(arrays or [np.empty(0, np.int64)]))
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
 @dataclass
@@ -195,7 +199,8 @@ class SimResult:
     final_tick: int
     stale_mean: float
     stale_max: int
-    # per delivered worker message, flat: destination, staleness, commit ids
+    # per delivered worker message, flat: destination, staleness, commit ids;
+    # every halton and full P2P message of one commit shares its one id list
     deliveries: list
     commit_workers: list  # the worker of each commit id
 
@@ -290,10 +295,11 @@ class SimCluster:
         receiving worker relays it on (`_deliver`): down the origin's
         broadcast tree, P-1 link messages in all, a star of direct messages
         on full P2P. On master-slave the origin sends to the server, which
-        relays batched rounds (`_server_receive`)."""
-        upd = self.store.log[seq]
+        relays batched rounds (`_server_receive`). Every message of the
+        commit carries the same id list, which no receiver changes."""
+        upd, seqs = self.store.log[seq], [seq]
         for dst in self.topology.relays(origin, origin):
-            self._send(origin, dst, [seq], len(upd.keys), upd.nbytes, upd.timestamp,
+            self._send(origin, dst, seqs, len(upd.keys), upd.nbytes, upd.timestamp,
                        origin, tick)
 
     def _server_receive(self, msg: tuple, tick: int) -> None:

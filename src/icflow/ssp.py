@@ -74,17 +74,17 @@ _TABLE_DTYPE = np.dtype([(name, np.int64) for name in TraceEvent._fields])
 _TABLE_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz_,+- \t\r\n"
 
 
-def _read_table(text: str, body: list[str]) -> Optional[np.ndarray]:
-    """The trace body as a column table in one pass, or None if any line is
-    not a well-formed event; `TraceEvent.from_line` then decides, line by
-    line, whether and where the text is malformed."""
+def _read_table(text: str, lines: list[str]) -> Optional[np.ndarray]:
+    """The lines after the header as a column table in one pass, or None if
+    any is not a well-formed event; `TraceEvent.from_line` then decides, line
+    by line, whether and where the text is malformed."""
     if not text.isascii() or text.encode("ascii").translate(None, _TABLE_CHARS):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(body, dtype=_TABLE_DTYPE, delimiter=",", comments=None,
-                              ndmin=1, converters={1: _CODE.__getitem__})
+            return np.loadtxt(lines, dtype=_TABLE_DTYPE, delimiter=",", comments=None,
+                              skiprows=1, ndmin=1, converters={1: _CODE.__getitem__})
         except (KeyError, ValueError, Warning):
             return None
 
@@ -148,7 +148,7 @@ class Trace:
             raise TraceParseError(0, "empty trace")
         if lines[0].strip() != TRACE_HEADER:
             raise TraceParseError(1, f"bad header {lines[0]!r}")
-        table = _read_table(text, lines[1:])
+        table = _read_table(text, lines)
         if table is not None:
             trace = cls()
             trace._flat, trace._table = None, table
@@ -489,14 +489,6 @@ def check_staleness_invariants(trace: Trace, staleness: int, P: int) -> Invarian
     return InvariantReport(ok=not violations, violations=violations)
 
 
-def sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
-    """The sorted union of int arrays, by sort and neighbour compare. (Not
-    plain `np.unique` or `np.union1d`, whose first call imports `numpy.ma`;
-    `np.unique(..., return_counts=True)` does not, on numpy 2.4.6.)"""
-    keys = np.sort(np.concatenate(arrays or [np.empty(0, np.int64)]))
-    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-
-
 @dataclass
 class ReplayCheck:
     name: str
@@ -565,15 +557,13 @@ def replay(trace: Trace, staleness: int, P: int) -> ReplayReport:
         ),
     ))
 
-    # every message send has a matching delivery: equal counts per id
-    seq = table["seq"]
-    sent, n_sent = np.unique(seq[event == _CODE["msg_send"]], return_counts=True)
-    got, n_got = np.unique(seq[event == _CODE["msg_deliver"]], return_counts=True)
-    ids = sorted_union([sent, got])
-    counts = np.zeros((2, len(ids)), dtype=np.int64)
-    counts[0, np.searchsorted(ids, sent)] = n_sent
-    counts[1, np.searchsorted(ids, got)] = n_got
-    unmatched = ids[counts[0] != counts[1]].tolist()
+    # every message send has a matching delivery: per id, the sends are
+    # half of its message rows
+    sent = event == _CODE["msg_send"]
+    rows = sent | (event == _CODE["msg_deliver"])
+    ids, inverse = np.unique(table["seq"][rows], return_inverse=True)
+    sends = np.bincount(inverse[sent[rows]], minlength=len(ids))
+    unmatched = ids[2 * sends != np.bincount(inverse, minlength=len(ids))].tolist()
     checks.append(ReplayCheck(
         "messages_delivered", not unmatched,
         "ok" if not unmatched else f"unmatched message ids: {unmatched[:5]}",

@@ -288,6 +288,19 @@ def test_merge_payloads_is_a_key_union():
     assert merge_payloads([]).tolist() == []
 
 
+def test_every_message_of_a_commit_carries_its_one_id_list():
+    # `_broadcast` builds one `[seq]` per commit; each send and relay of the
+    # commit passes that list on, so the deliveries hold one list per commit
+    for topology in ("full_p2p", "halton"):
+        res = run_simulation(FuzzWorkload(48, 8, seed=2),
+                             SimConfig(P=8, staleness=1, topology=topology, max_clocks=4))
+        lists = res.deliveries[2::3]
+        assert len(lists) == 7 * len(res.commit_workers), topology
+        distinct = {id(seqs): seqs for seqs in lists}.values()
+        assert len(distinct) == len(res.commit_workers), topology
+        assert sorted(distinct) == [[s] for s in range(len(distinct))]
+
+
 def test_relay_sizes_each_message_as_the_union_of_the_other_origins_keys():
     # the key count a server message had when each was merged on its own:
     # overlapping keys, keys of one origin only, origins with several
@@ -645,6 +658,41 @@ def test_checkers_match_reference_on_forged_traces():
     for name, check, forged in _forgeries(events, P):
         rep, _ = _checked_in_memory_and_parsed(forged, 1, P, name)
         assert check in [c.name for c in rep.checks if not c.ok], name
+
+
+def test_replay_balances_message_ids_like_the_reference():
+    P = 4
+    events = run_simulation(FuzzWorkload(24, P, seed=4), SimConfig(
+        P=P, staleness=1, topology="full_p2p", max_clocks=6)).trace.events
+    last = events[-1].tick
+    deliver = next(e for e in events if e.event == "msg_deliver")
+    lo, hi = -2**63, 2**63 - 1
+
+    def msg(event, mid):
+        return TraceEvent(last, event, 0, 0, mid, 0, 1, 37)
+
+    cases = {  # name: (events, the messages_delivered detail)
+        "duplicated delivery": (events + [deliver._replace(tick=last)],
+                                f"unmatched message ids: [{deliver.seq}]"),
+        "delivery with no send": (events + [msg("msg_deliver", 10**6)],
+                                  "unmatched message ids: [1000000]"),
+        "send with no delivery": (events + [msg("msg_send", 10**6)],
+                                  "unmatched message ids: [1000000]"),
+        "ids at the int64 limits, matched": (
+            events + [msg("msg_send", hi), msg("msg_send", lo),
+                      msg("msg_deliver", lo), msg("msg_deliver", hi)], "ok"),
+        "ids at the int64 limits, unmatched": (
+            events + [msg("msg_send", hi), msg("msg_deliver", lo), msg("msg_send", hi),
+                      msg("msg_deliver", hi)], f"unmatched message ids: [{lo}, {hi}]"),
+        "seven unmatched ids": (
+            events + [msg("msg_send", m) for m in (9, -3, 10**9, 7, -10**9, 8, 0)],
+            "unmatched message ids: [-1000000000, -3, 0, 7, 8]"),
+        "no message rows": ([e for e in events if not e.event.startswith("msg_")], "ok"),
+        "no rows": ([], "ok"),
+    }
+    for name, (forged, detail) in cases.items():
+        rep, _ = _checked_in_memory_and_parsed(forged, 1, P, name)
+        assert rep.checks[2] == ReplayCheck("messages_delivered", detail == "ok", detail), name
 
 
 def test_replay_of_a_trace_beyond_int64_exits_2(tmp_path, capsys):

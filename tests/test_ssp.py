@@ -111,7 +111,7 @@ PARSE_CASES = {
 def test_table_parse_matches_line_by_line_parse():
     for name, (body, tabled) in PARSE_CASES.items():
         text = TRACE_HEADER + "\n" + body
-        assert (ssp._read_table(text, text.splitlines()[1:]) is not None) == tabled, name
+        assert (ssp._read_table(text, text.splitlines()) is not None) == tabled, name
         assert _parse_outcome(lambda t: Trace.from_text(t).events, text) == \
             _parse_outcome(_line_by_line, text), name
     for text in ("", "\n", "bad header\n" + ROW, TRACE_HEADER):
@@ -178,8 +178,8 @@ def test_the_table_parse_matches_the_line_parse_on_edited_simulator_traces(monke
     tabled = []  # per call of the table parse, whether it read the text
     read_table = ssp._read_table
 
-    def spy(text, body):
-        table = read_table(text, body)
+    def spy(text, lines):
+        table = read_table(text, lines)
         tabled.append(table is not None)
         return table
 
@@ -225,7 +225,7 @@ def test_table_parse_round_trips_a_simulator_trace():
     assert len(res.trace) >= 10_000
     text = res.trace.to_text()
     parsed = Trace.from_text(text)
-    assert ssp._read_table(text, text.splitlines()[1:]) is not None
+    assert ssp._read_table(text, text.splitlines()) is not None
     assert len(parsed) == len(res.trace)
     assert np.array_equal(parsed.table(), res.trace.table())
     assert parsed.events == res.trace.events == _line_by_line(text)
